@@ -9,6 +9,8 @@ conditions, and cross-validates everything on small instances with an
 exhaustive grid oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     CoverReport,
     Domination,
@@ -40,7 +42,6 @@ from .constructors import (
 )
 from .equilibrium import (
     Deviation,
-    DeviationProblem,
     NashResult,
     best_deviation,
     is_nash,
@@ -56,8 +57,6 @@ from .model import (
     replace_row,
     sigma_tau,
     state_vector,
-    support,
-    threat,
     to_fraction,
     validate_allocation,
     validate_environment,
@@ -84,4 +83,9 @@ from .preference import (
     weakly_prefers,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Every name imported above, but not the submodules the imports bind.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

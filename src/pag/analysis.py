@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Literal
+from typing import Iterable
 
 from .model import ZERO, Environment
 
@@ -28,11 +28,6 @@ def is_complete_adversary_graph(env: Environment) -> bool:
         return False
     expected = env.n * (env.n - 1) // 2
     return len(env.adversaries) == expected
-
-
-def _require_no_friends(env: Environment) -> None:
-    if env.friends:
-        raise TopologyError("environment has friend relations")
 
 
 def adversary_bipartition(env: Environment) -> tuple[frozenset[int], frozenset[int]] | None:
@@ -61,7 +56,8 @@ def adversary_bipartition(env: Environment) -> tuple[frozenset[int], frozenset[i
 
 
 def _require_bipartite_no_friends(env: Environment) -> tuple[frozenset[int], frozenset[int]]:
-    _require_no_friends(env)
+    if env.friends:
+        raise TopologyError("environment has friend relations")
     parts = adversary_bipartition(env)
     if parts is None:
         raise TopologyError("adversary graph is not bipartite")
@@ -193,14 +189,10 @@ def domination(env: Environment, i: int) -> Domination | None:
     return Domination(owner=i, members=frozenset({i} | covered))
 
 
-def protectorate(
-    env: Environment, i: int, *, summand: Literal["friend", "owner"] = "friend"
-) -> Protectorate | None:
+def protectorate(env: Environment, i: int) -> Protectorate | None:
     """i's protectorate, when i plus its weak friends cover the threats.
 
-    `summand` selects whose power is added per weak friend in the condition;
-    the sensible reading adds the friend's power and is the default, the
-    alternative adds the owner's power once per weak friend.
+    The condition adds each weak friend's own power to i's.
     """
     friends = env.friends_of(i)
     weak = frozenset(
@@ -211,10 +203,7 @@ def protectorate(
     threats: set[int] = set()
     for j in weak:
         threats.update(env.adversaries_of(j))
-    if summand == "friend":
-        lhs = env.powers[i] + sum((env.powers[j] for j in weak), ZERO)
-    else:
-        lhs = env.powers[i] * (1 + len(weak))
+    lhs = env.powers[i] + sum((env.powers[j] for j in weak), ZERO)
     rhs_set = set(env.adversaries_of(i)) | threats
     rhs = sum((env.powers[j] for j in rhs_set), ZERO)
     if lhs < rhs:
@@ -245,7 +234,7 @@ class CoverReport:
     verdicts: tuple[SurvivalVerdict, ...]
 
 
-def dp_cover(env: Environment, *, summand: Literal["friend", "owner"] = "friend") -> CoverReport:
+def dp_cover(env: Environment) -> CoverReport:
     """Compute the domination-protectorate cover and survival verdicts.
 
     Verdicts are assigned only when the cover spans the whole graph:
@@ -256,9 +245,7 @@ def dp_cover(env: Environment, *, summand: Literal["friend", "owner"] = "friend"
     contradiction and is surfaced as a conflict, never resolved silently.
     """
     dominations = tuple(d for d in (domination(env, i) for i in range(env.n)) if d)
-    protectorates = tuple(
-        p for p in (protectorate(env, i, summand=summand) for i in range(env.n)) if p
-    )
+    protectorates = tuple(p for p in (protectorate(env, i) for i in range(env.n)) if p)
     covered: set[int] = set()
     for d in dominations:
         covered.update(d.members)

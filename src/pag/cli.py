@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -43,10 +42,6 @@ from .model import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
-
-
-def _frac_str(value: Fraction) -> str:
-    return str(value)
 
 
 def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
@@ -116,24 +111,20 @@ def emit_scenario(env: Environment, u: Matrix | None = None) -> dict:
     """Serialize an environment (and allocation) to the scenario JSON shape."""
     data: dict[str, Any] = {
         "countries": [
-            {"name": name, "power": _frac_str(p)}
-            for name, p in zip(env.names, env.powers)
+            {"name": name, "power": str(p)} for name, p in zip(env.names, env.powers)
         ],
         "friends": sorted([env.names[i], env.names[j]] for i, j in env.friends),
         "adversaries": sorted([env.names[i], env.names[j]] for i, j in env.adversaries),
     }
     if u is not None:
-        allocation: dict[str, dict[str, str]] = {}
-        for i in range(env.n):
-            row = {
-                env.names[j]: _frac_str(u[i][j])
-                for j in range(env.n)
-                if u[i][j] != 0
-            }
-            if row:
-                allocation[env.names[i]] = row
-        data["allocation"] = allocation
+        rows = {name: _sparse_row(env, row) for name, row in zip(env.names, u)}
+        data["allocation"] = {name: row for name, row in rows.items() if row}
     return data
+
+
+def _sparse_row(env: Environment, row) -> dict[str, str]:
+    """One allocation row as {country name: "a/b"}, zero entries omitted."""
+    return {name: str(x) for name, x in zip(env.names, row) if x != 0}
 
 
 def _load(path: str) -> tuple[Environment, Matrix | None]:
@@ -151,10 +142,6 @@ def _print_report(lines: Sequence[str], payload: dict) -> None:
 def _fail(message: str, code: int = EXIT_ERROR) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _states_payload(env: Environment, states) -> list[str]:
-    return [s.value for s in states]
 
 
 def _require_allocation(u: Matrix | None) -> Matrix:
@@ -208,9 +195,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             {
                 "name": name,
                 "index": i,
-                "power": _frac_str(env.powers[i]),
-                "support": _frac_str(sigmas[i]),
-                "threat": _frac_str(taus[i]),
+                "power": str(env.powers[i]),
+                "support": str(sigmas[i]),
+                "threat": str(taus[i]),
                 "state": states[i].value,
             }
         )
@@ -241,17 +228,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             lines.append(f"{name}: profitable deviation found")
             certificates[name] = {
-                "row": {
-                    env.names[j]: _frac_str(dev.row[j])
-                    for j in range(env.n)
-                    if dev.row[j] != 0
-                },
-                "states": _states_payload(env, dev.states),
+                "row": _sparse_row(env, dev.row),
+                "states": [s.value for s in dev.states],
             }
     payload = {
         "command": "verify",
         "is_nash": result.ok,
-        "states": _states_payload(env, states),
+        "states": [s.value for s in states],
         "certificates": certificates,
     }
     _print_report(lines, payload)
@@ -274,13 +257,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _optional(check, *call_args):
-    try:
-        return check(*call_args)
-    except analysis.TopologyError:
-        return None
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     env, _ = _load(args.scenario)
     lines = []
@@ -298,7 +274,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "clique_defense": clique,
         }
 
-    balancing = _optional(analysis.balancing_exists, env)
+    try:
+        balancing = analysis.balancing_exists(env)
+    except analysis.TopologyError:
+        balancing = None
     if balancing is None:
         lines.append("balancing equilibrium: not applicable (not a complete rivalry)")
     else:
@@ -397,7 +376,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     lines.append("note: grid absence is evidence, not proof, for continuous claims")
     payload = {
         "command": "search",
-        "step": _frac_str(step),
+        "step": str(step),
         "candidates_checked": atlas.candidates_checked,
         "classes": classes_payload,
         "survival": survival,
@@ -445,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="enumerate grid equilibria exhaustively")
     p.add_argument("scenario")
     p.add_argument("--step", required=True, help="grid step, e.g. 1 or 1/4")
-    p.add_argument("--max-candidates", type=int, default=10_000_000)
+    p.add_argument("--max-candidates", type=int, default=oracle.MAX_CANDIDATES)
     p.set_defaults(func=_cmd_search)
 
     return parser

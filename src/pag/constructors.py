@@ -36,6 +36,12 @@ from .model import (
 )
 
 
+#: Pair orderings tried by `bipartite_safe_equilibrium` before giving up.
+MAX_ORDERINGS = 720
+#: Best-response repair steps applied to each unverified construction.
+REPAIR_ROUNDS = 12
+
+
 class InfeasiblePower(ValueError):
     """Some country's power exceeds the total power of the others."""
 
@@ -312,8 +318,6 @@ def bipartite_safe_equilibrium(
     target: int,
     *,
     seed: int = 0,
-    max_orderings: int = 720,
-    repair_rounds: int = 12,
 ) -> Matrix:
     """Equilibrium on a friendless bipartite rivalry where `target` is safe.
 
@@ -333,7 +337,7 @@ def bipartite_safe_equilibrium(
     pairs = sorted(p for p in env.adversaries if target not in p)
 
     attempts = 0
-    for ordering in _orderings(pairs, seed, max_orderings):
+    for ordering in _orderings(pairs, seed, MAX_ORDERINGS):
         attempts += 1
         outcome = pairwise_annihilation(env, target, ordering)
         z = list(outcome.residuals)
@@ -371,7 +375,7 @@ def bipartite_safe_equilibrium(
             u: Matrix = tuple(tuple(row) for row in rows)
             if validate_allocation(env, u):
                 continue
-            for _ in range(repair_rounds):
+            for _ in range(REPAIR_ROUNDS):
                 result = is_nash(env, u, stop_at_first=True)
                 if result.ok:
                     break

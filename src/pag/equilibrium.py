@@ -43,40 +43,6 @@ FractionVec = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True)
-class DeviationProblem:
-    """Country i's re-allocation region with external aggregates fixed.
-
-    Gaps may be negative; the effective lower bound on an entry is then 0.
-    """
-
-    country: int
-    budget: Fraction
-    external_support: Fraction
-    external_threat: Fraction
-    friend_gaps: tuple[tuple[int, Fraction], ...]
-    adversary_gaps: tuple[tuple[int, Fraction], ...]
-
-    @classmethod
-    def from_allocation(cls, env: Environment, u: Matrix, i: int) -> "DeviationProblem":
-        sigmas, taus = sigma_tau(env, u)
-        s_ext = sum((u[j][i] for j in env.friends_of(i)), ZERO)
-        friend_gaps = tuple(
-            (j, taus[j] - (sigmas[j] - u[i][j])) for j in env.friends_of(i)
-        )
-        adversary_gaps = tuple(
-            (j, sigmas[j] - (taus[j] - u[i][j])) for j in env.adversaries_of(i)
-        )
-        return cls(
-            country=i,
-            budget=env.powers[i],
-            external_support=s_ext,
-            external_threat=taus[i],
-            friend_gaps=friend_gaps,
-            adversary_gaps=adversary_gaps,
-        )
-
-
-@dataclass(frozen=True)
 class Deviation:
     """A profitable replacement row for one country, with the states it induces."""
 
@@ -197,20 +163,17 @@ def best_deviation(
                 friend_bounds.append((j, max(ZERO, friend_gap[j])))
         adversary_bounds: list[tuple[int, Fraction, bool]] = []
         for j in adversaries:
-            gap = adversary_gap[j]
             if gain_adv is not None and j == gain_adv[0]:
                 strict = gain_adv[1]
-                if gap < 0:
-                    adversary_bounds.append((j, ZERO, False))
-                else:
-                    adversary_bounds.append((j, gap, strict))
             elif states[j] is State.UNSAFE and strict_maintenance:
-                if gap < 0:
-                    adversary_bounds.append((j, ZERO, False))
-                else:
-                    adversary_bounds.append((j, gap, True))
+                strict = True
             elif states[j] is not State.SAFE:
-                adversary_bounds.append((j, max(ZERO, gap), False))
+                strict = False
+            else:
+                continue
+            # A negative gap is met, strictly, by a zero entry.
+            gap = adversary_gap[j]
+            adversary_bounds.append((j, ZERO, False) if gap < 0 else (j, gap, strict))
         return _solve_bounds(env, i, p, friend_bounds, adversary_bounds, friend_cap)
 
     # Pass 1: strict category improvements (flip a non-surviving friend, or
@@ -244,14 +207,13 @@ def is_nash(
     u: Matrix,
     *,
     stop_at_first: bool = False,
-    _pre: tuple[FractionVec, FractionVec] | None = None,
 ) -> NashResult:
     """Check that no country has a profitable unilateral deviation.
 
     The certificate lists a profitable witness per deviating country (all
     of them, unless `stop_at_first` asks for the cheapest rejection).
     """
-    pre = _pre if _pre is not None else sigma_tau(env, u)
+    pre = sigma_tau(env, u)
     deviations: list[Deviation] = []
     for i in range(env.n):
         dev = best_deviation(env, u, i, _pre=pre)

@@ -67,7 +67,8 @@ def to_fraction(value: Rational) -> Fraction:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError([f"not a rational: {value!r}"]) from exc
-    raise ValidationError([f"not a rational: {value!r} (floats are rejected)"])
+    why = "floats are rejected" if isinstance(value, float) else f"type {type(value).__name__}"
+    raise ValidationError([f"not a rational: {value!r} ({why})"])
 
 
 def _normalize_pair(i: int, j: int) -> Pair:
@@ -269,38 +270,29 @@ def sigma_tau(env: Environment, u: Matrix) -> tuple[tuple[Fraction, ...], tuple[
 
     Support of i: reserve + incoming friend support + own offense.
     Threat of i: total adversary power directed at i.
+    This is the only place either is summed.  Zero entries, the bulk of a
+    sparse or grid matrix, are skipped: adding them is exact but not free.
     """
     sigmas = []
     taus = []
     for i in range(env.n):
-        sig = u[i][i]
+        row = u[i]
+        sig = row[i]
         for j in env.friends_of(i):
-            sig += u[j][i]
+            x = u[j][i]
+            if x:
+                sig += x
         tau = ZERO
         for j in env.adversaries_of(i):
-            sig += u[i][j]
-            tau += u[j][i]
+            x = row[j]
+            if x:
+                sig += x
+            x = u[j][i]
+            if x:
+                tau += x
         sigmas.append(sig)
         taus.append(tau)
     return tuple(sigmas), tuple(taus)
-
-
-def support(env: Environment, u: Matrix, i: int) -> Fraction:
-    """Support of country i: u_ii + incoming friend aid + own offense."""
-    sig = u[i][i]
-    for j in env.friends_of(i):
-        sig += u[j][i]
-    for j in env.adversaries_of(i):
-        sig += u[i][j]
-    return sig
-
-
-def threat(env: Environment, u: Matrix, i: int) -> Fraction:
-    """Threat against country i: total adversary power aimed at it."""
-    tau = ZERO
-    for j in env.adversaries_of(i):
-        tau += u[j][i]
-    return tau
 
 
 def state_of(sig: Fraction, tau: Fraction) -> State:

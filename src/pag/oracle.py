@@ -27,8 +27,11 @@ from .model import (
     Matrix,
     State,
     STATE_ORDER,
-    state_of,
+    state_vector,
 )
+
+#: Default bound on the number of grid matrices one enumeration may visit.
+MAX_CANDIDATES = 10_000_000
 
 
 class EnumerationTooLarge(ValueError):
@@ -47,7 +50,7 @@ class GridSpec:
     """Enumeration grid: positive step that must divide every power exactly."""
 
     step: Fraction
-    max_candidates: int = 10_000_000
+    max_candidates: int = MAX_CANDIDATES
 
     def __post_init__(self) -> None:
         if self.step <= 0:
@@ -108,33 +111,15 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-@dataclass(frozen=True)
-class _RowCandidate:
-    row: tuple[Fraction, ...]
-    own_support: Fraction
-    friend_out: tuple[tuple[int, Fraction], ...]
-    threat_out: tuple[tuple[int, Fraction], ...]
-
-
-def _row_candidates(env: Environment, i: int, step: Fraction) -> list[_RowCandidate]:
+def _row_candidates(env: Environment, i: int, step: Fraction) -> list[tuple[Fraction, ...]]:
     supports = env.row_support(i)
-    friends = env.friends_of(i)
-    adversaries = env.adversaries_of(i)
     units = _row_units(env, i, step)
     out = []
     for combo in _compositions(units, len(supports)):
         row = [ZERO] * env.n
         for j, c in zip(supports, combo):
             row[j] = c * step
-        own = row[i] + sum((row[j] for j in adversaries), ZERO)
-        out.append(
-            _RowCandidate(
-                row=tuple(row),
-                own_support=own,
-                friend_out=tuple((j, row[j]) for j in friends if row[j] != 0),
-                threat_out=tuple((j, row[j]) for j in adversaries if row[j] != 0),
-            )
-        )
+        out.append(tuple(row))
     return out
 
 
@@ -146,21 +131,9 @@ def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
 
     per_row = [_row_candidates(env, i, grid.step) for i in range(env.n)]
     classes: dict[tuple[State, ...], list[Matrix]] = {}
-    checked = 0
-    for combo in product(*per_row):
-        checked += 1
-        sigmas = [rec.own_support for rec in combo]
-        taus = [ZERO] * env.n
-        for rec in combo:
-            for j, value in rec.friend_out:
-                sigmas[j] += value
-            for j, value in rec.threat_out:
-                taus[j] += value
-        u: Matrix = tuple(rec.row for rec in combo)
-        result = is_nash(env, u, stop_at_first=True, _pre=(tuple(sigmas), tuple(taus)))
-        if result.ok:
-            states = tuple(state_of(s, t) for s, t in zip(sigmas, taus))
-            classes.setdefault(states, []).append(u)
+    for u in product(*per_row):
+        if is_nash(env, u, stop_at_first=True).ok:
+            classes.setdefault(state_vector(env, u), []).append(u)
 
     ordered = tuple(
         EquilibriumClass(states=states, members=tuple(sorted(members)))
@@ -168,7 +141,7 @@ def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
             classes.items(), key=lambda kv: tuple(STATE_ORDER[s] for s in kv[0])
         )
     )
-    return EquilibriumAtlas(env=env, step=grid.step, classes=ordered, candidates_checked=checked)
+    return EquilibriumAtlas(env=env, step=grid.step, classes=ordered, candidates_checked=count)
 
 
 def survival_possibility(atlas: EquilibriumAtlas, i: int) -> SurvivalPossibility:

@@ -13,6 +13,11 @@ Both axioms group states into binary categories per front, so the derived
 `improvement_verdict` depends only on those categories: safe and precarious
 are interchangeable for the self/friend front, unsafe and precarious for
 the adversary front.
+
+The Nash verifier decides a larger relation: `improvement_verdict` plus a
+refinement on the adversary front, where pushing an adversary strictly down
+(safe or precarious to a lower state) without worsening any relevant state
+also counts.  `equilibrium.py`'s module docstring defines it.
 """
 
 from __future__ import annotations

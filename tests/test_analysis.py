@@ -137,12 +137,11 @@ class TestProtectorate:
         assert p.members == frozenset({0, 1})
 
     def test_owner_summand_reading(self):
-        # Alternative reading adds the owner's power per weak friend.
+        # The condition adds the weak friend's power, not the owner's again.
         env = make_environment(
             [3, 1, 5], friends=[(0, 1)], adversaries=[(1, 2)]
         )
-        assert pag.protectorate(env, 0, summand="friend") is None
-        assert pag.protectorate(env, 0, summand="owner") is not None
+        assert pag.protectorate(env, 0) is None
 
 
 class TestCover:

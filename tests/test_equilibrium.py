@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pag
-from pag import DeviationProblem, make_environment, matrix_from_entries
+from pag import make_environment, matrix_from_entries
 from pag.model import State, replace_row, state_vector
 from pag.preference import Verdict, improvement_verdict
 
@@ -15,23 +15,6 @@ from conftest import (
     random_allocation,
     random_environment,
 )
-
-
-class TestDeviationProblem:
-    def test_gaps_for_alloc1(self, env2, alloc1):
-        dp = DeviationProblem.from_allocation(env2, alloc1, 1)
-        assert dp.budget == 6
-        assert dp.external_threat == 8
-        assert dp.external_support == 0
-        gaps = dict(dp.adversary_gaps)
-        # Making country 1 not safe needs 8; keeping country 3 down needs 2.
-        assert gaps[0] == 8
-        assert gaps[2] == 2
-
-    def test_friend_gap_tracks_own_contribution(self, env4, fig4):
-        dp = DeviationProblem.from_allocation(env4, fig4, 1)
-        gaps = dict(dp.friend_gaps)
-        assert gaps[2] == 4
 
 
 class TestBestDeviation:

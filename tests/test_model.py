@@ -1,3 +1,4 @@
+import types
 from fractions import Fraction
 
 import pytest
@@ -20,12 +21,26 @@ def test_to_fraction_accepts_exact_forms():
 
 
 def test_to_fraction_rejects_floats_and_garbage():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"0\.5 \(floats are rejected\)"):
         to_fraction(0.5)
     with pytest.raises(ValidationError):
         to_fraction("not-a-number")
     with pytest.raises(ValidationError):
         to_fraction("1/0")
+    for value, kind in (([1], "list"), (None, "NoneType"), ({"a": 1}, "dict")):
+        with pytest.raises(ValidationError) as exc:
+            to_fraction(value)
+        assert exc.value.errors == [f"not a rational: {value!r} (type {kind})"]
+        assert "float" not in str(exc.value)
+
+
+def test_all_exports_resolve_and_none_is_a_module():
+    for name in pag.__all__:
+        assert not isinstance(getattr(pag, name), types.ModuleType), name
+    for gone in ("support", "threat", "DeviationProblem", "model", "oracle"):
+        assert gone not in pag.__all__
+    for gone in ("support", "threat", "DeviationProblem"):
+        assert not hasattr(pag, gone)
 
 
 class TestValidateEnvironment:
@@ -89,26 +104,25 @@ class TestValidateAllocation:
 
 class TestSupportThreat:
     def test_alloc1_support_of_first(self, env2, alloc1):
-        assert pag.support(env2, alloc1, 0) == 8
+        assert sigma_tau(env2, alloc1)[0][0] == 8
 
     def test_fig1b_support_of_fourth(self, env1, fig1b):
-        assert pag.support(env1, fig1b, 3) == 15
+        assert sigma_tau(env1, fig1b)[0][3] == 15
 
     def test_all_reserve_support_is_own_power(self, env2):
         u = matrix_from_entries(env2, {(0, 0): 8, (1, 1): 6, (2, 2): 4})
-        for i in range(3):
-            assert pag.support(env2, u, i) == env2.powers[i]
+        assert sigma_tau(env2, u)[0] == env2.powers
 
     def test_alloc1_threat_of_second(self, env2, alloc1):
-        assert pag.threat(env2, alloc1, 1) == 8
+        assert sigma_tau(env2, alloc1)[1][1] == 8
 
     def test_fig4_threat_of_third(self, env4, fig4):
-        assert pag.threat(env4, fig4, 2) == 5
+        assert sigma_tau(env4, fig4)[1][2] == 5
 
     def test_no_adversaries_means_zero_threat(self):
         env = make_environment([5, 5], friends=[(0, 1)])
         u = matrix_from_entries(env, {(0, 0): 5, (1, 1): 5})
-        assert pag.threat(env, u, 0) == 0
+        assert sigma_tau(env, u)[1][0] == 0
 
 
 class TestStateVector:

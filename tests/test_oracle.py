@@ -61,15 +61,18 @@ class TestFindEquilibria:
         empty = pag.find_equilibria(make_environment([0]), GridSpec(step=Fraction(1)))
         assert empty.classes[0].states == (State.PRECARIOUS,)
 
-    def test_every_member_is_valid_and_nash(self, env4):
-        atlas = pag.find_equilibria(env4, GridSpec(step=Fraction(1)))
-        rng = random.Random(5)
-        sample = rng.sample(
-            [m for cls in atlas.classes for m in cls.members], 20
-        )
-        for u in sample:
-            assert pag.validate_allocation(env4, u) == []
-            assert pag.is_nash(env4, u).ok
+    def test_every_member_is_valid_and_nash(self, env4, env2):
+        # Each member's class is the state vector of the member itself.
+        for env in (env4, env2):
+            atlas = pag.find_equilibria(env, GridSpec(step=Fraction(1)))
+            rng = random.Random(5)
+            sample = rng.sample(
+                [(cls, m) for cls in atlas.classes for m in cls.members], 20
+            )
+            for cls, u in sample:
+                assert pag.validate_allocation(env, u) == []
+                assert pag.is_nash(env, u).ok
+                assert pag.state_vector(env, u) == cls.states
 
     def test_members_stable_against_grid_brute_force(self, env4):
         # Independent route: no country has a category-rule improvement on
