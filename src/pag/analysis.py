@@ -115,6 +115,14 @@ def balancing_exists(env: Environment) -> bool:
     return all(p <= total - p for p in env.powers)
 
 
+def _adversaries_coverable(env: Environment, i: int) -> bool:
+    """Each adversary of i has no more power than its own adversaries together."""
+    for j in env.adversaries_of(i):
+        if env.powers[j] > sum((env.powers[k] for k in env.adversaries_of(j)), ZERO):
+            return False
+    return True
+
+
 def bipartite_safe_necessary(env: Environment, i: int) -> bool:
     """Necessary condition for i to be safe in some equilibrium.
 
@@ -122,10 +130,7 @@ def bipartite_safe_necessary(env: Environment, i: int) -> bool:
     total power of its own adversaries.
     """
     _require_bipartite_no_friends(env)
-    for j in env.adversaries_of(i):
-        if env.powers[j] > sum((env.powers[k] for k in env.adversaries_of(j)), ZERO):
-            return False
-    return True
+    return _adversaries_coverable(env, i)
 
 
 def bipartite_safe_sufficient(env: Environment, i: int) -> bool:
@@ -139,7 +144,7 @@ def bipartite_safe_sufficient(env: Environment, i: int) -> bool:
     adversaries = env.adversaries_of(i)
     if not adversaries:
         return True
-    if not bipartite_safe_necessary(env, i):
+    if not _adversaries_coverable(env, i):
         return False
     second: set[int] = set()
     for j in adversaries:

@@ -129,7 +129,11 @@ def _sparse_row(env: Environment, row) -> dict[str, str]:
 
 def _load(path: str) -> tuple[Environment, Matrix | None]:
     text = Path(path).read_text(encoding="utf-8")
-    return parse_scenario(json.loads(text))
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValidationError(["invalid JSON: nested too deeply"]) from None
+    return parse_scenario(data)
 
 
 def _print_report(lines: Sequence[str], payload: dict) -> None:

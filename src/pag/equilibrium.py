@@ -19,6 +19,14 @@ down) without worsening any relevant state.  The second clause refines the
 category rule; without it, outcomes the analysis layer must rule out would
 survive verification.
 
+Deciding and witnessing are split.  The decision core, `_target_bounds`,
+only compares sums and gaps (`>`, `==`), so it is exact on int entries as
+well as on Fractions; it returns the bounds of the first feasible target.
+Witness construction, `_row` plus the witness state vector, runs only when
+a `Deviation` is requested, and is the one place that needs rationals (the
+strict bounds' share of the slack).  `no_profitable_deviation` runs the
+core alone, which is what the grid oracle calls on integer grid units.
+
 All functions are pure; per-country checks are independent and results are
 aggregated by ascending country index.
 """
@@ -66,51 +74,130 @@ class NashResult:
         return None
 
 
-def _reserve_row(env: Environment, i: int) -> FractionVec:
-    row = [ZERO] * env.n
-    row[i] = env.powers[i]
-    return tuple(row)
+Bounds = tuple[list[tuple[int, Fraction]], list[tuple[int, Fraction, bool]]]
 
 
-def _solve_bounds(
+def _target_bounds(
     env: Environment,
+    u: Matrix,
     i: int,
-    budget: Fraction,
-    friend_bounds: list[tuple[int, Fraction]],
-    adversary_bounds: list[tuple[int, Fraction, bool]],
-    friend_cap: Fraction | None,
-) -> FractionVec | None:
-    """Find a row meeting all lower bounds, or None if infeasible.
+    sigmas: FractionVec,
+    taus: FractionVec,
+    states: tuple[State, ...],
+) -> Bounds | None:
+    """Bounds of i's first feasible improving target; None if there is none.
 
-    Strict bounds receive an equal share of the slack; the rest goes to
-    reserve, never onto null relations or friends (friends stay at their
-    exact bounds so the self-survival cap cannot be violated by slack).
+    Target outcomes are enumerated over i's relevant set, pruned to those
+    improving on the current outcome (non-improving targets can never be
+    profitable), and decided in closed form.  Single-target checks decide
+    existence because adding targets only adds constraints.  Every sum
+    starts from the int 0, so the decision is exact on int and on Fraction
+    inputs alike.
     """
-    friend_total = sum((b for _, b in friend_bounds), ZERO)
-    if friend_cap is not None and friend_total > friend_cap:
-        return None
-    adversary_total = sum((b for _, b, _ in adversary_bounds), ZERO)
-    total = friend_total + adversary_total
-    if total > budget:
-        return None
+    p = env.powers[i]
+    friends = env.friends_of(i)
+    adversaries = env.adversaries_of(i)
+    s_ext = sum(u[j][i] for j in friends)
+    t_ext = taus[i]
+
+    self_survives = states[i].survives
+    if not self_survives:
+        # Priority of self-survival: any row reaching survival is profitable.
+        # Support is maximal with zero friend-directed spending, so the
+        # all-reserve row (no bounds at all) is the witness.
+        if p + s_ext >= t_ext:
+            return [], []
+
+    own = u[i]
+    friend_cap = p + s_ext - t_ext if self_survives else None
+
+    def attempt(
+        gain_friend: int | None,
+        gain_adv: tuple[int, bool] | None,
+        strict_maintenance: bool,
+    ) -> Bounds | None:
+        """The target's bounds if some row within budget meets them all."""
+        friend_bounds: list[tuple[int, Fraction]] = []
+        friend_total = 0
+        for j in friends:
+            if states[j].survives or j == gain_friend:
+                bound = max(0, taus[j] - (sigmas[j] - own[j]))
+                friend_bounds.append((j, bound))
+                friend_total += bound
+        if friend_cap is not None and friend_total > friend_cap:
+            return None
+        adversary_bounds: list[tuple[int, Fraction, bool]] = []
+        total = friend_total
+        any_strict = False
+        for j in adversaries:
+            if gain_adv is not None and j == gain_adv[0]:
+                strict = gain_adv[1]
+            elif states[j] is State.UNSAFE and strict_maintenance:
+                strict = True
+            elif states[j] is not State.SAFE:
+                strict = False
+            else:
+                continue
+            # A negative gap is met, strictly, by a zero entry.
+            gap = sigmas[j] - (taus[j] - own[j])
+            if gap < 0:
+                adversary_bounds.append((j, 0, False))
+            else:
+                adversary_bounds.append((j, gap, strict))
+                total += gap
+                any_strict = any_strict or strict
+        # Strict bounds need positive slack to share.
+        if total > p or (any_strict and total == p):
+            return None
+        return friend_bounds, adversary_bounds
+
+    # Pass 1: strict category improvements (flip a non-surviving friend, or
+    # a safe adversary) while keeping every current category.
+    for j in friends:
+        if not states[j].survives:
+            bounds = attempt(j, None, strict_maintenance=False)
+            if bounds is not None:
+                return bounds
+    for j in adversaries:
+        if states[j] is State.SAFE:
+            bounds = attempt(None, (j, False), strict_maintenance=False)
+            if bounds is not None:
+                return bounds
+
+    # Pass 2: adversary-front state refinement.  Push a precarious adversary
+    # strictly unsafe without letting any relevant state slip (unsafe
+    # adversaries must stay strictly unsafe).  Safe adversaries need no
+    # second look: their pass-1 constraint set is contained in this one.
+    for j in adversaries:
+        if states[j] is State.PRECARIOUS:
+            bounds = attempt(None, (j, True), strict_maintenance=True)
+            if bounds is not None:
+                return bounds
+
+    return None
+
+
+def _row(env: Environment, i: int, bounds: Bounds) -> FractionVec:
+    """The witness row for feasible bounds, as exact rationals.
+
+    Friends sit at their exact bounds, so slack can never break the
+    self-survival cap.  Strict bounds get a small share of the slack rather
+    than an even split: any positive margin proves profitability, and
+    oversized margins make the witness a worse best response (overkilled
+    targets release their other attackers' maintenance burdens).  The rest
+    goes to reserve, never onto null relations.
+    """
+    friend_bounds, adversary_bounds = bounds
+    budget = env.powers[i]
     strict_count = sum(1 for _, _, strict in adversary_bounds if strict)
-    slack = budget - total
-    if strict_count and slack == 0:
-        return None
-    # Strict bounds get a small share of the slack rather than an even
-    # split: any positive margin proves profitability, and oversized
-    # margins make the witness a worse best response (overkilled targets
-    # release their other attackers' maintenance burdens).
-    bonus = slack / (4 * (strict_count + 1)) if strict_count else ZERO
+    total = sum(b for _, b in friend_bounds) + sum(b for _, b, _ in adversary_bounds)
+    bonus = Fraction(budget - total, 4 * (strict_count + 1)) if strict_count else ZERO
     row = [ZERO] * env.n
     for j, bound in friend_bounds:
-        row[j] = bound
-    spent = friend_total
+        row[j] = Fraction(bound)
     for j, bound, strict in adversary_bounds:
-        value = bound + (bonus if strict else ZERO)
-        row[j] = value
-        spent += value
-    row[i] = budget - spent
+        row[j] = bound + bonus if strict else Fraction(bound)
+    row[i] = budget - total - strict_count * bonus
     return tuple(row)
 
 
@@ -123,83 +210,16 @@ def best_deviation(
 ) -> Deviation | None:
     """Search i's deviation set for a profitable row; None if there is none.
 
-    Target outcomes are enumerated over i's relevant set, pruned to those
-    improving on the current outcome (non-improving targets can never be
-    profitable), and decided in closed form.  Single-target checks decide
-    existence because adding targets only adds constraints.
+    The decision is `_target_bounds`; the witness row and the states it
+    induces are built only once a target is found.
     """
     sigmas, taus = _pre if _pre is not None else sigma_tau(env, u)
     states = tuple(state_of(s, t) for s, t in zip(sigmas, taus))
-    p = env.powers[i]
-    friends = env.friends_of(i)
-    adversaries = env.adversaries_of(i)
-    s_ext = sum((u[j][i] for j in friends), ZERO)
-    t_ext = taus[i]
-
-    def finish(row: FractionVec) -> Deviation:
-        return Deviation(
-            country=i, row=row, states=state_vector(env, replace_row(u, i, row))
-        )
-
-    self_survives = states[i].survives
-    if not self_survives:
-        # Priority of self-survival: any row reaching survival is profitable.
-        # Support is maximal with zero friend-directed spending.
-        if p + s_ext >= t_ext:
-            return finish(_reserve_row(env, i))
-
-    friend_gap = {j: taus[j] - (sigmas[j] - u[i][j]) for j in friends}
-    adversary_gap = {j: sigmas[j] - (taus[j] - u[i][j]) for j in adversaries}
-    friend_cap = p + s_ext - t_ext if self_survives else None
-
-    def attempt(
-        gain_friend: int | None,
-        gain_adv: tuple[int, bool] | None,
-        strict_maintenance: bool,
-    ) -> FractionVec | None:
-        friend_bounds: list[tuple[int, Fraction]] = []
-        for j in friends:
-            if states[j].survives or j == gain_friend:
-                friend_bounds.append((j, max(ZERO, friend_gap[j])))
-        adversary_bounds: list[tuple[int, Fraction, bool]] = []
-        for j in adversaries:
-            if gain_adv is not None and j == gain_adv[0]:
-                strict = gain_adv[1]
-            elif states[j] is State.UNSAFE and strict_maintenance:
-                strict = True
-            elif states[j] is not State.SAFE:
-                strict = False
-            else:
-                continue
-            # A negative gap is met, strictly, by a zero entry.
-            gap = adversary_gap[j]
-            adversary_bounds.append((j, ZERO, False) if gap < 0 else (j, gap, strict))
-        return _solve_bounds(env, i, p, friend_bounds, adversary_bounds, friend_cap)
-
-    # Pass 1: strict category improvements (flip a non-surviving friend, or
-    # a safe adversary) while keeping every current category.
-    for j in friends:
-        if not states[j].survives:
-            row = attempt(j, None, strict_maintenance=False)
-            if row is not None:
-                return finish(row)
-    for j in adversaries:
-        if states[j] is State.SAFE:
-            row = attempt(None, (j, False), strict_maintenance=False)
-            if row is not None:
-                return finish(row)
-
-    # Pass 2: adversary-front state refinement.  Push a precarious adversary
-    # strictly unsafe without letting any relevant state slip (unsafe
-    # adversaries must stay strictly unsafe).  Safe adversaries need no
-    # second look: their pass-1 constraint set is contained in this one.
-    for j in adversaries:
-        if states[j] is State.PRECARIOUS:
-            row = attempt(None, (j, True), strict_maintenance=True)
-            if row is not None:
-                return finish(row)
-
-    return None
+    bounds = _target_bounds(env, u, i, sigmas, taus, states)
+    if bounds is None:
+        return None
+    row = _row(env, i, bounds)
+    return Deviation(country=i, row=row, states=state_vector(env, replace_row(u, i, row)))
 
 
 def is_nash(
@@ -222,6 +242,20 @@ def is_nash(
             if stop_at_first:
                 break
     return NashResult(ok=not deviations, deviations=tuple(deviations))
+
+
+def no_profitable_deviation(env: Environment, u: Matrix) -> bool:
+    """`is_nash(env, u).ok`, decided without building any witness.
+
+    Exact on int entries as well as on Fractions, so a caller may pass an
+    environment and matrix scaled to integer units.
+    """
+    sigmas, taus = sigma_tau(env, u)
+    states = tuple(map(state_of, sigmas, taus))
+    for i in range(env.n):
+        if _target_bounds(env, u, i, sigmas, taus, states) is not None:
+            return False
+    return True
 
 
 def same_equilibrium_class(env: Environment, u: Matrix, v: Matrix) -> bool:

@@ -8,11 +8,14 @@ unsafe) is decided by comparing total support against total threat.
 
 Every quantity is a `fractions.Fraction`.  The safe/precarious boundary is
 an equality test, so binary floating point is never used anywhere.
+`sigma_tau` and `state_vector` only add and compare, so they also accept
+int matrices; the grid oracle uses that to work in integer grid units.
 All functions here are pure and thread-safe.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -52,23 +55,45 @@ class ValidationError(ValueError):
         self.errors = list(errors)
 
 
+#: Largest decimal exponent magnitude `to_fraction` parses from a string:
+#: the same 4,300-digit bound that `int(str)` applies by default.
+MAX_EXPONENT = 4300
+
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
+
+
+def _echo(value: object) -> str:
+    """repr of an input value, cut to 40 characters."""
+    text = repr(value)
+    return text if len(text) <= 40 else text[:40] + "…"
+
+
 def to_fraction(value: Rational) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or an 'a/b' string.
 
     Floats are rejected: they cannot represent the inputs exactly and would
-    corrupt the precarious-boundary equality tests downstream.
+    corrupt the precarious-boundary equality tests downstream.  So are
+    strings whose decimal exponent exceeds `MAX_EXPONENT`, which would take
+    `Fraction` unbounded time and memory to expand.
     """
     if isinstance(value, bool):
-        raise ValidationError([f"not a rational: {value!r}"])
+        raise ValidationError([f"not a rational: {_echo(value)}"])
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        if exponent is not None:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
+                raise ValidationError(
+                    [f"not a rational: {_echo(value)} (exponent beyond ±{MAX_EXPONENT})"]
+                )
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError([f"not a rational: {value!r}"]) from exc
+            raise ValidationError([f"not a rational: {_echo(value)}"]) from exc
     why = "floats are rejected" if isinstance(value, float) else f"type {type(value).__name__}"
-    raise ValidationError([f"not a rational: {value!r} ({why})"])
+    raise ValidationError([f"not a rational: {_echo(value)} ({why})"])
 
 
 def _normalize_pair(i: int, j: int) -> Pair:
@@ -272,6 +297,8 @@ def sigma_tau(env: Environment, u: Matrix) -> tuple[tuple[Fraction, ...], tuple[
     Threat of i: total adversary power directed at i.
     This is the only place either is summed.  Zero entries, the bulk of a
     sparse or grid matrix, are skipped: adding them is exact but not free.
+    Sums start from the int 0, so they are exact on an integer matrix as
+    on a Fraction one, and an integer matrix stays integer.
     """
     sigmas = []
     taus = []
@@ -282,7 +309,7 @@ def sigma_tau(env: Environment, u: Matrix) -> tuple[tuple[Fraction, ...], tuple[
             x = u[j][i]
             if x:
                 sig += x
-        tau = ZERO
+        tau = 0
         for j in env.adversaries_of(i):
             x = row[j]
             if x:

@@ -6,6 +6,13 @@ membership in the resulting atlas is sound unconditionally; only coverage
 is grid-limited.  Absence from the grid is evidence, not proof, for
 continuous-strategy claims.
 
+Candidates are decided on integer grid units: powers and entries are
+divided by the step, and the verifier's decision core runs on the ints.
+That is exact, because the game is positively homogeneous: scaling every
+power and every entry by the same c > 0 keeps every state and every
+profitable deviation.  Only the stored members become `Fraction`s, through
+one converted row per candidate row that all members share.
+
 Enumeration is naturally partitioned by the first row's composition and
 could run concurrently; the atlas orders classes and members canonically
 so any merge is deterministic.
@@ -14,15 +21,14 @@ so any merge is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import product
 from typing import Iterator
 
-from .equilibrium import is_nash
+from .equilibrium import no_profitable_deviation
 from .model import (
-    ZERO,
     Environment,
     Matrix,
     State,
@@ -111,14 +117,14 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def _row_candidates(env: Environment, i: int, step: Fraction) -> list[tuple[Fraction, ...]]:
+def _row_candidates(env: Environment, i: int, step: Fraction) -> list[tuple[int, ...]]:
+    """Admissible rows of country i in grid units of `step`."""
     supports = env.row_support(i)
-    units = _row_units(env, i, step)
     out = []
-    for combo in _compositions(units, len(supports)):
-        row = [ZERO] * env.n
+    for combo in _compositions(_row_units(env, i, step), len(supports)):
+        row = [0] * env.n
         for j, c in zip(supports, combo):
-            row[j] = c * step
+            row[j] = c
         out.append(tuple(row))
     return out
 
@@ -130,13 +136,19 @@ def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
         raise EnumerationTooLarge(count, grid.max_candidates)
 
     per_row = [_row_candidates(env, i, grid.step) for i in range(env.n)]
-    classes: dict[tuple[State, ...], list[Matrix]] = {}
+    units = replace(env, powers=tuple(_row_units(env, i, grid.step) for i in range(env.n)))
+    classes: dict[tuple[State, ...], list[tuple[tuple[int, ...], ...]]] = {}
     for u in product(*per_row):
-        if is_nash(env, u, stop_at_first=True).ok:
-            classes.setdefault(state_vector(env, u), []).append(u)
+        if no_profitable_deviation(units, u):
+            classes.setdefault(state_vector(units, u), []).append(u)
 
+    # One Fraction row per candidate row, shared by every member using it.
+    exact = {row: tuple(x * grid.step for x in row) for rows in per_row for row in rows}
     ordered = tuple(
-        EquilibriumClass(states=states, members=tuple(sorted(members)))
+        EquilibriumClass(
+            states=states,
+            members=tuple(tuple(exact[row] for row in m) for m in sorted(members)),
+        )
         for states, members in sorted(
             classes.items(), key=lambda kv: tuple(STATE_ORDER[s] for s in kv[0])
         )

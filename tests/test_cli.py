@@ -61,6 +61,14 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "no-such-file.json")
         assert code == 2
 
+    def test_deeply_nested_json_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run_cli(capsys, "validate", path)
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid JSON: nested too deeply\n"
+
     def test_float_power_rejected(self, capsys, tmp_path):
         path = tmp_path / "float.json"
         path.write_text(
@@ -213,6 +221,20 @@ class TestAnalyze:
         assert payload["bipartite_safety"]["necessary"]["v1"] is True
         assert payload["bipartite_safety"]["sufficient"]["v1"] is False
         assert payload["balancing_exists"] is None
+
+    def test_env3_bipartition_once_per_condition(self, capsys, monkeypatch):
+        # One bipartition per necessary/sufficient call, 4 countries each.
+        calls = []
+        original = pag.analysis.adversary_bipartition
+
+        def counting(env):
+            calls.append(env)
+            return original(env)
+
+        monkeypatch.setattr(pag.analysis, "adversary_bipartition", counting)
+        code, _, _ = run_cli(capsys, "analyze", DATA / "env3.json")
+        assert code == 0
+        assert len(calls) == 8
 
     def test_single_country(self, capsys, tmp_path):
         path = tmp_path / "solo.json"

@@ -108,6 +108,27 @@ def test_best_deviation_sound_against_grid(seed):
 
 
 @settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 30), st.integers(2, 7))
+def test_verdict_invariant_under_positive_scaling(seed, c):
+    # Positive homogeneity, which the grid oracle's integer units rely on:
+    # scaling every power and entry by c or by 1/c changes no state and no
+    # deviating country.
+    rng = random.Random(seed)
+    env = random_environment(rng, rng.randint(2, 4), max_power=6, min_power=0)
+    u = random_allocation(rng, env, denominator=rng.choice([1, 2, 3]))
+    base = pag.is_nash(env, u)
+    for factor in (Fraction(c), Fraction(1, c)):
+        scaled_env = make_environment(
+            [p * factor for p in env.powers], friends=env.friends, adversaries=env.adversaries
+        )
+        v = tuple(tuple(x * factor for x in row) for row in u)
+        result = pag.is_nash(scaled_env, v)
+        assert result.ok == base.ok
+        assert state_vector(scaled_env, v) == state_vector(env, u)
+        assert [d.country for d in result.deviations] == [d.country for d in base.deviations]
+
+
+@settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2 ** 30))
 def test_reported_witness_verified_end_to_end(seed):
     # Any witness the solver returns must be admissible, and when it claims

@@ -34,6 +34,19 @@ def test_to_fraction_rejects_floats_and_garbage():
         assert "float" not in str(exc.value)
 
 
+def test_to_fraction_bounds_decimal_exponents():
+    assert to_fraction("1e3") == 1000
+    for value in ("1e5000", "1e-5000"):
+        with pytest.raises(ValidationError, match="exponent"):
+            to_fraction(value)
+
+
+def test_to_fraction_shortens_echoed_values():
+    with pytest.raises(ValidationError) as exc:
+        to_fraction("7" * 5000)
+    assert len(str(exc.value)) < 100
+
+
 def test_all_exports_resolve_and_none_is_a_module():
     for name in pag.__all__:
         assert not isinstance(getattr(pag, name), types.ModuleType), name

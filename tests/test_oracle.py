@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,7 +15,16 @@ from pag import (
 from pag.model import State
 from pag.oracle import candidate_count
 
-from conftest import grid_profitable_deviation
+from conftest import grid_profitable_deviation, grid_rows
+
+
+@pytest.fixture
+def fractional_env():
+    return make_environment(
+        [Fraction(5, 4), Fraction(3, 2), Fraction(3, 4)],
+        friends=[(0, 1)],
+        adversaries=[(0, 2), (1, 2)],
+    )
 
 
 class TestGridSpec:
@@ -93,6 +103,31 @@ class TestFindEquilibria:
         coarse_members = {m for cls in coarse.classes for m in cls.members}
         fine_members = {m for cls in fine.classes for m in cls.members}
         assert coarse_members <= fine_members
+
+
+class TestIntegerKernel:
+    @pytest.mark.parametrize(
+        "name,step",
+        [("env4", Fraction(1)), ("env2", Fraction(1)), ("fractional_env", Fraction(1, 4))],
+    )
+    def test_atlas_equals_fraction_brute_force(self, name, step, request):
+        # Reference atlas built from Fraction matrices and the public
+        # verifier, never through the oracle's integer units.
+        env = request.getfixturevalue(name)
+        expected: dict = {}
+        for u in itertools.product(*(list(grid_rows(env, i, step)) for i in range(env.n))):
+            if pag.is_nash(env, u, stop_at_first=True).ok:
+                expected.setdefault(pag.state_vector(env, u), set()).add(u)
+        atlas = pag.find_equilibria(env, GridSpec(step=step))
+        assert {cls.states: cls.members for cls in atlas.classes} == {
+            states: tuple(sorted(members)) for states, members in expected.items()
+        }
+
+    def test_members_hold_only_fractions(self, env2, env4, fractional_env):
+        for env, step in ((env2, Fraction(1)), (env4, Fraction(1)), (fractional_env, Fraction(1, 4))):
+            atlas = pag.find_equilibria(env, GridSpec(step=step))
+            entries = [x for cls in atlas.classes for m in cls.members for row in m for x in row]
+            assert entries and all(type(x) is Fraction for x in entries)
 
 
 class TestAgainstEnvironmentConditions:
