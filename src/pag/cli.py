@@ -30,6 +30,7 @@ from .model import (
     Environment,
     Matrix,
     ValidationError,
+    _echo,
     sigma_tau,
     state_of,
     state_vector,
@@ -56,7 +57,7 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
     powers: list[Any] = []
     for entry in countries:
         if not isinstance(entry, dict) or "name" not in entry or "power" not in entry:
-            errors.append(f"country entries need 'name' and 'power': {entry!r}")
+            errors.append(f"country entries need 'name' and 'power': {_echo(entry)}")
             continue
         names.append(str(entry["name"]))
         powers.append(entry["power"])
@@ -69,7 +70,7 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
             return out
         for item in raw:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
-                errors.append(f"bad {key} pair: {item!r}")
+                errors.append(f"bad {key} pair: {_echo(item)}")
                 continue
             out.append((str(item[0]), str(item[1])))
         return out
@@ -88,15 +89,17 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
     rows = [list(row) for row in zero_matrix(env)]
     for row_name, entries in allocation.items():
         if row_name not in env.names:
-            errors.append(f"unknown country {row_name!r} in allocation")
+            errors.append(f"unknown country {_echo(row_name)} in allocation")
             continue
         if not isinstance(entries, dict):
-            errors.append(f"allocation row for {row_name!r} must be a map")
+            errors.append(f"allocation row for {_echo(row_name)} must be a map")
             continue
         i = env.index(row_name)
         for col_name, raw in entries.items():
             if col_name not in env.names:
-                errors.append(f"unknown country {col_name!r} in allocation row {row_name!r}")
+                errors.append(
+                    f"unknown country {_echo(col_name)} in allocation row {_echo(row_name)}"
+                )
                 continue
             try:
                 rows[i][env.index(col_name)] = to_fraction(raw)

@@ -22,10 +22,14 @@ survive verification.
 Deciding and witnessing are split.  The decision core, `_target_bounds`,
 only compares sums and gaps (`>`, `==`), so it is exact on int entries as
 well as on Fractions; it returns the bounds of the first feasible target.
-Witness construction, `_row` plus the witness state vector, runs only when
-a `Deviation` is requested, and is the one place that needs rationals (the
-strict bounds' share of the slack).  `no_profitable_deviation` runs the
-core alone, which is what the grid oracle calls on integer grid units.
+Witness construction, `_deviation`, runs only when a `Deviation` is
+requested, and is the one place that needs rationals (the strict bounds'
+share of the slack).  It re-evaluates the witness states over the
+deviator's relevant set alone, from the current support and threat and the
+exact change of each entry, so `is_nash` costs O(n + E) plus, per
+deviator, its n-entry witness row and one copy of the n-state tuple.
+`no_profitable_deviation` runs the core alone, which is what the grid
+oracle calls on integer grid units.
 
 All functions are pure; per-country checks are independent and results are
 aggregated by ascending country index.
@@ -41,7 +45,6 @@ from .model import (
     Environment,
     Matrix,
     State,
-    replace_row,
     sigma_tau,
     state_of,
     state_vector,
@@ -201,25 +204,49 @@ def _row(env: Environment, i: int, bounds: Bounds) -> FractionVec:
     return tuple(row)
 
 
-def best_deviation(
+def _deviation(
     env: Environment,
     u: Matrix,
     i: int,
-    *,
-    _pre: tuple[FractionVec, FractionVec] | None = None,
-) -> Deviation | None:
+    bounds: Bounds,
+    sigmas: FractionVec,
+    taus: FractionVec,
+    states: tuple[State, ...],
+) -> Deviation:
+    """The witness for feasible bounds, with the states it induces.
+
+    Replacing row i moves only the support of i and of its friends and the
+    threat against its adversaries, so only those states are re-evaluated:
+    a friend's or an adversary's from its current sum and the exact change
+    of its one entry, i's own from the new row and its incoming friend aid.
+    """
+    row = _row(env, i, bounds)
+    own = u[i]
+    new_states = list(states)
+    incoming = 0
+    for j in env.friends_of(i):
+        new_states[j] = state_of(sigmas[j] - own[j] + row[j], taus[j])
+        incoming += u[j][i]
+    offense = 0
+    for j in env.adversaries_of(i):
+        new_states[j] = state_of(sigmas[j], taus[j] - own[j] + row[j])
+        offense += row[j]
+    new_states[i] = state_of(row[i] + incoming + offense, taus[i])
+    return Deviation(country=i, row=row, states=tuple(new_states))
+
+
+def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
     """Search i's deviation set for a profitable row; None if there is none.
 
     The decision is `_target_bounds`; the witness row and the states it
     induces are built only once a target is found.
     """
-    sigmas, taus = _pre if _pre is not None else sigma_tau(env, u)
-    states = tuple(state_of(s, t) for s, t in zip(sigmas, taus))
+    sigmas, taus = sigma_tau(env, u)
+    states = tuple(map(state_of, sigmas, taus))
     bounds = _target_bounds(env, u, i, sigmas, taus, states)
     if bounds is None:
         return None
-    row = _row(env, i, bounds)
-    return Deviation(country=i, row=row, states=state_vector(env, replace_row(u, i, row)))
+    return _deviation(env, u, i, bounds, sigmas, taus, states)
 
 
 def is_nash(
@@ -232,13 +259,17 @@ def is_nash(
 
     The certificate lists a profitable witness per deviating country (all
     of them, unless `stop_at_first` asks for the cheapest rejection).
+    Support, threat and states are computed once; each witness re-evaluates
+    only its deviator's relevant set, so a check costs O(n + E) plus, per
+    deviator, its n-entry row and one copy of the n-state tuple.
     """
-    pre = sigma_tau(env, u)
+    sigmas, taus = sigma_tau(env, u)
+    states = tuple(map(state_of, sigmas, taus))
     deviations: list[Deviation] = []
     for i in range(env.n):
-        dev = best_deviation(env, u, i, _pre=pre)
-        if dev is not None:
-            deviations.append(dev)
+        bounds = _target_bounds(env, u, i, sigmas, taus, states)
+        if bounds is not None:
+            deviations.append(_deviation(env, u, i, bounds, sigmas, taus, states))
             if stop_at_first:
                 break
     return NashResult(ok=not deviations, deviations=tuple(deviations))

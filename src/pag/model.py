@@ -197,7 +197,7 @@ def validate_environment(
             bad = False
             for name in (a, b):
                 if name not in index:
-                    errors.append(f"unknown country {name!r} in {label} pair")
+                    errors.append(f"unknown country {_echo(name)} in {label} pair")
                     bad = True
             if bad:
                 continue
@@ -264,8 +264,11 @@ def replace_row(u: Matrix, i: int, row: Sequence[Fraction]) -> Matrix:
 def validate_allocation(env: Environment, u: Matrix) -> list[str]:
     """Check allocation invariants; an empty list means the matrix is valid.
 
-    Reports row-sum mismatches (with the deficit) and nonzero entries at
-    cells with no relation.
+    Reports, row by row and in column order, negative entries and nonzero
+    entries at cells with no relation (a negative one there gets both
+    messages), then the row-sum mismatch with its deficit.  Zero entries
+    are skipped: a zero is never negative, never a nonzero entry and adds
+    nothing to the sum, so skipping it changes no message.
     """
     errors: list[str] = []
     if len(u) != env.n or any(len(row) != env.n for row in u):
@@ -273,11 +276,12 @@ def validate_allocation(env: Environment, u: Matrix) -> list[str]:
     for i in range(env.n):
         allowed = set(env.row_support(i))
         total = ZERO
-        for j in range(env.n):
-            value = u[i][j]
+        for j, value in enumerate(u[i]):
+            if not value:
+                continue
             if value < 0:
                 errors.append(f"negative entry {env.names[i]}->{env.names[j]}")
-            if value != 0 and j not in allowed:
+            if j not in allowed:
                 errors.append(
                     f"nonzero entry {env.names[i]}->{env.names[j]} with no relation"
                 )

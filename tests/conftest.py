@@ -169,3 +169,34 @@ def random_bipartite_environment(
     keep = edges[: rng.randint(1, len(edges))]
     powers = [rng.randint(1, max_power) for _ in range(n)]
     return make_environment(powers, adversaries=keep)
+
+
+def random_sparse_scenario(
+    rng: random.Random, n: int, mean_degree: float = 3, friend_share: float = 0.3
+) -> tuple[Environment, Matrix]:
+    """A sparse random network and an admissible matrix on it.
+
+    round(n * mean_degree / 2) distinct pairs, a share of them friendly.  Each
+    row's entries over its relations are random rationals with denominators
+    1 to 3 (zeros included), and each power is its row's sum.
+    """
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < round(n * mean_degree / 2):
+        a, b = rng.sample(range(n), 2)
+        edges.add((min(a, b), max(a, b)))
+    friends, adversaries = [], []
+    support = [{i} for i in range(n)]
+    for a, b in sorted(edges):
+        (friends if rng.random() < friend_share else adversaries).append((a, b))
+        support[a].add(b)
+        support[b].add(a)
+    rows = []
+    for i in range(n):
+        row = [ZERO] * n
+        for j in sorted(support[i]):
+            row[j] = Fraction(rng.randint(0, 6), rng.randint(1, 3))
+        rows.append(tuple(row))
+    env = make_environment(
+        [sum(row) for row in rows], friends=friends, adversaries=adversaries
+    )
+    return env, tuple(rows)

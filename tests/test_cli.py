@@ -69,6 +69,55 @@ class TestValidate:
         assert out == ""
         assert err == "error: invalid JSON: nested too deeply\n"
 
+    def test_deep_country_entry_is_echoed_short(self, tmp_path):
+        # A second country entry nested 980 deep parses (JSON allows it at
+        # the top of a fresh interpreter's stack), so only the echo bounds
+        # the message.
+        path = tmp_path / "deep_entry.json"
+        deep = "[" * 980 + "]" * 980
+        path.write_text('{"countries": [{"name": "a", "power": 1}, ' + deep + "]}")
+        result = subprocess.run(
+            [sys.executable, "-m", "pag", "validate", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: country entries need 'name' and 'power': [[[")
+        assert len(result.stderr) < 200
+
+    @pytest.mark.parametrize(
+        "short, message, long",
+        [
+            ({"countries": [{"name": "a", "power": 1}, [1]]},
+             "country entries need 'name' and 'power': [1]",
+             {"countries": [{"name": "a", "power": 1}, [1] * 5000]}),
+            ({"friends": [["a"]]}, "bad friends pair: ['a']", {"friends": [["a" * 5000]]}),
+            ({"adversaries": [["a", "b", "c"]]}, "bad adversaries pair: ['a', 'b', 'c']",
+             {"adversaries": [["a"] * 5000]}),
+            ({"friends": [["a", "zz"]]}, "unknown country 'zz' in friend pair",
+             {"friends": [["a", "z" * 5000]]}),
+            ({"allocation": {"zz": {}}}, "unknown country 'zz' in allocation",
+             {"allocation": {"z" * 5000: {}}}),
+            ({"allocation": {"a": 1}}, "allocation row for 'a' must be a map", None),
+            ({"allocation": {"a": {"zz": 1}}}, "unknown country 'zz' in allocation row 'a'",
+             {"allocation": {"a": {"z" * 5000: 1}}}),
+        ],
+        ids=["entry", "friends", "adversaries", "pair-name", "row-name", "row-map", "column-name"],
+    )
+    def test_input_echoes(self, capsys, tmp_path, short, message, long):
+        # Short inputs are echoed whole; the same fault in a long input is cut.
+        countries = {"countries": [{"name": "a", "power": 1}, {"name": "b", "power": 1}]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**countries, **short}))
+        assert run_cli(capsys, "validate", path) == (2, "", f"error: {message}\n")
+        if long is not None:
+            path.write_text(json.dumps({**countries, **long}))
+            code, out, err = run_cli(capsys, "validate", path)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {message[:12]}")
+            assert len(err) < 200
+
     def test_float_power_rejected(self, capsys, tmp_path):
         path = tmp_path / "float.json"
         path.write_text(

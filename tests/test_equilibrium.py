@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pag
-from pag import make_environment, matrix_from_entries
+from pag import equilibrium, make_environment, matrix_from_entries, model
 from pag.model import State, replace_row, state_vector
 from pag.preference import Verdict, improvement_verdict
 
@@ -14,6 +14,7 @@ from conftest import (
     grid_rows,
     random_allocation,
     random_environment,
+    random_sparse_scenario,
 )
 
 
@@ -91,6 +92,46 @@ class TestEquilibriumClass:
     def test_reserve_shift_keeps_class(self, env4, fig4):
         variant = replace_row(fig4, 3, matrix_from_entries(env4, {(3, 2): 20})[3])
         assert pag.same_equilibrium_class(env4, fig4, variant)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_sparse_witness_states_match_global_recompute(seed):
+    # Witness states are re-evaluated over the deviator's relevant set only;
+    # they must equal a whole-matrix recompute on the replaced matrix, and
+    # is_nash's certificate must be exactly the per-country best deviations.
+    rng = random.Random(seed)
+    env, u = random_sparse_scenario(rng, rng.randint(5, 60))
+    result = pag.is_nash(env, u)
+    singles = [pag.best_deviation(env, u, i) for i in range(env.n)]
+    assert result.deviations == tuple(d for d in singles if d is not None)
+    for dev in result.deviations:
+        assert dev.states == state_vector(env, replace_row(u, dev.country, dev.row))
+
+
+def test_is_nash_evaluates_states_locally(monkeypatch):
+    # Complexity pin without timing: n states up front, then 1 + deg i per
+    # deviator, and no whole-matrix replace or recompute.
+    env, u = random_sparse_scenario(random.Random(400), 400)
+    calls = 0
+    real_state_of = equilibrium.state_of
+
+    def counting_state_of(sig, tau):
+        nonlocal calls
+        calls += 1
+        return real_state_of(sig, tau)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("is_nash must not rebuild the matrix or all states")
+
+    monkeypatch.setattr(equilibrium, "state_of", counting_state_of)
+    for module in (model, equilibrium):
+        monkeypatch.setattr(module, "replace_row", forbidden, raising=False)
+        monkeypatch.setattr(module, "state_vector", forbidden)
+    result = pag.is_nash(env, u)
+    assert result.deviations
+    # A row's support is the country plus its relations: 1 + deg i.
+    assert calls <= env.n + sum(len(env.row_support(d.country)) for d in result.deviations)
 
 
 @settings(max_examples=50, deadline=None)

@@ -114,6 +114,25 @@ class TestValidateAllocation:
         errors = pag.validate_allocation(env2, u)
         assert any("deficit 1" in e for e in errors)
 
+    def test_exact_error_list_and_order(self, env4):
+        # env4: friends v2-v3, adversaries v1-v2 and v3-v4.  Zeros come both
+        # as Fraction(0) and as int 0; neither may add or move a message.
+        F = Fraction
+        u = (
+            (F(2), F(-1), 0, F(-1)),  # negative on- and off-relation, sum 0
+            (F(0), F(1), F(1), 0),  # valid
+            (F(1, 2), 0, F(1, 2), F(0)),  # positive off-relation entry
+            (0, F(0), F(5), F(14)),  # deficit 1
+        )
+        assert pag.validate_allocation(env4, u) == [
+            "negative entry v1->v2",
+            "negative entry v1->v4",
+            "nonzero entry v1->v4 with no relation",
+            "row sum for v1 is 0, expected 1 (deficit 1)",
+            "nonzero entry v3->v1 with no relation",
+            "row sum for v4 is 19, expected 20 (deficit 1)",
+        ]
+
 
 class TestSupportThreat:
     def test_alloc1_support_of_first(self, env2, alloc1):
