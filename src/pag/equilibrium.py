@@ -19,17 +19,19 @@ down) without worsening any relevant state.  The second clause refines the
 category rule; without it, outcomes the analysis layer must rule out would
 survive verification.
 
-Deciding and witnessing are split.  The decision core, `_target_bounds`,
-only compares sums and gaps (`>`, `==`), so it is exact on int entries as
-well as on Fractions; it returns the bounds of the first feasible target.
+Deciding and witnessing are split.  The decision core, `_target_bounds`
+and its per-target check `_attempt`, only compares sums and gaps (`>`,
+`==`), so it is exact on int entries as well as on Fractions; it returns
+the bounds of the first feasible target.
 Witness construction, `_deviation`, runs only when a `Deviation` is
 requested, and is the one place that needs rationals (the strict bounds'
 share of the slack).  It re-evaluates the witness states over the
 deviator's relevant set alone, from the current support and threat and the
 exact change of each entry, so `is_nash` costs O(n + E) plus, per
 deviator, its n-entry witness row and one copy of the n-state tuple.
-`no_profitable_deviation` runs the core alone, which is what the grid
-oracle calls on integer grid units.
+`first_deviator` runs the core alone on support, threat and states the
+caller already holds, scanning from a caller-chosen country; the grid
+oracle calls it on integer grid units.
 
 All functions are pure; per-country checks are independent and results are
 aggregated by ascending country index.
@@ -79,6 +81,67 @@ class NashResult:
 
 Bounds = tuple[list[tuple[int, Fraction]], list[tuple[int, Fraction, bool]]]
 
+# States compared by identity in the decision core: a module constant is
+# cheaper to load than an enum member looked up on its class.
+SAFE, PRECARIOUS, UNSAFE = State.SAFE, State.PRECARIOUS, State.UNSAFE
+
+
+def _attempt(
+    p: Fraction,
+    own: FractionVec,
+    friends: tuple[int, ...],
+    adversaries: tuple[int, ...],
+    sigmas: FractionVec,
+    taus: FractionVec,
+    states: tuple[State, ...],
+    friend_cap: Fraction | None,
+    gain_friend: int | None,
+    gain_adv: int | None,
+    strict: bool,
+) -> Bounds | None:
+    """One target's bounds if some row within budget p meets them all.
+
+    The target keeps every surviving friend surviving and every non-safe
+    adversary non-safe, and adds `gain_friend` or `gain_adv`.  With
+    `strict`, the gained adversary and every unsafe one must end strictly
+    unsafe.  This is the only place the friend and adversary gaps are
+    computed.
+    """
+    friend_bounds: list[tuple[int, Fraction]] = []
+    friend_total = 0
+    for j in friends:
+        if states[j] is not UNSAFE or j == gain_friend:
+            bound = max(0, taus[j] - (sigmas[j] - own[j]))
+            friend_bounds.append((j, bound))
+            friend_total += bound
+    if friend_cap is not None and friend_total > friend_cap:
+        return None
+    adversary_bounds: list[tuple[int, Fraction, bool]] = []
+    total = friend_total
+    any_strict = False
+    for j in adversaries:
+        state = states[j]
+        if j == gain_adv:
+            j_strict = strict
+        elif state is UNSAFE and strict:
+            j_strict = True
+        elif state is not SAFE:
+            j_strict = False
+        else:
+            continue
+        # A negative gap is met, strictly, by a zero entry.
+        gap = sigmas[j] - (taus[j] - own[j])
+        if gap < 0:
+            adversary_bounds.append((j, 0, False))
+        else:
+            adversary_bounds.append((j, gap, j_strict))
+            total += gap
+            any_strict = any_strict or j_strict
+    # Strict bounds need positive slack to share.
+    if total > p or (any_strict and total == p):
+        return None
+    return friend_bounds, adversary_bounds
+
 
 def _target_bounds(
     env: Environment,
@@ -92,78 +155,44 @@ def _target_bounds(
 
     Target outcomes are enumerated over i's relevant set, pruned to those
     improving on the current outcome (non-improving targets can never be
-    profitable), and decided in closed form.  Single-target checks decide
-    existence because adding targets only adds constraints.  Every sum
-    starts from the int 0, so the decision is exact on int and on Fraction
-    inputs alike.
+    profitable), and decided in closed form by `_attempt`.  Single-target
+    checks decide existence because adding targets only adds constraints.
+    Every sum starts from the int 0, so the decision is exact on int and on
+    Fraction inputs alike.
     """
     p = env.powers[i]
     friends = env.friends_of(i)
     adversaries = env.adversaries_of(i)
-    s_ext = sum(u[j][i] for j in friends)
+    s_ext = 0
+    for j in friends:
+        s_ext += u[j][i]
     t_ext = taus[i]
 
-    self_survives = states[i].survives
-    if not self_survives:
+    if states[i] is UNSAFE:
         # Priority of self-survival: any row reaching survival is profitable.
         # Support is maximal with zero friend-directed spending, so the
         # all-reserve row (no bounds at all) is the witness.
         if p + s_ext >= t_ext:
             return [], []
-
+        friend_cap = None
+    else:
+        friend_cap = p + s_ext - t_ext
     own = u[i]
-    friend_cap = p + s_ext - t_ext if self_survives else None
-
-    def attempt(
-        gain_friend: int | None,
-        gain_adv: tuple[int, bool] | None,
-        strict_maintenance: bool,
-    ) -> Bounds | None:
-        """The target's bounds if some row within budget meets them all."""
-        friend_bounds: list[tuple[int, Fraction]] = []
-        friend_total = 0
-        for j in friends:
-            if states[j].survives or j == gain_friend:
-                bound = max(0, taus[j] - (sigmas[j] - own[j]))
-                friend_bounds.append((j, bound))
-                friend_total += bound
-        if friend_cap is not None and friend_total > friend_cap:
-            return None
-        adversary_bounds: list[tuple[int, Fraction, bool]] = []
-        total = friend_total
-        any_strict = False
-        for j in adversaries:
-            if gain_adv is not None and j == gain_adv[0]:
-                strict = gain_adv[1]
-            elif states[j] is State.UNSAFE and strict_maintenance:
-                strict = True
-            elif states[j] is not State.SAFE:
-                strict = False
-            else:
-                continue
-            # A negative gap is met, strictly, by a zero entry.
-            gap = sigmas[j] - (taus[j] - own[j])
-            if gap < 0:
-                adversary_bounds.append((j, 0, False))
-            else:
-                adversary_bounds.append((j, gap, strict))
-                total += gap
-                any_strict = any_strict or strict
-        # Strict bounds need positive slack to share.
-        if total > p or (any_strict and total == p):
-            return None
-        return friend_bounds, adversary_bounds
 
     # Pass 1: strict category improvements (flip a non-surviving friend, or
     # a safe adversary) while keeping every current category.
     for j in friends:
-        if not states[j].survives:
-            bounds = attempt(j, None, strict_maintenance=False)
+        if states[j] is UNSAFE:
+            bounds = _attempt(
+                p, own, friends, adversaries, sigmas, taus, states, friend_cap, j, None, False
+            )
             if bounds is not None:
                 return bounds
     for j in adversaries:
-        if states[j] is State.SAFE:
-            bounds = attempt(None, (j, False), strict_maintenance=False)
+        if states[j] is SAFE:
+            bounds = _attempt(
+                p, own, friends, adversaries, sigmas, taus, states, friend_cap, None, j, False
+            )
             if bounds is not None:
                 return bounds
 
@@ -172,8 +201,10 @@ def _target_bounds(
     # adversaries must stay strictly unsafe).  Safe adversaries need no
     # second look: their pass-1 constraint set is contained in this one.
     for j in adversaries:
-        if states[j] is State.PRECARIOUS:
-            bounds = attempt(None, (j, True), strict_maintenance=True)
+        if states[j] is PRECARIOUS:
+            bounds = _attempt(
+                p, own, friends, adversaries, sigmas, taus, states, friend_cap, None, j, True
+            )
             if bounds is not None:
                 return bounds
 
@@ -275,18 +306,30 @@ def is_nash(
     return NashResult(ok=not deviations, deviations=tuple(deviations))
 
 
-def no_profitable_deviation(env: Environment, u: Matrix) -> bool:
-    """`is_nash(env, u).ok`, decided without building any witness.
+def first_deviator(
+    env: Environment,
+    u: Matrix,
+    sigmas: FractionVec,
+    taus: FractionVec,
+    states: tuple[State, ...],
+    start: int,
+) -> int | None:
+    """The first country with a profitable deviation, scanning cyclically
+    from `start`; None when u is a Nash equilibrium.
 
-    Exact on int entries as well as on Fractions, so a caller may pass an
-    environment and matrix scaled to integer units.
+    `sigmas`, `taus` and `states` must be those of u.  Whether some country
+    deviates does not depend on the scan order, so a caller may start from
+    the country most likely to reject.  Exact on int entries as well as on
+    Fractions, so a caller may pass an environment and matrix scaled to
+    integer units.
     """
-    sigmas, taus = sigma_tau(env, u)
-    states = tuple(map(state_of, sigmas, taus))
-    for i in range(env.n):
+    for i in range(start, len(states)):
         if _target_bounds(env, u, i, sigmas, taus, states) is not None:
-            return False
-    return True
+            return i
+    for i in range(start):
+        if _target_bounds(env, u, i, sigmas, taus, states) is not None:
+            return i
+    return None
 
 
 def same_equilibrium_class(env: Environment, u: Matrix, v: Matrix) -> bool:

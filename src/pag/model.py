@@ -173,7 +173,7 @@ def validate_environment(
     seen: set[str] = set()
     for name in names:
         if name in seen:
-            errors.append(f"duplicate name {name!r}")
+            errors.append(f"duplicate name {_echo(name)}")
         seen.add(name)
     if len(powers) != len(names):
         errors.append(f"{len(names)} countries but {len(powers)} powers")
@@ -183,10 +183,10 @@ def validate_environment(
         try:
             value = to_fraction(raw)
         except ValidationError as exc:
-            errors.extend(f"power for {name!r}: {e}" for e in exc.errors)
+            errors.extend(f"power for {_echo(name)}: {e}" for e in exc.errors)
             value = ZERO
         if value < 0:
-            errors.append(f"negative power for {name!r}")
+            errors.append(f"negative power for {_echo(name)}")
         parsed.append(value)
 
     index = {name: i for i, name in enumerate(names)}
@@ -202,7 +202,7 @@ def validate_environment(
             if bad:
                 continue
             if a == b:
-                errors.append(f"self relation for {a!r}")
+                errors.append(f"self relation for {_echo(a)}")
                 continue
             out.add(_normalize_pair(index[a], index[b]))
         return out
@@ -211,7 +211,7 @@ def validate_environment(
     adversary_pairs = resolve(adversaries, "adversary")
     for i, j in sorted(friend_pairs & adversary_pairs):
         errors.append(
-            f"conflicting relation for {names[i]!r} and {names[j]!r}"
+            f"conflicting relation for {_echo(names[i])} and {_echo(names[j])}"
             " (both friend and adversary)"
         )
 

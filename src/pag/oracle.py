@@ -13,6 +13,16 @@ power and every entry by the same c > 0 keeps every state and every
 profitable deviation.  Only the stored members become `Fraction`s, through
 one converted row per candidate row that all members share.
 
+Support and threat are linear in the matrix, so each candidate row's share
+of them is computed once, by `sigma_tau` on a matrix holding only that row.
+A candidate's sums are its rows' shares added up: the first n - 1 rows'
+once per prefix of the `product` odometer, the last row's per candidate.
+On ints this addition is exact, so the sums equal `sigma_tau` of the whole
+candidate.  Each candidate is then decided by `first_deviator`, starting
+from the country that rejected the previous candidate: neighbouring
+candidates differ mostly in the last row, so that country usually rejects
+again, and whether some country deviates does not depend on the order.
+
 Enumeration is naturally partitioned by the first row's composition and
 could run concurrently; the atlas orders classes and members canonically
 so any merge is deterministic.
@@ -25,18 +35,21 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from operator import add
 from typing import Iterator
 
-from .equilibrium import no_profitable_deviation
+from .equilibrium import first_deviator
 from .model import (
     Environment,
     Matrix,
     State,
     STATE_ORDER,
-    state_vector,
+    sigma_tau,
+    state_of,
 )
 
-#: Default bound on the number of grid matrices one enumeration may visit.
+#: Default and largest bound on the number of grid matrices one
+#: enumeration may visit.
 MAX_CANDIDATES = 10_000_000
 
 
@@ -53,7 +66,8 @@ class EmptyAtlas(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Enumeration grid: positive step that must divide every power exactly."""
+    """Enumeration grid: positive step that must divide every power exactly,
+    and a candidate bound from 1 to `MAX_CANDIDATES`, checked before any work."""
 
     step: Fraction
     max_candidates: int = MAX_CANDIDATES
@@ -61,6 +75,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.step <= 0:
             raise ValueError("step must be positive")
+        if not 1 <= self.max_candidates <= MAX_CANDIDATES:
+            raise ValueError(f"max_candidates must be between 1 and {MAX_CANDIDATES}")
 
 
 @dataclass(frozen=True)
@@ -137,10 +153,31 @@ def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
 
     per_row = [_row_candidates(env, i, grid.step) for i in range(env.n)]
     units = replace(env, powers=tuple(_row_units(env, i, grid.step) for i in range(env.n)))
+    # Every candidate row with its shares of support and threat.
+    blank = (0,) * env.n
+    shared = [
+        [(row, *sigma_tau(units, tuple(row if k == i else blank for k in range(env.n))))
+         for row in rows]
+        for i, rows in enumerate(per_row)
+    ]
     classes: dict[tuple[State, ...], list[tuple[tuple[int, ...], ...]]] = {}
-    for u in product(*per_row):
-        if no_profitable_deviation(units, u):
-            classes.setdefault(state_vector(units, u), []).append(u)
+    rejector = 0
+    for prefix in product(*shared[:-1]):
+        head = tuple(row for row, _, _ in prefix)
+        head_sigmas = head_taus = blank
+        for _, row_sigmas, row_taus in prefix:
+            head_sigmas = tuple(map(add, head_sigmas, row_sigmas))
+            head_taus = tuple(map(add, head_taus, row_taus))
+        for row, row_sigmas, row_taus in shared[-1]:
+            sigmas = tuple(map(add, head_sigmas, row_sigmas))
+            taus = tuple(map(add, head_taus, row_taus))
+            states = tuple(map(state_of, sigmas, taus))
+            u = (*head, row)
+            deviator = first_deviator(units, u, sigmas, taus, states, rejector)
+            if deviator is None:
+                classes.setdefault(states, []).append(u)
+            else:
+                rejector = deviator
 
     # One Fraction row per candidate row, shared by every member using it.
     exact = {row: tuple(x * grid.step for x in row) for rows in per_row for row in rows}

@@ -102,8 +102,25 @@ class TestValidate:
             ({"allocation": {"a": 1}}, "allocation row for 'a' must be a map", None),
             ({"allocation": {"a": {"zz": 1}}}, "unknown country 'zz' in allocation row 'a'",
              {"allocation": {"a": {"z" * 5000: 1}}}),
+            ({"countries": [{"name": "a", "power": 1}] * 2}, "duplicate name 'a'",
+             {"countries": [{"name": [[[[["z" * 3000]]]]], "power": 1}] * 2}),
+            ({"countries": [{"name": "a", "power": "x"}]}, "power for 'a': not a rational: 'x'",
+             {"countries": [{"name": "a" * 3000, "power": "x"}]}),
+            ({"countries": [{"name": "a", "power": -1}]}, "negative power for 'a'",
+             {"countries": [{"name": "z" * 3000, "power": -1}],
+              "adversaries": [["z" * 3000, "z" * 3000]]}),
+            ({"friends": [["a", "a"]]}, "self relation for 'a'",
+             {"countries": [{"name": "z" * 3000, "power": 1}], "friends": [["z" * 3000] * 2]}),
+            ({"friends": [["a", "b"]], "adversaries": [["b", "a"]]},
+             "conflicting relation for 'a' and 'b' (both friend and adversary)",
+             {"countries": [{"name": "y" * 3000, "power": 1}, {"name": "z" * 3000, "power": 1}],
+              "friends": [["y" * 3000, "z" * 3000]], "adversaries": [["y" * 3000, "z" * 3000]]}),
         ],
-        ids=["entry", "friends", "adversaries", "pair-name", "row-name", "row-map", "column-name"],
+        ids=[
+            "entry", "friends", "adversaries", "pair-name", "row-name", "row-map", "column-name",
+            "duplicate-name", "power-name", "negative-power-name", "self-relation-name",
+            "conflict-names",
+        ],
     )
     def test_input_echoes(self, capsys, tmp_path, short, message, long):
         # Short inputs are echoed whole; the same fault in a long input is cut.
@@ -321,6 +338,19 @@ class TestSearch:
         )
         assert code == 2
         assert "exceed" in err
+
+    @pytest.mark.parametrize("bound", ["0", "10000001"])
+    def test_candidate_bound_checked_before_enumeration(self, capsys, monkeypatch, bound):
+        def never(*_):
+            raise AssertionError("enumeration started")
+
+        monkeypatch.setattr(pag.oracle, "candidate_count", never)
+        monkeypatch.setattr(pag.oracle, "find_equilibria", never)
+        code, out, err = run_cli(
+            capsys, "search", DATA / "env2.json", "--step", "1", "--max-candidates", bound
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: max_candidates must be between 1 and 10000000\n"
 
     def test_non_dividing_step_rejected(self, capsys):
         code, _, err = run_cli(capsys, "search", DATA / "env2.json", "--step", "3")

@@ -12,10 +12,11 @@ from pag import (
     SurvivalPossibility,
     make_environment,
 )
-from pag.model import State
-from pag.oracle import candidate_count
+from pag.equilibrium import first_deviator
+from pag.model import State, sigma_tau, state_of
+from pag.oracle import MAX_CANDIDATES, candidate_count
 
-from conftest import grid_profitable_deviation, grid_rows
+from conftest import grid_profitable_deviation, grid_rows, random_environment
 
 
 @pytest.fixture
@@ -44,6 +45,15 @@ class TestGridSpec:
         with pytest.raises(EnumerationTooLarge) as exc:
             pag.find_equilibria(env2, GridSpec(step=Fraction(1, 8), max_candidates=10 ** 6))
         assert exc.value.count > 10 ** 6
+
+    @pytest.mark.parametrize("bound", [0, -1, MAX_CANDIDATES + 1])
+    def test_candidate_bound_out_of_range(self, bound):
+        with pytest.raises(ValueError, match="max_candidates"):
+            GridSpec(step=Fraction(1), max_candidates=bound)
+
+    def test_candidate_bound_limits_accepted(self):
+        assert GridSpec(step=Fraction(1), max_candidates=1).max_candidates == 1
+        assert GridSpec(step=Fraction(1)).max_candidates == MAX_CANDIDATES
 
 
 class TestFindEquilibria:
@@ -122,6 +132,63 @@ class TestIntegerKernel:
         assert {cls.states: cls.members for cls in atlas.classes} == {
             states: tuple(sorted(members)) for states, members in expected.items()
         }
+
+    def test_atlas_equals_brute_force_on_random_environments(self):
+        # Seeded 1-4 country environments, powers 0-6: the oracle's classes,
+        # members and their order equal a reference built from Fraction
+        # matrices and the public verifier.  Only environments with some
+        # relation count towards the 30.
+        rng = random.Random(606)
+        rank = {State.SAFE: 0, State.PRECARIOUS: 1, State.UNSAFE: 2}
+        checked = 0
+        while checked < 30:
+            env = random_environment(rng, rng.randint(1, 4), 6, min_power=0)
+            step = rng.choice([Fraction(1), Fraction(1, 2)])
+            if candidate_count(env, step) > 3000:
+                continue
+            checked += bool(env.friends or env.adversaries)
+            candidates = list(
+                itertools.product(*(list(grid_rows(env, i, step)) for i in range(env.n)))
+            )
+            expected: dict = {}
+            for u in candidates:
+                if pag.is_nash(env, u, stop_at_first=True).ok:
+                    expected.setdefault(pag.state_vector(env, u), []).append(u)
+            atlas = pag.find_equilibria(env, GridSpec(step=step))
+            assert atlas.candidates_checked == len(candidates)
+            assert [(cls.states, cls.members) for cls in atlas.classes] == [
+                (states, tuple(sorted(expected[states])))
+                for states in sorted(expected, key=lambda s: [rank[x] for x in s])
+            ]
+
+    @pytest.mark.parametrize("name,step", [("env4", Fraction(1)), ("fractional_env", Fraction(1, 4))])
+    def test_first_deviator_is_start_independent(self, name, step, request):
+        env = request.getfixturevalue(name)
+        for u in itertools.product(*(list(grid_rows(env, i, step)) for i in range(env.n))):
+            sigmas, taus = sigma_tau(env, u)
+            states = tuple(map(state_of, sigmas, taus))
+            found = {first_deviator(env, u, sigmas, taus, states, start) for start in range(env.n)}
+            assert found == {None} or None not in found
+            for i in found - {None}:
+                assert pag.best_deviation(env, u, i) is not None
+
+    def test_support_and_threat_summed_once_per_row(self, env2, monkeypatch):
+        # One sigma_tau call per candidate row (45 + 28 + 15 on env2), none
+        # per candidate, and no state_vector call at all.
+        calls = {"sigma_tau": 0, "state_vector": 0}
+        for module in (pag.oracle, pag.equilibrium):
+            for name in calls:
+                original = getattr(pag.model, name)
+
+                def counted(*args, _name=name, _original=original):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted, raising=False)
+        atlas = pag.find_equilibria(env2, GridSpec(step=Fraction(1)))
+        assert atlas.candidates_checked == 45 * 28 * 15
+        assert calls["sigma_tau"] <= 45 + 28 + 15
+        assert calls["state_vector"] == 0
 
     def test_members_hold_only_fractions(self, env2, env4, fractional_env):
         for env, step in ((env2, Fraction(1)), (env4, Fraction(1)), (fractional_env, Fraction(1, 4))):
