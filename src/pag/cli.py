@@ -19,6 +19,7 @@ topology error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from typing import Any, Sequence
 from . import analysis, constructors, oracle
 from .equilibrium import is_nash
 from .model import (
+    ZERO,
     Environment,
     Matrix,
     ValidationError,
@@ -37,7 +39,6 @@ from .model import (
     to_fraction,
     validate_allocation,
     validate_environment,
-    zero_matrix,
 )
 
 EXIT_OK = 0
@@ -86,23 +87,24 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
         return env, None
     if not isinstance(allocation, dict):
         raise ValidationError(["'allocation' must map row names to entry maps"])
-    rows = [list(row) for row in zero_matrix(env)]
+    index = {name: i for i, name in enumerate(env.names)}
+    rows = [[ZERO] * env.n for _ in range(env.n)]
     for row_name, entries in allocation.items():
-        if row_name not in env.names:
+        if row_name not in index:
             errors.append(f"unknown country {_echo(row_name)} in allocation")
             continue
         if not isinstance(entries, dict):
             errors.append(f"allocation row for {_echo(row_name)} must be a map")
             continue
-        i = env.index(row_name)
+        row = rows[index[row_name]]
         for col_name, raw in entries.items():
-            if col_name not in env.names:
+            if col_name not in index:
                 errors.append(
                     f"unknown country {_echo(col_name)} in allocation row {_echo(row_name)}"
                 )
                 continue
             try:
-                rows[i][env.index(col_name)] = to_fraction(raw)
+                row[index[col_name]] = to_fraction(raw)
             except ValidationError as exc:
                 errors.extend(f"allocation {row_name}->{col_name}: {e}" for e in exc.errors)
     if errors:
@@ -437,9 +439,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as exc:

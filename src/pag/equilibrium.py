@@ -22,16 +22,21 @@ survive verification.
 Deciding and witnessing are split.  The decision core, `_target_bounds`
 and its per-target check `_attempt`, only compares sums and gaps (`>`,
 `==`), so it is exact on int entries as well as on Fractions; it returns
-the bounds of the first feasible target.
+the bounds of the first feasible target.  `is_nash` and `best_deviation`
+run it in integer units: `model._integer_units` scales the powers and the
+cells the core reads by their common denominator L, which changes no
+comparison because the game is positively homogeneous.  When L would
+reach `model.MAX_SCALE`, the same core runs on the Fractions instead.
 Witness construction, `_deviation`, runs only when a `Deviation` is
-requested, and is the one place that needs rationals (the strict bounds'
-share of the slack).  It re-evaluates the witness states over the
-deviator's relevant set alone, from the current support and threat and the
-exact change of each entry, so `is_nash` costs O(n + E) plus, per
-deviator, its n-entry witness row and one copy of the n-state tuple.
-`first_deviator` runs the core alone on support, threat and states the
-caller already holds, scanning from a caller-chosen country; the grid
-oracle calls it on integer grid units.
+requested.  It works in the same units, where only the strict bounds'
+share of the slack is a Fraction, and each witness entry leaves as that
+entry over L.  It re-evaluates the witness states over the deviator's
+relevant set alone, from the current support and threat and the exact
+change of each entry, so `is_nash` costs O(n + E) plus, per deviator, its
+n-entry witness row and one copy of the n-state tuple.  `first_deviator`
+runs the core alone on support, threat and states the caller already
+holds, scanning from a caller-chosen country; the grid oracle calls it on
+integer grid units.
 
 All functions are pure; per-country checks are independent and results are
 aggregated by ascending country index.
@@ -47,6 +52,7 @@ from .model import (
     Environment,
     Matrix,
     State,
+    _integer_units,
     sigma_tau,
     state_of,
     state_vector,
@@ -145,6 +151,7 @@ def _attempt(
 
 def _target_bounds(
     env: Environment,
+    powers: FractionVec,
     u: Matrix,
     i: int,
     sigmas: FractionVec,
@@ -158,9 +165,9 @@ def _target_bounds(
     profitable), and decided in closed form by `_attempt`.  Single-target
     checks decide existence because adding targets only adds constraints.
     Every sum starts from the int 0, so the decision is exact on int and on
-    Fraction inputs alike.
+    Fraction inputs alike; `powers` and `u` must be in the same units.
     """
-    p = env.powers[i]
+    p = powers[i]
     friends = env.friends_of(i)
     adversaries = env.adversaries_of(i)
     s_ext = 0
@@ -211,33 +218,34 @@ def _target_bounds(
     return None
 
 
-def _row(env: Environment, i: int, bounds: Bounds) -> FractionVec:
-    """The witness row for feasible bounds, as exact rationals.
+def _row(budget: Fraction, i: int, bounds: Bounds) -> dict[int, Fraction]:
+    """The witness row for feasible bounds, as {column: entry} in the
+    bounds' units; columns left out hold zero.
 
     Friends sit at their exact bounds, so slack can never break the
     self-survival cap.  Strict bounds get a small share of the slack rather
     than an even split: any positive margin proves profitability, and
     oversized margins make the witness a worse best response (overkilled
     targets release their other attackers' maintenance burdens).  The rest
-    goes to reserve, never onto null relations.
+    goes to reserve, never onto null relations.  Only the strict share is a
+    Fraction on integer bounds.
     """
     friend_bounds, adversary_bounds = bounds
-    budget = env.powers[i]
     strict_count = sum(1 for _, _, strict in adversary_bounds if strict)
     total = sum(b for _, b in friend_bounds) + sum(b for _, b, _ in adversary_bounds)
-    bonus = Fraction(budget - total, 4 * (strict_count + 1)) if strict_count else ZERO
-    row = [ZERO] * env.n
-    for j, bound in friend_bounds:
-        row[j] = Fraction(bound)
+    bonus = Fraction(budget - total, 4 * (strict_count + 1)) if strict_count else 0
+    row = dict(friend_bounds)
     for j, bound, strict in adversary_bounds:
-        row[j] = bound + bonus if strict else Fraction(bound)
+        row[j] = bound + bonus if strict else bound
     row[i] = budget - total - strict_count * bonus
-    return tuple(row)
+    return row
 
 
 def _deviation(
     env: Environment,
+    powers: FractionVec,
     u: Matrix,
+    scale: int,
     i: int,
     bounds: Bounds,
     sigmas: FractionVec,
@@ -246,38 +254,45 @@ def _deviation(
 ) -> Deviation:
     """The witness for feasible bounds, with the states it induces.
 
-    Replacing row i moves only the support of i and of its friends and the
-    threat against its adversaries, so only those states are re-evaluated:
-    a friend's or an adversary's from its current sum and the exact change
-    of its one entry, i's own from the new row and its incoming friend aid.
+    `powers`, `u`, the bounds and the sums are in units of 1/`scale`, so
+    the witness row leaves as each entry over `scale`.  Replacing row i
+    moves only the support of i and of its friends and the threat against
+    its adversaries, so only those states are re-evaluated: a friend's or
+    an adversary's from its current sum and the exact change of its one
+    entry, i's own from the new row and its incoming friend aid.
     """
-    row = _row(env, i, bounds)
+    row = _row(powers[i], i, bounds)
     own = u[i]
     new_states = list(states)
     incoming = 0
     for j in env.friends_of(i):
-        new_states[j] = state_of(sigmas[j] - own[j] + row[j], taus[j])
+        new_states[j] = state_of(sigmas[j] - own[j] + row.get(j, 0), taus[j])
         incoming += u[j][i]
     offense = 0
     for j in env.adversaries_of(i):
-        new_states[j] = state_of(sigmas[j], taus[j] - own[j] + row[j])
-        offense += row[j]
+        entry = row.get(j, 0)
+        new_states[j] = state_of(sigmas[j], taus[j] - own[j] + entry)
+        offense += entry
     new_states[i] = state_of(row[i] + incoming + offense, taus[i])
-    return Deviation(country=i, row=row, states=tuple(new_states))
+    witness = [ZERO] * env.n
+    for j, entry in row.items():
+        witness[j] = Fraction(entry, scale)
+    return Deviation(country=i, row=tuple(witness), states=tuple(new_states))
 
 
 def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
     """Search i's deviation set for a profitable row; None if there is none.
 
-    The decision is `_target_bounds`; the witness row and the states it
-    induces are built only once a target is found.
+    The decision is `_target_bounds`, in integer units; the witness row and
+    the states it induces are built only once a target is found.
     """
-    sigmas, taus = sigma_tau(env, u)
+    scale, powers, units = _integer_units(env, u)
+    sigmas, taus = sigma_tau(env, units)
     states = tuple(map(state_of, sigmas, taus))
-    bounds = _target_bounds(env, u, i, sigmas, taus, states)
+    bounds = _target_bounds(env, powers, units, i, sigmas, taus, states)
     if bounds is None:
         return None
-    return _deviation(env, u, i, bounds, sigmas, taus, states)
+    return _deviation(env, powers, units, scale, i, bounds, sigmas, taus, states)
 
 
 def is_nash(
@@ -290,17 +305,21 @@ def is_nash(
 
     The certificate lists a profitable witness per deviating country (all
     of them, unless `stop_at_first` asks for the cheapest rejection).
-    Support, threat and states are computed once; each witness re-evaluates
-    only its deviator's relevant set, so a check costs O(n + E) plus, per
-    deviator, its n-entry row and one copy of the n-state tuple.
+    Support, threat and states are computed once, in integer units of the
+    common denominator; each witness re-evaluates only its deviator's
+    relevant set, so a check costs O(n + E) plus, per deviator, its n-entry
+    row and one copy of the n-state tuple.
     """
-    sigmas, taus = sigma_tau(env, u)
+    scale, powers, units = _integer_units(env, u)
+    sigmas, taus = sigma_tau(env, units)
     states = tuple(map(state_of, sigmas, taus))
     deviations: list[Deviation] = []
     for i in range(env.n):
-        bounds = _target_bounds(env, u, i, sigmas, taus, states)
+        bounds = _target_bounds(env, powers, units, i, sigmas, taus, states)
         if bounds is not None:
-            deviations.append(_deviation(env, u, i, bounds, sigmas, taus, states))
+            deviations.append(
+                _deviation(env, powers, units, scale, i, bounds, sigmas, taus, states)
+            )
             if stop_at_first:
                 break
     return NashResult(ok=not deviations, deviations=tuple(deviations))
@@ -324,10 +343,10 @@ def first_deviator(
     integer units.
     """
     for i in range(start, len(states)):
-        if _target_bounds(env, u, i, sigmas, taus, states) is not None:
+        if _target_bounds(env, env.powers, u, i, sigmas, taus, states) is not None:
             return i
     for i in range(start):
-        if _target_bounds(env, u, i, sigmas, taus, states) is not None:
+        if _target_bounds(env, env.powers, u, i, sigmas, taus, states) is not None:
             return i
     return None
 

@@ -6,11 +6,15 @@ country's power across its own reserve, support for friends, and offense
 against adversaries.  The induced per-country state (safe, precarious,
 unsafe) is decided by comparing total support against total threat.
 
-Every quantity is a `fractions.Fraction`.  The safe/precarious boundary is
-an equality test, so binary floating point is never used anywhere.
-`sigma_tau` and `state_vector` only add and compare, so they also accept
-int matrices; the grid oracle uses that to work in integer grid units.
-All functions here are pure and thread-safe.
+Every quantity that enters or leaves the engine is a `fractions.Fraction`.
+Inside, decisions run in integer units: the verifier scales the powers and
+the cells it reads by their common denominator L (`_integer_units`), which
+changes no comparison because the game is positively homogeneous, and the
+grid oracle works in integer multiples of its step.  `sigma_tau` and
+`state_vector` only add and compare, so they accept int and Fraction
+matrices alike.  The safe/precarious boundary is an equality test, so
+binary floating point is never used anywhere.  All functions here are pure
+and thread-safe.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 Rational = int | str | Fraction
@@ -59,6 +65,16 @@ class ValidationError(ValueError):
 #: the same 4,300-digit bound that `int(str)` applies by default.
 MAX_EXPONENT = 4300
 
+#: Most decimal digits of a parsed numerator or denominator.  A sum of n
+#: such values over one denominator gains about log10(n) digits, so it stays
+#: below the 4,300 digits `str(int)` prints by default.
+MAX_DIGITS = 4000
+_DIGIT_BOUND = 10**MAX_DIGITS
+
+#: Common denominators the verifier scales to integer units stay below this
+#: bound; from it up, the same decision runs on the Fractions themselves.
+MAX_SCALE = 1 << 64
+
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
@@ -74,13 +90,15 @@ def to_fraction(value: Rational) -> Fraction:
     Floats are rejected: they cannot represent the inputs exactly and would
     corrupt the precarious-boundary equality tests downstream.  So are
     strings whose decimal exponent exceeds `MAX_EXPONENT`, which would take
-    `Fraction` unbounded time and memory to expand.
+    `Fraction` unbounded time and memory to expand, and values whose
+    numerator or denominator has more than `MAX_DIGITS` digits, whose sums
+    could not be printed.
     """
     if isinstance(value, bool):
         raise ValidationError([f"not a rational: {_echo(value)}"])
     if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, str):
+        result = Fraction(value)
+    elif isinstance(value, str):
         exponent = _EXPONENT.search(value)
         if exponent is not None:
             digits = exponent.group(1).replace("_", "").lstrip("0")
@@ -89,11 +107,15 @@ def to_fraction(value: Rational) -> Fraction:
                     [f"not a rational: {_echo(value)} (exponent beyond ±{MAX_EXPONENT})"]
                 )
         try:
-            return Fraction(value.strip())
+            result = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError([f"not a rational: {_echo(value)}"]) from exc
-    why = "floats are rejected" if isinstance(value, float) else f"type {type(value).__name__}"
-    raise ValidationError([f"not a rational: {_echo(value)} ({why})"])
+    else:
+        why = "floats are rejected" if isinstance(value, float) else f"type {type(value).__name__}"
+        raise ValidationError([f"not a rational: {_echo(value)} ({why})"])
+    if abs(result.numerator) >= _DIGIT_BOUND or result.denominator >= _DIGIT_BOUND:
+        raise ValidationError([f"not a rational: {_echo(value)} (more than {MAX_DIGITS} digits)"])
+    return result
 
 
 def _normalize_pair(i: int, j: int) -> Pair:
@@ -268,30 +290,57 @@ def validate_allocation(env: Environment, u: Matrix) -> list[str]:
     entries at cells with no relation (a negative one there gets both
     messages), then the row-sum mismatch with its deficit.  Zero entries
     are skipped: a zero is never negative, never a nonzero entry and adds
-    nothing to the sum, so skipping it changes no message.
+    nothing to the sum, so skipping it changes no message.  A row's cells
+    with no relation are tested together, by counting the cells equal to
+    the first of them (in C, and by identity where they share that object);
+    only a row where that cell is nonzero or the count falls short is
+    visited cell by cell.
     """
     errors: list[str] = []
-    if len(u) != env.n or any(len(row) != env.n for row in u):
-        return [f"matrix must be {env.n}x{env.n}"]
-    for i in range(env.n):
-        allowed = set(env.row_support(i))
-        total = ZERO
-        for j, value in enumerate(u[i]):
-            if not value:
-                continue
-            if value < 0:
-                errors.append(f"negative entry {env.names[i]}->{env.names[j]}")
-            if j not in allowed:
-                errors.append(
-                    f"nonzero entry {env.names[i]}->{env.names[j]} with no relation"
-                )
-            total += value
+    n = env.n
+    if len(u) != n or any(len(row) != n for row in u):
+        return [f"matrix must be {n}x{n}"]
+    names = env.names
+    for i, row in enumerate(u):
+        support = env.row_support(i)
+        mark = len(errors)
+        total, zeros = _check_cells(names, i, row, support, support, errors)
+        # The first column missing from the sorted support has no relation.
+        off = next((k for k, j in enumerate(support) if j != k), len(support))
+        if off < n and (row[off] or row.count(row[off]) != zeros + n - len(support)):
+            del errors[mark:]
+            total, _ = _check_cells(names, i, row, range(n), support, errors)
         if total != env.powers[i]:
             errors.append(
-                f"row sum for {env.names[i]} is {total}, expected {env.powers[i]}"
+                f"row sum for {names[i]} is {total}, expected {env.powers[i]}"
                 f" (deficit {env.powers[i] - total})"
             )
     return errors
+
+
+def _check_cells(
+    names: tuple[str, ...],
+    i: int,
+    row: Sequence[Fraction],
+    cells: Iterable[int],
+    support: tuple[int, ...],
+    errors: list[str],
+) -> tuple[Fraction, int]:
+    """Append the messages of row i's nonzero `cells`; return their sum and
+    the number of zero cells among them."""
+    total = ZERO
+    zeros = 0
+    for j in cells:
+        value = row[j]
+        if not value:
+            zeros += 1
+            continue
+        if value < 0:
+            errors.append(f"negative entry {names[i]}->{names[j]}")
+        if j not in support:
+            errors.append(f"nonzero entry {names[i]}->{names[j]} with no relation")
+        total += value
+    return total, zeros
 
 
 def sigma_tau(env: Environment, u: Matrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -335,6 +384,35 @@ def state_of(sig: Fraction, tau: Fraction) -> State:
 
 
 def state_vector(env: Environment, u: Matrix) -> tuple[State, ...]:
-    """Per-country states induced by allocation u, by exact comparison."""
-    sigmas, taus = sigma_tau(env, u)
-    return tuple(state_of(s, t) for s, t in zip(sigmas, taus))
+    """Per-country states induced by allocation u, by exact comparison in
+    integer units."""
+    sigmas, taus = sigma_tau(env, _integer_units(env, u)[2])
+    return tuple(map(state_of, sigmas, taus))
+
+
+def _integer_units(env: Environment, u: Matrix) -> tuple[int, tuple, Sequence]:
+    """Scale the powers and the cells the verifier reads to integer units.
+
+    Returns (L, powers, rows): L is the common denominator of the powers and
+    of each row's diagonal, friend and adversary cells (no other cell is
+    read), the powers times L, and per row a {column: cell times L} map over
+    those cells, in O(n + E).  Positive scaling changes no state and no
+    deviation, so deciding on them is exact.  Once L would reach
+    `MAX_SCALE` it returns (1, env.powers, u): the same decision then runs
+    on the Fractions themselves.
+    """
+    rows = [
+        {j: row[j] for j in (i, *env.friends_of(i), *env.adversaries_of(i))}
+        for i, row in enumerate(u)
+    ]
+    scale = 1
+    for x in chain(env.powers, chain.from_iterable(cells.values() for cells in rows)):
+        if scale % x.denominator:
+            scale = lcm(scale, x.denominator)
+            if scale >= MAX_SCALE:
+                return 1, env.powers, u
+    for cells in rows:
+        for j, x in cells.items():
+            cells[j] = x.numerator * (scale // x.denominator)
+    powers = tuple(x.numerator * (scale // x.denominator) for x in env.powers)
+    return scale, powers, rows

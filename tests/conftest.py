@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -172,13 +173,18 @@ def random_bipartite_environment(
 
 
 def random_sparse_scenario(
-    rng: random.Random, n: int, mean_degree: float = 3, friend_share: float = 0.3
+    rng: random.Random,
+    n: int,
+    mean_degree: float = 3,
+    friend_share: float = 0.3,
+    denominators: Sequence[int] = (1, 2, 3),
 ) -> tuple[Environment, Matrix]:
     """A sparse random network and an admissible matrix on it.
 
     round(n * mean_degree / 2) distinct pairs, a share of them friendly.  Each
-    row's entries over its relations are random rationals with denominators
-    1 to 3 (zeros included), and each power is its row's sum.
+    row's entries over its relations are random rationals whose denominators
+    are drawn from `denominators` (zeros included), and each power is its
+    row's sum.
     """
     edges: set[tuple[int, int]] = set()
     while len(edges) < round(n * mean_degree / 2):
@@ -194,7 +200,7 @@ def random_sparse_scenario(
     for i in range(n):
         row = [ZERO] * n
         for j in sorted(support[i]):
-            row[j] = Fraction(rng.randint(0, 6), rng.randint(1, 3))
+            row[j] = Fraction(rng.randint(0, 6), rng.choice(denominators))
         rows.append(tuple(row))
     env = make_environment(
         [sum(row) for row in rows], friends=friends, adversaries=adversaries

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import pag
+from pag import cli
 from pag.cli import emit_scenario, main, parse_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -143,6 +144,28 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", path)
         assert code == 2
         assert "rational" in err
+
+    @pytest.mark.parametrize("command", ["validate", "evaluate", "verify", "analyze"])
+    def test_read_only_commands_agree_on_huge_values(self, capsys, tmp_path, command):
+        # Powers of 4,301 and 4,001 digits are rejected by every command
+        # alike; one at the 4,000-digit bound is accepted and every derived
+        # sum still prints.
+        for power, expected in (("1e4300", 2), ("1e4000", 2), ("1e3999", 0)):
+            path = tmp_path / "huge.json"
+            path.write_text(
+                json.dumps(
+                    {
+                        "countries": [{"name": "a", "power": power}],
+                        "allocation": {"a": {"a": power}},
+                    }
+                )
+            )
+            code, out, err = run_cli(capsys, command, path)
+            assert code == expected, err
+            if expected:
+                assert err == (
+                    f"error: power for 'a': not a rational: '{power}' (more than 4000 digits)\n"
+                )
 
 
 class TestEvaluate:
@@ -379,6 +402,20 @@ class TestRoundTrip:
         env2, u2 = parse_scenario(emit_scenario(env, u))
         assert env2.powers == env.powers
         assert u2 == u
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    calls = []
+    real = cli.build_parser
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(3):
+        assert run_cli(capsys, "validate", DATA / "env2_alloc1.json")[0] == 0
+    assert len(calls) <= 1
 
 
 def test_console_entry_point():

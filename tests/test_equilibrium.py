@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,19 +95,44 @@ class TestEquilibriumClass:
         assert pag.same_equilibrium_class(env4, fig4, variant)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 2 ** 30))
-def test_sparse_witness_states_match_global_recompute(seed):
+# Denominators of the scaled families, and one family whose common
+# denominator passes model.MAX_SCALE, so the verifier decides on Fractions.
+_DENOMINATORS = ((1,), (1, 2, 3), (1, 2, 3, 7, 12), (10**12 + 39, 10**12 + 61, 7))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 30), st.sampled_from(_DENOMINATORS))
+def test_sparse_witness_states_match_global_recompute(seed, denominators):
     # Witness states are re-evaluated over the deviator's relevant set only;
     # they must equal a whole-matrix recompute on the replaced matrix, and
     # is_nash's certificate must be exactly the per-country best deviations.
+    # Decisions run in integer units of the common denominator: certificates
+    # must equal those of the same core run on the Fractions (what the
+    # helper returns past its scaling bound), and witness rows must hold
+    # Fractions only.
     rng = random.Random(seed)
-    env, u = random_sparse_scenario(rng, rng.randint(5, 60))
+    env, u = random_sparse_scenario(rng, rng.randint(5, 60), denominators=denominators)
+    scaled = model._integer_units(env, u)[2] is not u
+    assert scaled == (denominators != _DENOMINATORS[-1])
     result = pag.is_nash(env, u)
     singles = [pag.best_deviation(env, u, i) for i in range(env.n)]
     assert result.deviations == tuple(d for d in singles if d is not None)
     for dev in result.deviations:
-        assert dev.states == state_vector(env, replace_row(u, dev.country, dev.row))
+        assert all(type(x) is Fraction for x in dev.row)
+        v = replace_row(u, dev.country, dev.row)
+        assert dev.states == tuple(map(model.state_of, *model.sigma_tau(env, v)))
+        assert dev.states == state_vector(env, v)
+    states = state_vector(env, u)
+
+    def unscaled(env, u):
+        return 1, env.powers, u
+
+    with mock.patch.object(equilibrium, "_integer_units", unscaled), mock.patch.object(
+        model, "_integer_units", unscaled
+    ):
+        assert pag.is_nash(env, u) == result
+        assert pag.is_nash(env, u, stop_at_first=True).deviations == result.deviations[:1]
+        assert state_vector(env, u) == states
 
 
 def test_is_nash_evaluates_states_locally(monkeypatch):

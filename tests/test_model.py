@@ -9,7 +9,7 @@ import pag
 from pag import State, ValidationError, make_environment, matrix_from_entries
 from pag.model import sigma_tau, to_fraction
 
-from conftest import random_allocation, random_environment
+from conftest import random_allocation, random_environment, random_sparse_scenario
 
 import random
 
@@ -132,6 +132,79 @@ class TestValidateAllocation:
             "nonzero entry v3->v1 with no relation",
             "row sum for v4 is 19, expected 20 (deficit 1)",
         ]
+
+
+    def test_cells_without_relation_counted_not_visited(self):
+        # Count pin without timing: one zero object fills every zero cell.
+        # Validation may touch it once per row plus once per relation cell,
+        # n + (n + 2E) times, never once per cell of the n-by-n matrix.
+        calls = 0
+
+        class CountingZero(Fraction):
+            def __bool__(self):
+                nonlocal calls
+                calls += 1
+                return False
+
+            def __eq__(self, other):
+                nonlocal calls
+                calls += 1
+                return Fraction.__eq__(self, other)
+
+            __hash__ = Fraction.__hash__
+
+        env, u = random_sparse_scenario(random.Random(400), 400)
+        zero = CountingZero(0)
+        v = tuple(tuple(x if x else zero for x in row) for row in u)
+        calls = 0
+        assert pag.validate_allocation(env, v) == []
+        relations = len(env.friends) + len(env.adversaries)
+        assert calls <= env.n + (env.n + 2 * relations)
+
+
+def _reference_errors(env, u):
+    # Brute force over every cell, in the documented order.
+    errors = []
+    for i, row in enumerate(u):
+        total = Fraction(0)
+        for j, value in enumerate(row):
+            if value < 0:
+                errors.append(f"negative entry {env.names[i]}->{env.names[j]}")
+            if value != 0 and j not in env.row_support(i):
+                errors.append(f"nonzero entry {env.names[i]}->{env.names[j]} with no relation")
+            total += value
+        if total != env.powers[i]:
+            errors.append(
+                f"row sum for {env.names[i]} is {total}, expected {env.powers[i]}"
+                f" (deficit {env.powers[i] - total})"
+            )
+    return errors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_validate_allocation_matches_brute_force(seed):
+    # Rows whose zeros are distinct objects or ints, rows that reuse one
+    # nonzero object off their relations, and rows with a negative entry
+    # off their relations: the error list must equal a cell-by-cell scan.
+    rng = random.Random(seed)
+    env, u = random_sparse_scenario(rng, rng.randint(5, 30), denominators=(1, 2, 3, 7, 12))
+    reused = Fraction(rng.randint(1, 5), rng.choice((1, 2, 7)))
+    rows = []
+    for i, row in enumerate(u):
+        row = list(row)
+        off = [j for j in range(env.n) if j not in env.row_support(i)]
+        kind = rng.randrange(4)
+        if kind == 1:
+            row = [x if x else rng.choice((Fraction(0), 0)) for x in row]
+        elif kind == 2 and off:
+            for j in rng.sample(off, rng.randint(1, len(off))):
+                row[j] = reused
+        elif kind == 3 and off:
+            row[rng.choice(off)] = Fraction(-rng.randint(1, 4), rng.choice((1, 3)))
+        rows.append(tuple(row))
+    v = tuple(rows)
+    assert pag.validate_allocation(env, v) == _reference_errors(env, v)
 
 
 class TestSupportThreat:
