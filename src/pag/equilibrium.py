@@ -286,7 +286,7 @@ def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
     The decision is `_target_bounds`, in integer units; the witness row and
     the states it induces are built only once a target is found.
     """
-    scale, powers, units = _integer_units(env, u)
+    scale, powers, units = _integer_units(env, u, env.powers)
     sigmas, taus = sigma_tau(env, units)
     states = tuple(map(state_of, sigmas, taus))
     bounds = _target_bounds(env, powers, units, i, sigmas, taus, states)
@@ -310,7 +310,7 @@ def is_nash(
     relevant set, so a check costs O(n + E) plus, per deviator, its n-entry
     row and one copy of the n-state tuple.
     """
-    scale, powers, units = _integer_units(env, u)
+    scale, powers, units = _integer_units(env, u, env.powers)
     sigmas, taus = sigma_tau(env, units)
     states = tuple(map(state_of, sigmas, taus))
     deviations: list[Deviation] = []

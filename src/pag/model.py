@@ -80,7 +80,10 @@ _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 def _echo(value: object) -> str:
     """repr of an input value, cut to 40 characters."""
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # an integer with more digits than str() prints
+        return f"<{type(value).__name__} too long to print>"
     return text if len(text) <= 40 else text[:40] + "…"
 
 
@@ -304,12 +307,12 @@ def validate_allocation(env: Environment, u: Matrix) -> list[str]:
     for i, row in enumerate(u):
         support = env.row_support(i)
         mark = len(errors)
-        total, zeros = _check_cells(names, i, row, support, support, errors)
+        total, zeros = _check_cells(names, i, row, support, None, errors)
         # The first column missing from the sorted support has no relation.
         off = next((k for k, j in enumerate(support) if j != k), len(support))
         if off < n and (row[off] or row.count(row[off]) != zeros + n - len(support)):
             del errors[mark:]
-            total, _ = _check_cells(names, i, row, range(n), support, errors)
+            total, _ = _check_cells(names, i, row, range(n), set(support), errors)
         if total != env.powers[i]:
             errors.append(
                 f"row sum for {names[i]} is {total}, expected {env.powers[i]}"
@@ -323,11 +326,12 @@ def _check_cells(
     i: int,
     row: Sequence[Fraction],
     cells: Iterable[int],
-    support: tuple[int, ...],
+    related: set[int] | None,
     errors: list[str],
 ) -> tuple[Fraction, int]:
     """Append the messages of row i's nonzero `cells`; return their sum and
-    the number of zero cells among them."""
+    the number of zero cells among them.  `related` holds the columns with a
+    relation, or is None when every one of `cells` has one."""
     total = ZERO
     zeros = 0
     for j in cells:
@@ -337,7 +341,7 @@ def _check_cells(
             continue
         if value < 0:
             errors.append(f"negative entry {names[i]}->{names[j]}")
-        if j not in support:
+        if related is not None and j not in related:
             errors.append(f"nonzero entry {names[i]}->{names[j]} with no relation")
         total += value
     return total, zeros
@@ -386,33 +390,34 @@ def state_of(sig: Fraction, tau: Fraction) -> State:
 def state_vector(env: Environment, u: Matrix) -> tuple[State, ...]:
     """Per-country states induced by allocation u, by exact comparison in
     integer units."""
-    sigmas, taus = sigma_tau(env, _integer_units(env, u)[2])
+    sigmas, taus = sigma_tau(env, _integer_units(env, u, ())[2])
     return tuple(map(state_of, sigmas, taus))
 
 
-def _integer_units(env: Environment, u: Matrix) -> tuple[int, tuple, Sequence]:
-    """Scale the powers and the cells the verifier reads to integer units.
+def _integer_units(
+    env: Environment, u: Matrix, powers: Sequence[Fraction]
+) -> tuple[int, tuple, Sequence]:
+    """Scale `powers` and the cells the verifier reads to integer units.
 
-    Returns (L, powers, rows): L is the common denominator of the powers and
-    of each row's diagonal, friend and adversary cells (no other cell is
-    read), the powers times L, and per row a {column: cell times L} map over
-    those cells, in O(n + E).  Positive scaling changes no state and no
-    deviation, so deciding on them is exact.  Once L would reach
-    `MAX_SCALE` it returns (1, env.powers, u): the same decision then runs
-    on the Fractions themselves.
+    Returns (L, powers, rows): L is the common denominator of `powers` (the
+    environment's, or none where only states are needed) and of each row's
+    diagonal, friend and adversary cells (no other cell is read), `powers`
+    times L, and per row a {column: cell times L} map over those cells, in
+    O(n + E).  Positive scaling changes no state and no deviation, so
+    deciding on them is exact.  Once L would reach `MAX_SCALE` it returns
+    (1, powers, u): the same decision then runs on the Fractions themselves.
     """
     rows = [
         {j: row[j] for j in (i, *env.friends_of(i), *env.adversaries_of(i))}
         for i, row in enumerate(u)
     ]
     scale = 1
-    for x in chain(env.powers, chain.from_iterable(cells.values() for cells in rows)):
+    for x in chain(powers, chain.from_iterable(cells.values() for cells in rows)):
         if scale % x.denominator:
             scale = lcm(scale, x.denominator)
             if scale >= MAX_SCALE:
-                return 1, env.powers, u
+                return 1, tuple(powers), u
     for cells in rows:
         for j, x in cells.items():
             cells[j] = x.numerator * (scale // x.denominator)
-    powers = tuple(x.numerator * (scale // x.denominator) for x in env.powers)
-    return scale, powers, rows
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in powers), rows

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import pag
-from pag import cli
 from pag.cli import emit_scenario, main, parse_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -402,20 +401,6 @@ class TestRoundTrip:
         env2, u2 = parse_scenario(emit_scenario(env, u))
         assert env2.powers == env.powers
         assert u2 == u
-
-
-def test_parser_built_once_per_process(capsys, monkeypatch):
-    calls = []
-    real = cli.build_parser
-
-    def counting():
-        calls.append(1)
-        return real()
-
-    monkeypatch.setattr(cli, "build_parser", counting)
-    for _ in range(3):
-        assert run_cli(capsys, "validate", DATA / "env2_alloc1.json")[0] == 0
-    assert len(calls) <= 1
 
 
 def test_console_entry_point():

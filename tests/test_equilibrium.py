@@ -112,7 +112,7 @@ def test_sparse_witness_states_match_global_recompute(seed, denominators):
     # Fractions only.
     rng = random.Random(seed)
     env, u = random_sparse_scenario(rng, rng.randint(5, 60), denominators=denominators)
-    scaled = model._integer_units(env, u)[2] is not u
+    scaled = model._integer_units(env, u, env.powers)[2] is not u
     assert scaled == (denominators != _DENOMINATORS[-1])
     result = pag.is_nash(env, u)
     singles = [pag.best_deviation(env, u, i) for i in range(env.n)]
@@ -124,8 +124,8 @@ def test_sparse_witness_states_match_global_recompute(seed, denominators):
         assert dev.states == state_vector(env, v)
     states = state_vector(env, u)
 
-    def unscaled(env, u):
-        return 1, env.powers, u
+    def unscaled(env, u, powers):
+        return 1, powers, u
 
     with mock.patch.object(equilibrium, "_integer_units", unscaled), mock.patch.object(
         model, "_integer_units", unscaled

@@ -42,9 +42,14 @@ def test_to_fraction_bounds_decimal_exponents():
 
 
 def test_to_fraction_shortens_echoed_values():
-    with pytest.raises(ValidationError) as exc:
-        to_fraction("7" * 5000)
-    assert len(str(exc.value)) < 100
+    # An int or Fraction beyond the digits str() prints is reported, not
+    # echoed: its repr would raise a plain ValueError of its own.
+    for value in ("7" * 5000, 10**5000, Fraction(1, 10**5000)):
+        with pytest.raises(ValidationError) as exc:
+            to_fraction(value)
+        assert len(str(exc.value)) < 100
+    with pytest.raises(ValidationError, match="power for 'v1'"):
+        make_environment([10**5000])
 
 
 def test_all_exports_resolve_and_none_is_a_module():
