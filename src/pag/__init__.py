@@ -45,7 +45,6 @@ from .equilibrium import (
     NashResult,
     best_deviation,
     is_nash,
-    same_equilibrium_class,
 )
 from .model import (
     Environment,
@@ -60,7 +59,6 @@ from .model import (
     to_fraction,
     validate_allocation,
     validate_environment,
-    zero_matrix,
 )
 from .oracle import (
     EmptyAtlas,
@@ -76,11 +74,9 @@ from .oracle import (
 from .preference import (
     Verdict,
     category_profile,
-    improvement_verdict,
-    indifferent,
-    relevant_indices,
-    strongly_prefers,
-    weakly_prefers,
+    improvement_from_states,
+    strongly_prefers_states,
+    weakly_prefers_states,
 )
 
 # Every name imported above, but not the submodules the imports bind.

@@ -34,7 +34,6 @@ from .model import (
     _echo,
     sigma_tau,
     state_of,
-    state_vector,
     to_fraction,
     validate_allocation,
     validate_environment,
@@ -152,12 +151,6 @@ def _fail(message: str, code: int = EXIT_ERROR) -> int:
     return code
 
 
-def _require_allocation(u: Matrix | None) -> Matrix:
-    if u is None:
-        raise ValidationError(["scenario has no allocation"])
-    return u
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     env, u = _load(args.scenario)
     problems: list[str] = []
@@ -181,16 +174,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if not problems else EXIT_NEGATIVE
 
 
-def _check_valid_allocation(env: Environment, u: Matrix) -> None:
+def _valid_allocation(env: Environment, u: Matrix | None) -> Matrix:
+    """The scenario's allocation; ValidationError when it has none or it is
+    not admissible."""
+    if u is None:
+        raise ValidationError(["scenario has no allocation"])
     problems = validate_allocation(env, u)
     if problems:
         raise ValidationError(problems)
+    return u
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     env, u = _load(args.scenario)
-    u = _require_allocation(u)
-    _check_valid_allocation(env, u)
+    u = _valid_allocation(env, u)
     sigmas, taus = sigma_tau(env, u)
     states = [state_of(s, t) for s, t in zip(sigmas, taus)]
     lines = []
@@ -220,10 +217,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     env, u = _load(args.scenario)
-    u = _require_allocation(u)
-    _check_valid_allocation(env, u)
+    u = _valid_allocation(env, u)
     result = is_nash(env, u)
-    states = state_vector(env, u)
+    states = result.states
     lines = [
         f"nash equilibrium: {'yes' if result.ok else 'no'}",
         "states: " + " ".join(f"{n}={s.value}" for n, s in zip(env.names, states)),
@@ -443,7 +439,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _fail(f"cannot read {exc.filename}")
     except json.JSONDecodeError as exc:
         return _fail(f"invalid JSON: {exc}")

@@ -30,7 +30,6 @@ from .model import (
     Rational,
     State,
     replace_row,
-    state_vector,
     to_fraction,
     validate_allocation,
 )
@@ -106,11 +105,15 @@ def symmetric_row_sum_matrix(powers: Sequence[Rational]) -> Matrix:
     return tuple(tuple(row) for row in w)
 
 
-def _verify(env: Environment, u: Matrix, label: str) -> Matrix:
+def _verify(env: Environment, u: Matrix, label: str, states: tuple[State, ...]) -> Matrix:
+    """u itself if it induces `states`, is admissible and is a Nash
+    equilibrium; otherwise ConstructionFailed naming the first failure."""
+    result = is_nash(env, u, stop_at_first=True)
+    if result.states != states:
+        raise ConstructionFailed(f"{label} states are {[s.value for s in result.states]}")
     problems = validate_allocation(env, u)
     if problems:
         raise ConstructionFailed(f"{label}: invalid allocation: {problems}")
-    result = is_nash(env, u, stop_at_first=True)
     if not result.ok:
         dev = result.deviations[0]
         raise ConstructionFailed(
@@ -130,10 +133,7 @@ def balancing_equilibrium(env: Environment) -> Matrix:
     if env.n < 2:
         raise TopologyError("balancing needs at least 2 countries")
     u = symmetric_row_sum_matrix(env.powers)
-    states = state_vector(env, u)
-    if any(s is not State.PRECARIOUS for s in states):
-        raise ConstructionFailed("balancing output is not all-precarious")
-    return _verify(env, u, "balancing")
+    return _verify(env, u, "balancing", (State.PRECARIOUS,) * env.n)
 
 
 def sole_survivor_equilibrium(env: Environment, survivor: int) -> Matrix:
@@ -188,15 +188,10 @@ def sole_survivor_equilibrium(env: Environment, survivor: int) -> Matrix:
             rows[survivor][j] = share
 
     u = tuple(tuple(row) for row in rows)
-    states = state_vector(env, u)
     expected = tuple(
         State.SAFE if i == survivor else State.UNSAFE for i in range(env.n)
     )
-    if states != expected:
-        raise ConstructionFailed(
-            f"sole survivor states are {[s.value for s in states]}"
-        )
-    return _verify(env, u, "sole survivor")
+    return _verify(env, u, "sole survivor", expected)
 
 
 @dataclass(frozen=True)
@@ -383,8 +378,7 @@ def bipartite_safe_equilibrium(
                 u = replace_row(u, dev.country, dev.row)
             else:
                 result = is_nash(env, u, stop_at_first=True)
-            states = state_vector(env, u)
-            if result.ok and states[target] is State.SAFE:
+            if result.ok and result.states[target] is State.SAFE:
                 return u
 
     raise ConstructionFailed(

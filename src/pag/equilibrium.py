@@ -33,10 +33,11 @@ share of the slack is a Fraction, and each witness entry leaves as that
 entry over L.  It re-evaluates the witness states over the deviator's
 relevant set alone, from the current support and threat and the exact
 change of each entry, so `is_nash` costs O(n + E) plus, per deviator, its
-n-entry witness row and one copy of the n-state tuple.  `first_deviator`
-runs the core alone on support, threat and states the caller already
-holds, scanning from a caller-chosen country; the grid oracle calls it on
-integer grid units.
+n-entry witness row and one copy of the n-state tuple.  The result
+carries the states of the checked allocation too, so no caller needs to
+recompute them.  `first_deviator` runs the core alone on powers, support,
+threat and states the caller already holds, scanning from a caller-chosen
+country; the grid oracle calls it on integer grid units.
 
 All functions are pure; per-country checks are independent and results are
 aggregated by ascending country index.
@@ -55,7 +56,6 @@ from .model import (
     _integer_units,
     sigma_tau,
     state_of,
-    state_vector,
 )
 
 FractionVec = tuple[Fraction, ...]
@@ -72,8 +72,12 @@ class Deviation:
 
 @dataclass(frozen=True)
 class NashResult:
+    """Verdict on one allocation: `ok` when no country deviates, the
+    `deviations` found, and the `states` the allocation induces."""
+
     ok: bool
     deviations: tuple[Deviation, ...]
+    states: tuple[State, ...]
 
     def __bool__(self) -> bool:
         return self.ok
@@ -304,11 +308,11 @@ def is_nash(
     """Check that no country has a profitable unilateral deviation.
 
     The certificate lists a profitable witness per deviating country (all
-    of them, unless `stop_at_first` asks for the cheapest rejection).
-    Support, threat and states are computed once, in integer units of the
-    common denominator; each witness re-evaluates only its deviator's
-    relevant set, so a check costs O(n + E) plus, per deviator, its n-entry
-    row and one copy of the n-state tuple.
+    of them, unless `stop_at_first` asks for the cheapest rejection) and
+    the states u induces.  Support, threat and states are computed once,
+    in integer units of the common denominator; each witness re-evaluates
+    only its deviator's relevant set, so a check costs O(n + E) plus, per
+    deviator, its n-entry row and one copy of the n-state tuple.
     """
     scale, powers, units = _integer_units(env, u, env.powers)
     sigmas, taus = sigma_tau(env, units)
@@ -322,11 +326,12 @@ def is_nash(
             )
             if stop_at_first:
                 break
-    return NashResult(ok=not deviations, deviations=tuple(deviations))
+    return NashResult(ok=not deviations, deviations=tuple(deviations), states=states)
 
 
 def first_deviator(
     env: Environment,
+    powers: FractionVec,
     u: Matrix,
     sigmas: FractionVec,
     taus: FractionVec,
@@ -339,22 +344,14 @@ def first_deviator(
     `sigmas`, `taus` and `states` must be those of u.  Whether some country
     deviates does not depend on the scan order, so a caller may start from
     the country most likely to reject.  Exact on int entries as well as on
-    Fractions, so a caller may pass an environment and matrix scaled to
-    integer units.
+    Fractions, so a caller may pass powers and a matrix scaled to integer
+    units.
     """
     for i in range(start, len(states)):
-        if _target_bounds(env, env.powers, u, i, sigmas, taus, states) is not None:
+        if _target_bounds(env, powers, u, i, sigmas, taus, states) is not None:
             return i
     for i in range(start):
-        if _target_bounds(env, env.powers, u, i, sigmas, taus, states) is not None:
+        if _target_bounds(env, powers, u, i, sigmas, taus, states) is not None:
             return i
     return None
 
-
-def same_equilibrium_class(env: Environment, u: Matrix, v: Matrix) -> bool:
-    """Equilibria are equivalent when they induce identical state vectors.
-
-    Both matrices are expected to be equilibria; this is documented, not
-    enforced.
-    """
-    return state_vector(env, u) == state_vector(env, v)

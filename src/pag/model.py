@@ -268,10 +268,6 @@ def make_environment(
     )
 
 
-def zero_matrix(env: Environment) -> Matrix:
-    return tuple(tuple(ZERO for _ in range(env.n)) for _ in range(env.n))
-
-
 def matrix_from_entries(
     env: Environment, entries: Mapping[Pair, Rational]
 ) -> Matrix:

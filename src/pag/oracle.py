@@ -31,7 +31,7 @@ so any merge is deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
@@ -152,11 +152,11 @@ def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
         raise EnumerationTooLarge(count, grid.max_candidates)
 
     per_row = [_row_candidates(env, i, grid.step) for i in range(env.n)]
-    units = replace(env, powers=tuple(_row_units(env, i, grid.step) for i in range(env.n)))
+    powers = tuple(_row_units(env, i, grid.step) for i in range(env.n))
     # Every candidate row with its shares of support and threat.
     blank = (0,) * env.n
     shared = [
-        [(row, *sigma_tau(units, tuple(row if k == i else blank for k in range(env.n))))
+        [(row, *sigma_tau(env, tuple(row if k == i else blank for k in range(env.n))))
          for row in rows]
         for i, rows in enumerate(per_row)
     ]
@@ -173,7 +173,7 @@ def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
             taus = tuple(map(add, head_taus, row_taus))
             states = tuple(map(state_of, sigmas, taus))
             u = (*head, row)
-            deviator = first_deviator(units, u, sigmas, taus, states, rejector)
+            deviator = first_deviator(env, powers, u, sigmas, taus, states, rejector)
             if deviator is None:
                 classes.setdefault(states, []).append(u)
             else:

@@ -16,8 +16,8 @@ from typing import Sequence
 import pytest
 
 from pag import Environment, Matrix, make_environment, matrix_from_entries
-from pag.model import ZERO, replace_row
-from pag.preference import Verdict, improvement_verdict
+from pag.model import ZERO, replace_row, state_vector
+from pag.preference import Verdict, improvement_from_states
 
 
 @pytest.fixture
@@ -113,11 +113,12 @@ def grid_profitable_deviation(env: Environment, u: Matrix, i: int, step: Fractio
     Independent of the closed-form best-deviation solver; used to check that
     the solver never misses a profitable deviation the grid can see.
     """
+    s_u = state_vector(env, u)
     for row in grid_rows(env, i, step):
         if row == u[i]:
             continue
-        v = replace_row(u, i, row)
-        if improvement_verdict(env, i, u, v) is Verdict.STRICT_IMPROVEMENT:
+        s_v = state_vector(env, replace_row(u, i, row))
+        if improvement_from_states(env, i, s_u, s_v) is Verdict.STRICT_IMPROVEMENT:
             return row
     return None
 

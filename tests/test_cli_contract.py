@@ -1,0 +1,132 @@
+"""The CLI contract: pinned outputs on the worked scenarios, and exit codes
+0, 1 or 2 without a traceback on any input."""
+
+import contextlib
+import io
+import json
+import time
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pag.cli import main
+
+TESTS = Path(__file__).parent
+DATA = TESTS / "data"
+# Exit code, stdout and stderr of 38 commands on tests/data.  An intended
+# change of output rewrites it: `PYTHONPATH=src python tests/test_cli_contract.py`.
+GOLDEN_PATH = TESTS / "cli_golden.json"
+GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_golden(argv):
+    return run_in_process([DATA / a if a.endswith(".json") else a for a in argv])
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=lambda case: " ".join(case["argv"]))
+def test_golden_transcript(case):
+    assert run_golden(case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+FILE_COMMANDS = [
+    ["validate"],
+    ["evaluate"],
+    ["verify"],
+    ["analyze"],
+    ["search", "--step", "1"],
+    ["construct", "--kind", "balancing"],
+]
+
+
+@pytest.mark.parametrize("command", FILE_COMMANDS, ids=lambda c: c[0])
+def test_unreadable_path_is_input_error(command, tmp_path):
+    code, out, err = run_in_process([command[0], tmp_path, *command[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read")
+
+
+# Arbitrary JSON documents, the scenarios of tests/data as they are or with
+# one top-level key or one country's power replaced, and arbitrary text.
+_text = st.text(st.characters(codec="utf-8"), max_size=40)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_scenarios = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(DATA.glob("*.json"))]
+
+
+@st.composite
+def _near_valid(draw):
+    data = json.loads(json.dumps(draw(st.sampled_from(_scenarios))))
+    if draw(st.booleans()):
+        country = draw(st.sampled_from(data["countries"]))
+        country["power"] = draw(_json | st.sampled_from(["1/0", "1e9999", "-1", "3/2"]))
+    else:
+        key = draw(st.sampled_from(["countries", "friends", "adversaries", "allocation"]))
+        data[key] = draw(_json)
+    return json.dumps(data)
+
+
+_documents = st.one_of(
+    _json.map(json.dumps), st.sampled_from(_scenarios).map(json.dumps), _near_valid(), _text
+)
+
+# Every command, with good and bad options.  Searches carry a small
+# candidate bound: a legitimately large enumeration is slow, not a breach.
+_bound = ["--max-candidates", "20000"]
+_commands = st.sampled_from(
+    [
+        ["validate"],
+        ["evaluate"],
+        ["verify"],
+        ["analyze"],
+        ["analyze", "--group", "v1,v2"],
+        ["analyze", "--group", "v1,nobody"],
+        ["search", "--step", "1", *_bound],
+        ["search", "--step", "1/2", *_bound],
+        ["search", "--step", "3", *_bound],
+        ["search", "--step=0", *_bound],
+        ["search", "--step=-1", *_bound],
+        ["search", "--step", "one", *_bound],
+        ["construct", "--kind", "balancing"],
+        ["construct", "--kind", "sole-survivor"],
+        ["construct", "--kind", "sole-survivor", "--target", "v1"],
+        ["construct", "--kind", "bipartite-safe"],
+        ["construct", "--kind", "bipartite-safe", "--target", "v2"],
+        ["construct", "--kind", "bipartite-safe", "--target", "nobody"],
+    ]
+)
+
+
+@pytest.fixture(scope="module")
+def scenario_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "scenario.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_documents, command=_commands)
+def test_any_input_exits_cleanly(scenario_file, text, command):
+    scenario_file.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    code, _, _ = run_in_process([command[0], scenario_file, *command[1:]])
+    assert code in (0, 1, 2)
+    assert time.perf_counter() - start < 5
+
+
+if __name__ == "__main__":
+    cases = []
+    for case in GOLDEN:
+        code, out, err = run_golden(case["argv"])
+        cases.append({"argv": case["argv"], "code": code, "stdout": out, "stderr": err})
+    GOLDEN_PATH.write_text(json.dumps(cases, indent=1) + "\n", encoding="utf-8")

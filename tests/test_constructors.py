@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 import pag
 from pag import (
     ConditionNotMet,
+    ConstructionFailed,
     InfeasiblePower,
     PreconditionViolated,
     TopologyError,
     make_environment,
+    matrix_from_entries,
     pairwise_annihilation,
 )
 from pag.model import State, state_vector
@@ -87,6 +89,15 @@ class TestBalancingEquilibrium:
     def test_topology_guard(self, env4):
         with pytest.raises(TopologyError):
             pag.balancing_equilibrium(env4)
+
+    def test_wrong_states_name_them(self, env2, monkeypatch):
+        # An all-reserve matrix is admissible but leaves everyone safe: the
+        # check after the build must reject it by its states, and name them.
+        reserve = matrix_from_entries(env2, {(0, 0): 8, (1, 1): 6, (2, 2): 4})
+        monkeypatch.setattr(pag.constructors, "symmetric_row_sum_matrix", lambda powers: reserve)
+        message = r"^balancing states are \['safe', 'safe', 'safe'\]$"
+        with pytest.raises(ConstructionFailed, match=message):
+            pag.balancing_equilibrium(env2)
 
 
 class TestSoleSurvivor:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import pag
 from pag import equilibrium, make_environment, matrix_from_entries, model
 from pag.model import State, replace_row, state_vector
-from pag.preference import Verdict, improvement_verdict
+from pag.preference import Verdict, improvement_from_states
 
 from conftest import (
     grid_profitable_deviation,
@@ -84,15 +84,16 @@ class TestIsNash:
 
 
 class TestEquilibriumClass:
+    # Equilibria are equivalent when they induce identical state vectors.
     def test_identity(self, env2, alloc1):
-        assert pag.same_equilibrium_class(env2, alloc1, alloc1)
+        assert state_vector(env2, alloc1) == state_vector(env2, alloc1)
 
     def test_different_survivors_differ(self, env2, alloc1, alloc2):
-        assert not pag.same_equilibrium_class(env2, alloc1, alloc2)
+        assert state_vector(env2, alloc1) != state_vector(env2, alloc2)
 
     def test_reserve_shift_keeps_class(self, env4, fig4):
         variant = replace_row(fig4, 3, matrix_from_entries(env4, {(3, 2): 20})[3])
-        assert pag.same_equilibrium_class(env4, fig4, variant)
+        assert state_vector(env4, fig4) == state_vector(env4, variant)
 
 
 # Denominators of the scaled families, and one family whose common
@@ -115,6 +116,7 @@ def test_sparse_witness_states_match_global_recompute(seed, denominators):
     scaled = model._integer_units(env, u, env.powers)[2] is not u
     assert scaled == (denominators != _DENOMINATORS[-1])
     result = pag.is_nash(env, u)
+    assert result.states == state_vector(env, u)
     singles = [pag.best_deviation(env, u, i) for i in range(env.n)]
     assert result.deviations == tuple(d for d in singles if d is not None)
     for dev in result.deviations:
@@ -130,9 +132,10 @@ def test_sparse_witness_states_match_global_recompute(seed, denominators):
     with mock.patch.object(equilibrium, "_integer_units", unscaled), mock.patch.object(
         model, "_integer_units", unscaled
     ):
-        assert pag.is_nash(env, u) == result
+        unscaled_result = pag.is_nash(env, u)
+        assert unscaled_result == result
         assert pag.is_nash(env, u, stop_at_first=True).deviations == result.deviations[:1]
-        assert state_vector(env, u) == states
+        assert unscaled_result.states == state_vector(env, u) == states
 
 
 def test_is_nash_evaluates_states_locally(monkeypatch):
@@ -153,7 +156,7 @@ def test_is_nash_evaluates_states_locally(monkeypatch):
     monkeypatch.setattr(equilibrium, "state_of", counting_state_of)
     for module in (model, equilibrium):
         monkeypatch.setattr(module, "replace_row", forbidden, raising=False)
-        monkeypatch.setattr(module, "state_vector", forbidden)
+        monkeypatch.setattr(module, "state_vector", forbidden, raising=False)
     result = pag.is_nash(env, u)
     assert result.deviations
     # A row's support is the country plus its relations: 1 + deg i.
@@ -209,11 +212,10 @@ def test_reported_witness_verified_end_to_end(seed):
             continue
         v = replace_row(u, i, dev.row)
         assert pag.validate_allocation(env, v) == []
-        verdict = improvement_verdict(env, i, u, v)
-        if verdict is not Verdict.STRICT_IMPROVEMENT:
+        s_u, s_v = state_vector(env, u), state_vector(env, v)
+        if improvement_from_states(env, i, s_u, s_v) is not Verdict.STRICT_IMPROVEMENT:
             # Must then be the adversary-front state refinement: no state
             # regression on the relevant set and a strict push downward.
-            s_u, s_v = state_vector(env, u), state_vector(env, v)
             order = {State.SAFE: 0, State.PRECARIOUS: 1, State.UNSAFE: 2}
             gains = 0
             for j in env.adversaries_of(i):

@@ -101,7 +101,7 @@ class TestValidateAllocation:
         assert pag.validate_allocation(env1, fig1b) == []
 
     def test_zero_matrix_reports_every_row(self, env2):
-        errors = pag.validate_allocation(env2, pag.zero_matrix(env2))
+        errors = pag.validate_allocation(env2, matrix_from_entries(env2, {}))
         assert len(errors) == 3
         assert all("row sum" in e for e in errors)
 

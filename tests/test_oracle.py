@@ -167,7 +167,10 @@ class TestIntegerKernel:
         for u in itertools.product(*(list(grid_rows(env, i, step)) for i in range(env.n))):
             sigmas, taus = sigma_tau(env, u)
             states = tuple(map(state_of, sigmas, taus))
-            found = {first_deviator(env, u, sigmas, taus, states, start) for start in range(env.n)}
+            found = {
+                first_deviator(env, env.powers, u, sigmas, taus, states, start)
+                for start in range(env.n)
+            }
             assert found == {None} or None not in found
             for i in found - {None}:
                 assert pag.best_deviation(env, u, i) is not None

@@ -1,72 +1,85 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pag
 from pag import matrix_from_entries
-from pag.model import replace_row
+from pag.model import replace_row, state_vector
 from pag.preference import (
     Verdict,
     category_profile,
-    improvement_verdict,
-    indifferent,
-    strongly_prefers,
-    weakly_prefers,
+    improvement_from_states,
+    strongly_prefers_states,
+    weakly_prefers_states,
 )
 
 from conftest import random_allocation, random_environment
 
 
+@pytest.fixture
+def s1(env2, alloc1):
+    return state_vector(env2, alloc1)
+
+
+@pytest.fixture
+def s2(env2, alloc2):
+    return state_vector(env2, alloc2)
+
+
 class TestWeaklyPrefers:
-    def test_escaping_unsafety_is_weakly_preferred(self, env2, alloc1, alloc2):
+    def test_escaping_unsafety_is_weakly_preferred(self, env2, s1, s2):
         # Country 1 moves from unsafe to safe, both adversaries stay covered.
-        assert weakly_prefers(env2, 0, alloc2, alloc1)
+        assert weakly_prefers_states(env2, 0, s2, s1)
 
-    def test_reflexive(self, env2, alloc1):
-        assert weakly_prefers(env2, 0, alloc1, alloc1)
+    def test_reflexive(self, env2, s1):
+        assert weakly_prefers_states(env2, 0, s1, s1)
 
-    def test_losing_safety_is_not_weakly_preferred(self, env2, alloc1, alloc2):
-        assert not weakly_prefers(env2, 0, alloc1, alloc2)
+    def test_losing_safety_is_not_weakly_preferred(self, env2, s1, s2):
+        assert not weakly_prefers_states(env2, 0, s1, s2)
 
 
 class TestIndifferent:
-    def test_reflexive(self, env2, alloc1):
-        assert indifferent(env2, 2, alloc1, alloc1)
+    # Indifference: the exact three-valued states agree on i's relevant set.
+    def test_reflexive(self, env2, s1):
+        assert not strongly_prefers_states(env2, 2, s1, s1)
+        assert improvement_from_states(env2, 2, s1, s1) is Verdict.NO_IMPROVEMENT
 
-    def test_adversary_state_change_breaks_indifference(self, env2, alloc1, alloc2):
-        assert not indifferent(env2, 2, alloc1, alloc2)
+    def test_adversary_state_change_breaks_indifference(self, env2, s1, s2):
+        assert any(s1[j] is not s2[j] for j in env2.adversaries_of(2))
 
     def test_distinct_matrices_with_equal_states(self, env1, fig1b):
         # Moving the fourth country's offense into reserve keeps every state:
         # reserve and own offense both count toward its own support.
         variant = replace_row(fig1b, 3, matrix_from_entries(env1, {(3, 3): 15})[3])
         assert variant != fig1b
-        assert pag.state_vector(env1, fig1b) == pag.state_vector(env1, variant)
+        s_u, s_v = state_vector(env1, fig1b), state_vector(env1, variant)
+        assert s_u == s_v
         for i in range(env1.n):
-            assert indifferent(env1, i, fig1b, variant)
+            assert improvement_from_states(env1, i, s_u, s_v) is Verdict.NO_IMPROVEMENT
 
 
 class TestStronglyPrefers:
-    def test_self_rescue(self, env2, alloc1, alloc2):
-        assert strongly_prefers(env2, 1, alloc1, alloc2)
+    def test_self_rescue(self, env2, s1, s2):
+        assert strongly_prefers_states(env2, 1, s1, s2)
 
-    def test_not_reflexive(self, env2, alloc1):
-        assert not strongly_prefers(env2, 1, alloc1, alloc1)
+    def test_not_reflexive(self, env2, s1):
+        assert not strongly_prefers_states(env2, 1, s1, s1)
 
-    def test_requires_unsafe_start(self, env2, alloc1, alloc2):
-        assert not strongly_prefers(env2, 0, alloc1, alloc2)
+    def test_requires_unsafe_start(self, env2, s1, s2):
+        assert not strongly_prefers_states(env2, 0, s1, s2)
 
 
 class TestImprovementVerdict:
-    def test_self_survival_priority_case(self, env2, alloc1, alloc2):
-        assert improvement_verdict(env2, 1, alloc1, alloc2) is Verdict.STRICT_IMPROVEMENT
+    def test_self_survival_priority_case(self, env2, s1, s2):
+        assert improvement_from_states(env2, 1, s1, s2) is Verdict.STRICT_IMPROVEMENT
 
-    def test_identity_is_no_improvement(self, env2, alloc1):
-        assert improvement_verdict(env2, 1, alloc1, alloc1) is Verdict.NO_IMPROVEMENT
+    def test_identity_is_no_improvement(self, env2, s1):
+        assert improvement_from_states(env2, 1, s1, s1) is Verdict.NO_IMPROVEMENT
 
     def test_identical_matrices_no_improvement(self, env1, fig1b):
-        assert improvement_verdict(env1, 0, fig1b, fig1b) is Verdict.NO_IMPROVEMENT
+        s = state_vector(env1, fig1b)
+        assert improvement_from_states(env1, 0, s, s) is Verdict.NO_IMPROVEMENT
 
 
 @settings(max_examples=80, deadline=None)
@@ -74,24 +87,21 @@ class TestImprovementVerdict:
 def test_preference_axiom_consistency(seed):
     rng = random.Random(seed)
     env = random_environment(rng, rng.randint(1, 4), max_power=5, min_power=0)
-    u = random_allocation(rng, env, denominator=rng.choice([1, 2]))
-    v = random_allocation(rng, env, denominator=rng.choice([1, 2]))
+    s_u = state_vector(env, random_allocation(rng, env, denominator=rng.choice([1, 2])))
+    s_v = state_vector(env, random_allocation(rng, env, denominator=rng.choice([1, 2])))
     for i in range(env.n):
         # Reflexivity.
-        assert weakly_prefers(env, i, u, u)
-        assert indifferent(env, i, u, u)
-        # Indifference forbids strong preference and forces mutual weak
-        # preference.
-        if indifferent(env, i, u, v):
-            assert not strongly_prefers(env, i, u, v)
-            assert not strongly_prefers(env, i, v, u)
-            assert weakly_prefers(env, i, u, v)
-            assert weakly_prefers(env, i, v, u)
-            assert improvement_verdict(env, i, u, v) is Verdict.NO_IMPROVEMENT
+        assert weakly_prefers_states(env, i, s_u, s_u)
+        # Indifference (equal states on the relevant set) forbids strong
+        # preference and forces mutual weak preference.
+        if all(s_u[j] is s_v[j] for j in (i, *env.friends_of(i), *env.adversaries_of(i))):
+            assert not strongly_prefers_states(env, i, s_u, s_v)
+            assert not strongly_prefers_states(env, i, s_v, s_u)
+            assert weakly_prefers_states(env, i, s_u, s_v)
+            assert weakly_prefers_states(env, i, s_v, s_u)
+            assert improvement_from_states(env, i, s_u, s_v) is Verdict.NO_IMPROVEMENT
         # A strong preference moves the self category up.
-        if strongly_prefers(env, i, u, v):
-            s_u = pag.state_vector(env, u)
-            s_v = pag.state_vector(env, v)
+        if strongly_prefers_states(env, i, s_u, s_v):
             assert not s_u[i].survives and s_v[i].survives
 
 
@@ -103,11 +113,9 @@ def test_verdict_depends_only_on_relevant_categories(seed):
     # strict improvement in either direction.
     rng = random.Random(seed)
     env = random_environment(rng, rng.randint(2, 4), max_power=5, min_power=0)
-    u = random_allocation(rng, env, denominator=1)
-    v = random_allocation(rng, env, denominator=1)
+    s_u = state_vector(env, random_allocation(rng, env, denominator=1))
+    s_v = state_vector(env, random_allocation(rng, env, denominator=1))
     for i in range(env.n):
-        s_u = pag.state_vector(env, u)
-        s_v = pag.state_vector(env, v)
         if category_profile(env, i, s_u) == category_profile(env, i, s_v):
-            assert improvement_verdict(env, i, u, v) is Verdict.NO_IMPROVEMENT
-            assert improvement_verdict(env, i, v, u) is Verdict.NO_IMPROVEMENT
+            assert improvement_from_states(env, i, s_u, s_v) is Verdict.NO_IMPROVEMENT
+            assert improvement_from_states(env, i, s_v, s_u) is Verdict.NO_IMPROVEMENT
