@@ -7,14 +7,15 @@ against adversaries.  The induced per-country state (safe, precarious,
 unsafe) is decided by comparing total support against total threat.
 
 Every quantity that enters or leaves the engine is a `fractions.Fraction`.
-Inside, decisions run in integer units: the verifier scales the powers and
-the cells it reads by their common denominator L (`_integer_units`), which
-changes no comparison because the game is positively homogeneous, and the
-grid oracle works in integer multiples of its step.  `sigma_tau` and
-`state_vector` only add and compare, so they accept int and Fraction
-matrices alike.  The safe/precarious boundary is an equality test, so
-binary floating point is never used anywhere.  All functions here are pure
-and thread-safe.
+Inside, decisions run in integer units: the verifier and the allocation
+check scale the powers and the cells they read by their common denominator
+L (`_integer_units`), which changes no comparison because the game is
+positively homogeneous, and the grid oracle works in integer multiples of
+its step.  `validate_allocation` goes back to the exact Fractions only for
+a row that fails, to name its faults.  `sigma_tau` and `state_vector` only
+add and compare, so they accept int and Fraction matrices alike.  The
+safe/precarious boundary is an equality test, so binary floating point is
+never used anywhere.  All functions here are pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -131,7 +131,8 @@ class Environment:
 
     Countries are referenced by stable 0-based indices internally; names are
     the external interface.  Relation pairs are stored normalized with the
-    smaller index first.
+    smaller index first; each country's friends, adversaries and row support
+    are computed once, at construction.
     """
 
     names: tuple[str, ...]
@@ -143,6 +144,9 @@ class Environment:
         init=False, repr=False, compare=False, default=()
     )
     _adversary_adj: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False, default=()
+    )
+    _support: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
 
@@ -158,6 +162,9 @@ class Environment:
             ad[j].append(i)
         object.__setattr__(self, "_friend_adj", tuple(tuple(sorted(x)) for x in fr))
         object.__setattr__(self, "_adversary_adj", tuple(tuple(sorted(x)) for x in ad))
+        object.__setattr__(
+            self, "_support", tuple(tuple(sorted((i, *fr[i], *ad[i]))) for i in range(n))
+        )
 
     @property
     def n(self) -> int:
@@ -170,8 +177,9 @@ class Environment:
         return self._adversary_adj[i]
 
     def row_support(self, i: int) -> tuple[int, ...]:
-        """Indices where row i may be nonzero: i itself plus its relations."""
-        return tuple(sorted((i, *self._friend_adj[i], *self._adversary_adj[i])))
+        """Indices where row i may be nonzero: i itself plus its relations,
+        in ascending order."""
+        return self._support[i]
 
     def index(self, name: str) -> int:
         try:
@@ -287,60 +295,57 @@ def validate_allocation(env: Environment, u: Matrix) -> list[str]:
 
     Reports, row by row and in column order, negative entries and nonzero
     entries at cells with no relation (a negative one there gets both
-    messages), then the row-sum mismatch with its deficit.  Zero entries
-    are skipped: a zero is never negative, never a nonzero entry and adds
-    nothing to the sum, so skipping it changes no message.  A row's cells
-    with no relation are tested together, by counting the cells equal to
-    the first of them (in C, and by identity where they share that object);
-    only a row where that cell is nonzero or the count falls short is
-    visited cell by cell.
+    messages), then the row-sum mismatch with its deficit.  The decision
+    runs in the verifier's integer units (`_integer_units`): a row passes
+    when its relation cells are nonnegative and sum to its power, and its
+    cells with no relation are all zero, which is tested by counting the
+    row's cells equal to the first of them (in C, and by identity where
+    they share that object) against the zeros among its relation cells.
+    Only a row that fails is scanned cell by cell, on its exact values, to
+    name what is wrong with it.
     """
     errors: list[str] = []
     n = env.n
     if len(u) != n or any(len(row) != n for row in u):
         return [f"matrix must be {n}x{n}"]
-    names = env.names
+    _, powers, units = _integer_units(env, u, env.powers)
     for i, row in enumerate(u):
         support = env.row_support(i)
-        mark = len(errors)
-        total, zeros = _check_cells(names, i, row, support, None, errors)
+        cells = units[i]
+        values = [cells[j] for j in support]
         # The first column missing from the sorted support has no relation.
         off = next((k for k, j in enumerate(support) if j != k), len(support))
-        if off < n and (row[off] or row.count(row[off]) != zeros + n - len(support)):
-            del errors[mark:]
-            total, _ = _check_cells(names, i, row, range(n), set(support), errors)
-        if total != env.powers[i]:
-            errors.append(
-                f"row sum for {names[i]} is {total}, expected {env.powers[i]}"
-                f" (deficit {env.powers[i] - total})"
+        if (
+            sum(values) != powers[i]
+            or min(values) < 0
+            or (
+                off < n
+                and (row[off] or row.count(row[off]) != values.count(0) + n - len(support))
             )
+        ):
+            _check_cells(env, i, row, errors)
     return errors
 
 
-def _check_cells(
-    names: tuple[str, ...],
-    i: int,
-    row: Sequence[Fraction],
-    cells: Iterable[int],
-    related: set[int] | None,
-    errors: list[str],
-) -> tuple[Fraction, int]:
-    """Append the messages of row i's nonzero `cells`; return their sum and
-    the number of zero cells among them.  `related` holds the columns with a
-    relation, or is None when every one of `cells` has one."""
+def _check_cells(env: Environment, i: int, row: Sequence[Fraction], errors: list[str]) -> None:
+    """Append the messages of row i, one that fails validation, from its
+    exact cells in column order."""
+    names = env.names
+    related = set(env.row_support(i))
     total = ZERO
-    zeros = 0
-    for j in cells:
-        value = row[j]
+    for j, value in enumerate(row):
         if not value:
-            zeros += 1
             continue
         if value < 0:
             errors.append(f"negative entry {names[i]}->{names[j]}")
-        if related is not None and j not in related:
+        if j not in related:
             errors.append(f"nonzero entry {names[i]}->{names[j]} with no relation")
         total += value
-    return total, zeros
+    power = env.powers[i]
+    if total != power:
+        errors.append(
+            f"row sum for {names[i]} is {total}, expected {power} (deficit {power - total})"
+        )
 
 
 def sigma_tau(env: Environment, u: Matrix) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -397,23 +402,36 @@ def _integer_units(
 
     Returns (L, powers, rows): L is the common denominator of `powers` (the
     environment's, or none where only states are needed) and of each row's
-    diagonal, friend and adversary cells (no other cell is read), `powers`
-    times L, and per row a {column: cell times L} map over those cells, in
-    O(n + E).  Positive scaling changes no state and no deviation, so
-    deciding on them is exact.  Once L would reach `MAX_SCALE` it returns
+    support cells (its diagonal, friend and adversary cells; no other cell
+    is read), `powers` times L, and per row a {column: cell times L} map
+    over its support, in O(n + E).  One pass over each row's support reads
+    the numerators and grows L; where L stays 1 those numerators are the
+    units, and otherwise the nonzero ones are multiplied by L over their
+    denominator.  Positive scaling changes no state and no deviation, so
+    deciding on them is exact.  As soon as L reaches `MAX_SCALE` it returns
     (1, powers, u): the same decision then runs on the Fractions themselves.
     """
-    rows = [
-        {j: row[j] for j in (i, *env.friends_of(i), *env.adversaries_of(i))}
-        for i, row in enumerate(u)
-    ]
     scale = 1
-    for x in chain(powers, chain.from_iterable(cells.values() for cells in rows)):
+    for x in powers:
         if scale % x.denominator:
             scale = lcm(scale, x.denominator)
             if scale >= MAX_SCALE:
                 return 1, tuple(powers), u
-    for cells in rows:
+    rows = []
+    for row, support in zip(u, env._support):
+        cells = {}
+        for j in support:
+            x = row[j]
+            cells[j] = x.numerator
+            if scale % x.denominator:
+                scale = lcm(scale, x.denominator)
+                if scale >= MAX_SCALE:
+                    return 1, tuple(powers), u
+        rows.append(cells)
+    if scale == 1:
+        return 1, tuple(x.numerator for x in powers), rows
+    for row, cells in zip(u, rows):
         for j, x in cells.items():
-            cells[j] = x.numerator * (scale // x.denominator)
+            if x:
+                cells[j] = x * (scale // row[j].denominator)
     return scale, tuple(x.numerator * (scale // x.denominator) for x in powers), rows

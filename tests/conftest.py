@@ -182,13 +182,17 @@ def random_sparse_scenario(
 ) -> tuple[Environment, Matrix]:
     """A sparse random network and an admissible matrix on it.
 
-    round(n * mean_degree / 2) distinct pairs, a share of them friendly.  Each
+    round(n * mean_degree / 2) distinct pairs, a share of them friendly
+    (ValueError, before any draw, when n countries have fewer pairs).  Each
     row's entries over its relations are random rationals whose denominators
     are drawn from `denominators` (zeros included), and each power is its
     row's sum.
     """
+    pairs = round(n * mean_degree / 2)
+    if pairs > n * (n - 1) // 2:
+        raise ValueError(f"{pairs} distinct pairs asked of {n} countries")
     edges: set[tuple[int, int]] = set()
-    while len(edges) < round(n * mean_degree / 2):
+    while len(edges) < pairs:
         a, b = rng.sample(range(n), 2)
         edges.add((min(a, b), max(a, b)))
     friends, adversaries = [], []

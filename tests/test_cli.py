@@ -411,3 +411,12 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "nash equilibrium: yes" in result.stdout
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.name)
+def test_data_files_are_scenarios(path):
+    # The cli-scenarios benchmark workload and the CLI contract test parse
+    # every tests/data/*.json as a scenario, so any other JSON file belongs
+    # elsewhere (the golden transcript sits in tests/).
+    env, _ = parse_scenario(json.loads(path.read_text(encoding="utf-8")))
+    assert env.n > 0

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+import math
 import types
 from fractions import Fraction
 
@@ -186,14 +189,22 @@ def _reference_errors(env, u):
     return errors
 
 
+# Any nonzero entry over one of these keeps a denominator above 2^64 once
+# reduced, so the common denominator passes model.MAX_SCALE; over the small
+# ones it is at most 84.
+HUGE_DENOMINATORS = (10**21 + 1, 10**22 + 3)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 30))
-def test_validate_allocation_matches_brute_force(seed):
+@given(st.integers(0, 2 ** 30), st.booleans())
+def test_validate_allocation_matches_brute_force(seed, huge):
     # Rows whose zeros are distinct objects or ints, rows that reuse one
     # nonzero object off their relations, and rows with a negative entry
-    # off their relations: the error list must equal a cell-by-cell scan.
+    # off their relations: the error list must equal a cell-by-cell scan,
+    # whether validation decides in integer units or on the Fractions.
     rng = random.Random(seed)
-    env, u = random_sparse_scenario(rng, rng.randint(5, 30), denominators=(1, 2, 3, 7, 12))
+    denominators = HUGE_DENOMINATORS if huge else (1, 2, 3, 7, 12)
+    env, u = random_sparse_scenario(rng, rng.randint(5, 30), denominators=denominators)
     reused = Fraction(rng.randint(1, 5), rng.choice((1, 2, 7)))
     rows = []
     for i, row in enumerate(u):
@@ -209,7 +220,83 @@ def test_validate_allocation_matches_brute_force(seed):
             row[rng.choice(off)] = Fraction(-rng.randint(1, 4), rng.choice((1, 3)))
         rows.append(tuple(row))
     v = tuple(rows)
+    assert (pag.model._integer_units(env, v, env.powers)[2] is v) == huge
     assert pag.validate_allocation(env, v) == _reference_errors(env, v)
+
+
+def test_valid_matrix_is_validated_without_fraction_addition():
+    # A valid row is decided on the integer units of its cells; only a
+    # failing row is summed as Fractions.
+    additions = 0
+
+    class CountingFraction(Fraction):
+        def __add__(self, other):
+            nonlocal additions
+            additions += 1
+            return Fraction.__add__(self, other)
+
+        def __radd__(self, other):
+            nonlocal additions
+            additions += 1
+            return Fraction.__radd__(self, other)
+
+    env, u = random_sparse_scenario(random.Random(400), 400)
+    v = tuple(tuple(CountingFraction(x) if x else x for x in row) for row in u)
+    assert pag.validate_allocation(env, v) == []
+    assert additions == 0
+    CountingFraction(1) + 1
+    assert additions == 1  # the counter sees an addition
+
+
+def test_integer_units_stop_taking_lcms_at_max_scale(monkeypatch):
+    # With hundreds of distinct 30-digit denominators the first lcm passes
+    # MAX_SCALE; scaling gives up there instead of finishing the lcm.
+    rng = random.Random(30)
+    denominators = [10**29 + rng.randrange(10**29) for _ in range(300)]
+    env, u = random_sparse_scenario(rng, 200, denominators=denominators)
+    assert len({x.denominator for row in u for x in row}) > 200
+    calls = 0
+
+    def counting_lcm(*args):
+        nonlocal calls
+        calls += 1
+        return math.lcm(*args)
+
+    monkeypatch.setattr(pag.model, "lcm", counting_lcm)
+    assert pag.model._integer_units(env, u, env.powers) == (1, env.powers, u)
+    assert calls == 1
+    assert pag.model._integer_units(env, u, ()) == (1, (), u)
+    assert calls == 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 30))
+def test_row_support_is_cached_per_environment(seed):
+    rng = random.Random(seed)
+    env = random_environment(rng, rng.randint(1, 8), max_power=5)
+
+    def expected(e, i):
+        return tuple(sorted((i, *e.friends_of(i), *e.adversaries_of(i))))
+
+    for i in range(env.n):
+        assert env.row_support(i) == expected(env, i)
+        assert env.row_support(i) is env.row_support(i)
+    free = [p for p in itertools.combinations(range(env.n), 2) if p not in env.friends]
+    other = dataclasses.replace(
+        env, adversaries=frozenset(rng.sample(free, rng.randint(0, len(free))))
+    )
+    for i in range(other.n):
+        related = {j for pair in other.friends | other.adversaries if i in pair for j in pair}
+        assert other.row_support(i) == expected(other, i) == tuple(sorted(related | {i}))
+
+
+def test_random_sparse_scenario_rejects_more_pairs_than_exist():
+    # Mean degree 3 asks three countries for round(4.5) = 4 of their 3 pairs.
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="4 distinct pairs asked of 3 countries"):
+        random_sparse_scenario(rng, 3)
+    assert rng.getstate() == state
 
 
 class TestSupportThreat:
