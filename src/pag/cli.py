@@ -21,12 +21,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Any, Sequence
 
 from . import analysis, constructors, oracle
 from .equilibrium import is_nash
 from .model import (
+    MAX_EXPONENT,
     ZERO,
     Environment,
     Matrix,
@@ -82,11 +85,13 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
 
     allocation = data.get("allocation")
     if allocation is None:
+        _check_printable(env, ())
         return env, None
     if not isinstance(allocation, dict):
         raise ValidationError(["'allocation' must map row names to entry maps"])
     index = {name: i for i, name in enumerate(env.names)}
     rows = [[ZERO] * env.n for _ in range(env.n)]
+    values: list[Fraction] = []
     for row_name, entries in allocation.items():
         if row_name not in index:
             errors.append(f"unknown country {_echo(row_name)} in allocation")
@@ -102,12 +107,50 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
                 )
                 continue
             try:
-                row[index[col_name]] = to_fraction(raw)
+                row[index[col_name]] = value = to_fraction(raw)
             except ValidationError as exc:
                 errors.extend(f"allocation {row_name}->{col_name}: {e}" for e in exc.errors)
+                continue
+            if value:
+                values.append(value)
     if errors:
         raise ValidationError(errors)
+    _check_printable(env, values)
     return env, tuple(tuple(row) for row in rows)
+
+
+#: Numbers below this bound have at most the 4,300 digits `str(int)` prints
+#: by default.
+_PRINTABLE = 10**MAX_EXPONENT
+
+
+def _check_printable(env: Environment, entries: Sequence[Fraction]) -> None:
+    """ValidationError when a number the commands print might not print.
+
+    Each value passes `to_fraction`'s digit bound alone, but values with
+    different large denominators add up to a larger one.  Every printed
+    number (a power, entry, support, threat, row sum, deficit or witness
+    entry) is at most M = total power + total |entry| in magnitude,
+    and its denominator divides L or, for a witness entry with a share
+    of its slack, 4 (k + 1) L for some k < n, where L is the common
+    denominator of the powers and the entries.  So its numerator and
+    denominator stay below 4 (n + 1) L M, which must print.  L grows by
+    `lcm`, and the check stops as soon as it passes the bound.
+    """
+    values = (*env.powers, *entries)
+    magnitude = sum(abs(x.numerator) // x.denominator + 1 for x in values)
+    limit = (_PRINTABLE - 1) // (4 * (env.n + 1) * magnitude)
+    scale = 1
+    for x in values:
+        if scale % x.denominator:
+            scale = lcm(scale, x.denominator)
+            if scale > limit:
+                raise ValidationError(
+                    [
+                        "values too large together: their sums could need more than"
+                        f" {MAX_EXPONENT} digits"
+                    ]
+                )
 
 
 def emit_scenario(env: Environment, u: Matrix | None = None) -> dict:
@@ -451,8 +494,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _fail(str(exc.args[0]) if exc.args else str(exc))
     except analysis.TopologyError as exc:
         return _fail(f"topology: {exc}")
-    except oracle.EnumerationTooLarge as exc:
-        return _fail(str(exc))
     except (
         constructors.InfeasiblePower,
         constructors.PreconditionViolated,

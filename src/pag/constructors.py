@@ -250,24 +250,25 @@ def pairwise_annihilation(
 def _orderings(
     pairs: Sequence[Pair], seed: int, limit: int
 ) -> Iterable[tuple[Pair, ...]]:
+    """Distinct pair orderings: the sorted one and its next permutations,
+    `limit` in all, then, if permutations remain, `limit` seeded shuffles
+    with the orderings already yielded left out."""
     base = tuple(sorted(pairs))
-    yield base
-    produced = 1
-    for perm in itertools.permutations(base):
-        if perm == base:
-            continue
-        yield perm
-        produced += 1
-        if produced >= limit:
-            break
-    else:
+    permutations = itertools.permutations(base)
+    seen = set()
+    for ordering in itertools.islice(permutations, limit):
+        seen.add(ordering)
+        yield ordering
+    if next(permutations, None) is None:
         return
-    # Permutations overflowed the systematic budget: sample the rest.
     rng = random.Random(seed)
     for _ in range(limit):
         shuffled = list(base)
         rng.shuffle(shuffled)
-        yield tuple(shuffled)
+        ordering = tuple(shuffled)
+        if ordering not in seen:
+            seen.add(ordering)
+            yield ordering
 
 
 def _residual_splits(
@@ -370,13 +371,12 @@ def bipartite_safe_equilibrium(
             u: Matrix = tuple(tuple(row) for row in rows)
             if validate_allocation(env, u):
                 continue
+            result = is_nash(env, u, stop_at_first=True)
             for _ in range(REPAIR_ROUNDS):
-                result = is_nash(env, u, stop_at_first=True)
                 if result.ok:
                     break
                 dev = result.deviations[0]
                 u = replace_row(u, dev.country, dev.row)
-            else:
                 result = is_nash(env, u, stop_at_first=True)
             if result.ok and result.states[target] is State.SAFE:
                 return u

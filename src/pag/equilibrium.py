@@ -2,42 +2,55 @@
 
 A deviation by country i replaces row i of the allocation matrix.  Only the
 states of i, its friends, and its adversaries can change, and each changes
-monotonically in the single entry u_ij, so profitability reduces to a small
-closed-form feasibility problem per target outcome:
+monotonically in the single entry i spends on it.  With x_j the new entry
+and u_ij the current one, each is decided by a gap, an exact rational
+derived from the current matrix:
 
-* friend j keeps/starts surviving  iff  u_ij >= g_j,
-* adversary j is kept/made not safe iff  u_ij >= h_j  (strictly unsafe
-  needs a strict inequality),
-* i itself survives iff its friend-directed spending stays within
-  p_i + external support - external threat,
+* friend j survives  iff  x_j >= g_j = tau_j - sigma_j + u_ij,
+* adversary j is not safe  iff  x_j >= h_j = sigma_j - tau_j + u_ij
+  (strictly unsafe needs a strict inequality),
+* i itself survives iff its friend-directed spending stays within the cap
+  p_i + external support - external threat.
 
-where the gaps g_j and h_j are exact rationals derived from the current
-matrix.  A deviation is reported when it is a strict improvement over the
-binary preference categories, or when it is a state-level improvement on
-the adversary front (pushing an adversary from safe or precarious strictly
-down) without worsening any relevant state.  The second clause refines the
-category rule; without it, outcomes the analysis layer must rule out would
-survive verification.
+A deviation is profitable when it is a strict improvement over the binary
+preference categories, or a state-level improvement on the adversary front
+(pushing an adversary from safe or precarious strictly down) without
+worsening any relevant state.  The second clause refines the category
+rule; without it, outcomes the analysis layer must rule out would survive
+verification.
 
-Deciding and witnessing are split.  The decision core, `_target_bounds`
-and its per-target check `_attempt`, only compares sums and gaps (`>`,
-`==`), so it is exact on int entries as well as on Fractions; it returns
-the bounds of the first feasible target.  `is_nash` and `best_deviation`
-run it in integer units: `model._integer_units` scales the powers and the
-cells the core reads by their common denominator L, which changes no
-comparison because the game is positively homogeneous.  When L would
-reach `model.MAX_SCALE`, the same core runs on the Fractions instead.
-Witness construction, `_deviation`, runs only when a `Deviation` is
-requested.  It works in the same units, where only the strict bounds'
-share of the slack is a Fraction, and each witness entry leaves as that
-entry over L.  It re-evaluates the witness states over the deviator's
-relevant set alone, from the current support and threat and the exact
-change of each entry, so `is_nash` costs O(n + E) plus, per deviator, its
-n-entry witness row and one copy of the n-state tuple.  The result
-carries the states of the checked allocation too, so no caller needs to
-recompute them.  `first_deviator` runs the core alone on powers, support,
-threat and states the caller already holds, scanning from a caller-chosen
-country; the grid oracle calls it on integer grid units.
+An unsafe i that can survive on its all-reserve row deviates profitably
+at once.  Otherwise a profitable deviation keeps every current category
+and gains one more (adding gains only adds constraints, so one gain
+decides existence).  Keeping every surviving friend surviving and every
+non-safe adversary non-safe costs the sum of their gaps, negative ones
+counting as zero: i's base requirement.  So one pass over i's relations
+sums the base requirement, and each improving target then costs one
+comparison: an unsafe friend or a safe adversary is gained iff the base
+plus its gap fits the budget, and a precarious adversary is pushed iff
+the base leaves positive slack; while i survives, the friend gaps (a
+gained friend's included) must fit the cap too.  Deciding country i
+costs O(deg i).
+
+Deciding and witnessing are split.  The decision, `_decide`, only adds and
+compares, so it is exact on int entries as well as on Fractions; it names
+the first profitable target (the pass and the country it gains).
+`is_nash` and `best_deviation` run it in integer units:
+`model._integer_units` scales the powers and the cells the decision reads
+by their common denominator L, which changes no comparison because the
+game is positively homogeneous.  When L would reach `model.MAX_SCALE`, the
+same decision runs on the Fractions instead.  The witness, `_deviation`,
+is built only when a `Deviation` is requested: row i at the target's gaps,
+in the same units, where only the strict push's share of the slack is a
+Fraction, and each entry leaves as that entry over L.  It re-evaluates
+the witness states over the deviator's relevant set alone, from the
+current support and threat and the exact change of each entry, so
+`is_nash` costs O(n + E) plus, per deviator, its n-entry witness row and
+one copy of the n-state tuple.  The result carries the states of the
+checked allocation too, so no caller needs to recompute them.
+`first_deviator` runs the decision alone on powers, support, threat and
+states the caller already holds, scanning from a caller-chosen country;
+the grid oracle calls it on integer grid units.
 
 All functions are pure; per-country checks are independent and results are
 aggregated by ascending country index.
@@ -89,71 +102,18 @@ class NashResult:
         return None
 
 
-Bounds = tuple[list[tuple[int, Fraction]], list[tuple[int, Fraction, bool]]]
+#: What a profitable deviation of i gains: (the unsafe friend it rescues,
+#: the adversary it flips or pushes, whether the push is strict).
+#: `SELF_RESCUE` gains nothing else: i itself stops being unsafe.
+Target = tuple[int | None, int | None, bool]
+SELF_RESCUE: Target = (None, None, False)
 
-# States compared by identity in the decision core: a module constant is
-# cheaper to load than an enum member looked up on its class.
+# States compared by identity in the decision: a module constant is cheaper
+# to load than an enum member looked up on its class.
 SAFE, PRECARIOUS, UNSAFE = State.SAFE, State.PRECARIOUS, State.UNSAFE
 
 
-def _attempt(
-    p: Fraction,
-    own: FractionVec,
-    friends: tuple[int, ...],
-    adversaries: tuple[int, ...],
-    sigmas: FractionVec,
-    taus: FractionVec,
-    states: tuple[State, ...],
-    friend_cap: Fraction | None,
-    gain_friend: int | None,
-    gain_adv: int | None,
-    strict: bool,
-) -> Bounds | None:
-    """One target's bounds if some row within budget p meets them all.
-
-    The target keeps every surviving friend surviving and every non-safe
-    adversary non-safe, and adds `gain_friend` or `gain_adv`.  With
-    `strict`, the gained adversary and every unsafe one must end strictly
-    unsafe.  This is the only place the friend and adversary gaps are
-    computed.
-    """
-    friend_bounds: list[tuple[int, Fraction]] = []
-    friend_total = 0
-    for j in friends:
-        if states[j] is not UNSAFE or j == gain_friend:
-            bound = max(0, taus[j] - (sigmas[j] - own[j]))
-            friend_bounds.append((j, bound))
-            friend_total += bound
-    if friend_cap is not None and friend_total > friend_cap:
-        return None
-    adversary_bounds: list[tuple[int, Fraction, bool]] = []
-    total = friend_total
-    any_strict = False
-    for j in adversaries:
-        state = states[j]
-        if j == gain_adv:
-            j_strict = strict
-        elif state is UNSAFE and strict:
-            j_strict = True
-        elif state is not SAFE:
-            j_strict = False
-        else:
-            continue
-        # A negative gap is met, strictly, by a zero entry.
-        gap = sigmas[j] - (taus[j] - own[j])
-        if gap < 0:
-            adversary_bounds.append((j, 0, False))
-        else:
-            adversary_bounds.append((j, gap, j_strict))
-            total += gap
-            any_strict = any_strict or j_strict
-    # Strict bounds need positive slack to share.
-    if total > p or (any_strict and total == p):
-        return None
-    return friend_bounds, adversary_bounds
-
-
-def _target_bounds(
+def _decide(
     env: Environment,
     powers: FractionVec,
     u: Matrix,
@@ -161,88 +121,64 @@ def _target_bounds(
     sigmas: FractionVec,
     taus: FractionVec,
     states: tuple[State, ...],
-) -> Bounds | None:
-    """Bounds of i's first feasible improving target; None if there is none.
+) -> Target | None:
+    """i's first profitable target; None if i has no profitable deviation.
 
-    Target outcomes are enumerated over i's relevant set, pruned to those
-    improving on the current outcome (non-improving targets can never be
-    profitable), and decided in closed form by `_attempt`.  Single-target
-    checks decide existence because adding targets only adds constraints.
-    Every sum starts from the int 0, so the decision is exact on int and on
-    Fraction inputs alike; `powers` and `u` must be in the same units.
+    Sums i's base requirement in one pass over its relations, then compares
+    each target's own gap with the room the budget and the cap leave, in
+    the order self-rescue; pass 1, an unsafe friend, then a safe adversary,
+    each in relation order; pass 2, a precarious adversary pushed strictly
+    down.  A push's gap is i's own entry on it, so it needs positive room
+    and then any precarious adversary can be pushed: the first is the
+    target.  Only adds and compares, from the int 0, so it is exact on int
+    and on Fraction inputs alike; `powers` and `u` must be in the same
+    units, and u's entries nonnegative.
     """
-    p = powers[i]
+    own = u[i]
     friends = env.friends_of(i)
     adversaries = env.adversaries_of(i)
     s_ext = 0
+    base_f = 0
     for j in friends:
         s_ext += u[j][i]
-    t_ext = taus[i]
-
+        if states[j] is not UNSAFE:
+            gap = taus[j] - sigmas[j] + own[j]
+            if gap > 0:
+                base_f += gap
+    p = powers[i]
     if states[i] is UNSAFE:
-        # Priority of self-survival: any row reaching survival is profitable.
-        # Support is maximal with zero friend-directed spending, so the
-        # all-reserve row (no bounds at all) is the witness.
-        if p + s_ext >= t_ext:
-            return [], []
-        friend_cap = None
+        # Support is maximal with zero friend-directed spending, so i
+        # survives on some row iff it survives on its all-reserve row.
+        if p + s_ext >= taus[i]:
+            return SELF_RESCUE
+        cap = None
     else:
-        friend_cap = p + s_ext - t_ext
-    own = u[i]
-
-    # Pass 1: strict category improvements (flip a non-surviving friend, or
-    # a safe adversary) while keeping every current category.
+        # Friend-directed spending must leave i surviving.
+        cap = p + s_ext - taus[i] - base_f
+        if cap < 0:
+            return None
+    # A non-safe adversary with a negative gap is kept down, strictly, at zero.
+    base = base_f
+    for j in adversaries:
+        if states[j] is not SAFE:
+            gap = sigmas[j] - taus[j] + own[j]
+            if gap > 0:
+                base += gap
+    room = p - base
+    room_f = room if cap is None else min(room, cap)
+    # Pass 1: rescue an unsafe friend or flip a safe adversary.
     for j in friends:
-        if states[j] is UNSAFE:
-            bounds = _attempt(
-                p, own, friends, adversaries, sigmas, taus, states, friend_cap, j, None, False
-            )
-            if bounds is not None:
-                return bounds
+        if states[j] is UNSAFE and taus[j] - sigmas[j] + own[j] <= room_f:
+            return j, None, False
     for j in adversaries:
-        if states[j] is SAFE:
-            bounds = _attempt(
-                p, own, friends, adversaries, sigmas, taus, states, friend_cap, None, j, False
-            )
-            if bounds is not None:
-                return bounds
-
-    # Pass 2: adversary-front state refinement.  Push a precarious adversary
-    # strictly unsafe without letting any relevant state slip (unsafe
-    # adversaries must stay strictly unsafe).  Safe adversaries need no
-    # second look: their pass-1 constraint set is contained in this one.
-    for j in adversaries:
-        if states[j] is PRECARIOUS:
-            bounds = _attempt(
-                p, own, friends, adversaries, sigmas, taus, states, friend_cap, None, j, True
-            )
-            if bounds is not None:
-                return bounds
-
+        if states[j] is SAFE and sigmas[j] - taus[j] + own[j] <= room:
+            return None, j, False
+    # Pass 2: push a precarious adversary strictly down.
+    if room > 0:
+        for j in adversaries:
+            if states[j] is PRECARIOUS:
+                return None, j, True
     return None
-
-
-def _row(budget: Fraction, i: int, bounds: Bounds) -> dict[int, Fraction]:
-    """The witness row for feasible bounds, as {column: entry} in the
-    bounds' units; columns left out hold zero.
-
-    Friends sit at their exact bounds, so slack can never break the
-    self-survival cap.  Strict bounds get a small share of the slack rather
-    than an even split: any positive margin proves profitability, and
-    oversized margins make the witness a worse best response (overkilled
-    targets release their other attackers' maintenance burdens).  The rest
-    goes to reserve, never onto null relations.  Only the strict share is a
-    Fraction on integer bounds.
-    """
-    friend_bounds, adversary_bounds = bounds
-    strict_count = sum(1 for _, _, strict in adversary_bounds if strict)
-    total = sum(b for _, b in friend_bounds) + sum(b for _, b, _ in adversary_bounds)
-    bonus = Fraction(budget - total, 4 * (strict_count + 1)) if strict_count else 0
-    row = dict(friend_bounds)
-    for j, bound, strict in adversary_bounds:
-        row[j] = bound + bonus if strict else bound
-    row[i] = budget - total - strict_count * bonus
-    return row
 
 
 def _deviation(
@@ -251,29 +187,60 @@ def _deviation(
     u: Matrix,
     scale: int,
     i: int,
-    bounds: Bounds,
+    target: Target,
     sigmas: FractionVec,
     taus: FractionVec,
     states: tuple[State, ...],
 ) -> Deviation:
-    """The witness for feasible bounds, with the states it induces.
+    """The witness for i's target, with the states it induces.
 
-    `powers`, `u`, the bounds and the sums are in units of 1/`scale`, so
-    the witness row leaves as each entry over `scale`.  Replacing row i
-    moves only the support of i and of its friends and the threat against
-    its adversaries, so only those states are re-evaluated: a friend's or
-    an adversary's from its current sum and the exact change of its one
+    Every friend and adversary the target keeps or gains sits at its gap
+    (a negative one at zero), so slack can never break the self-survival
+    cap; a self-rescue is the all-reserve row.  A strict push gives the
+    pushed adversary and every unsafe one with a nonnegative gap a share
+    of the slack, slack / (4 (k + 1)) each for k of them, rather than an
+    even split: any positive margin proves profitability, and oversized
+    margins make the witness a worse best response (overkilled targets
+    release their other attackers' maintenance burdens).  The rest goes to
+    reserve, never onto null relations.
+
+    `powers`, `u` and the gaps are in units of 1/`scale`, so the witness
+    row leaves as each entry over `scale`.  Replacing row i moves only the
+    support of i and of its friends and the threat against its
+    adversaries, so only those states are re-evaluated: a friend's or an
+    adversary's from its current sum and the exact change of its one
     entry, i's own from the new row and its incoming friend aid.
     """
-    row = _row(powers[i], i, bounds)
+    gain_friend, gain_adv, strict = target
     own = u[i]
+    friends = env.friends_of(i)
+    adversaries = env.adversaries_of(i)
+    row = {}
+    pushed = []
+    if target != SELF_RESCUE:
+        for j in friends:
+            if states[j] is not UNSAFE or j == gain_friend:
+                row[j] = max(0, taus[j] - sigmas[j] + own[j])
+        for j in adversaries:
+            if states[j] is not SAFE or j == gain_adv:
+                gap = sigmas[j] - taus[j] + own[j]
+                row[j] = max(0, gap)
+                if strict and (j == gain_adv or (states[j] is UNSAFE and gap >= 0)):
+                    pushed.append(j)
+    slack = powers[i] - sum(row.values())
+    if pushed:
+        share = Fraction(slack, 4 * (len(pushed) + 1))
+        for j in pushed:
+            row[j] += share
+        slack -= len(pushed) * share
+    row[i] = slack
     new_states = list(states)
     incoming = 0
-    for j in env.friends_of(i):
+    for j in friends:
         new_states[j] = state_of(sigmas[j] - own[j] + row.get(j, 0), taus[j])
         incoming += u[j][i]
     offense = 0
-    for j in env.adversaries_of(i):
+    for j in adversaries:
         entry = row.get(j, 0)
         new_states[j] = state_of(sigmas[j], taus[j] - own[j] + entry)
         offense += entry
@@ -287,16 +254,16 @@ def _deviation(
 def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
     """Search i's deviation set for a profitable row; None if there is none.
 
-    The decision is `_target_bounds`, in integer units; the witness row and
+    The decision is `_decide`, in integer units; the witness row and
     the states it induces are built only once a target is found.
     """
     scale, powers, units = _integer_units(env, u, env.powers)
     sigmas, taus = sigma_tau(env, units)
     states = tuple(map(state_of, sigmas, taus))
-    bounds = _target_bounds(env, powers, units, i, sigmas, taus, states)
-    if bounds is None:
+    target = _decide(env, powers, units, i, sigmas, taus, states)
+    if target is None:
         return None
-    return _deviation(env, powers, units, scale, i, bounds, sigmas, taus, states)
+    return _deviation(env, powers, units, scale, i, target, sigmas, taus, states)
 
 
 def is_nash(
@@ -312,17 +279,19 @@ def is_nash(
     the states u induces.  Support, threat and states are computed once,
     in integer units of the common denominator; each witness re-evaluates
     only its deviator's relevant set, so a check costs O(n + E) plus, per
-    deviator, its n-entry row and one copy of the n-state tuple.
+    deviator, its n-entry row and one copy of the n-state tuple.  The
+    entries of u must be nonnegative, as those of every admissible matrix
+    are (`model.validate_allocation`).
     """
     scale, powers, units = _integer_units(env, u, env.powers)
     sigmas, taus = sigma_tau(env, units)
     states = tuple(map(state_of, sigmas, taus))
     deviations: list[Deviation] = []
     for i in range(env.n):
-        bounds = _target_bounds(env, powers, units, i, sigmas, taus, states)
-        if bounds is not None:
+        target = _decide(env, powers, units, i, sigmas, taus, states)
+        if target is not None:
             deviations.append(
-                _deviation(env, powers, units, scale, i, bounds, sigmas, taus, states)
+                _deviation(env, powers, units, scale, i, target, sigmas, taus, states)
             )
             if stop_at_first:
                 break
@@ -348,10 +317,10 @@ def first_deviator(
     units.
     """
     for i in range(start, len(states)):
-        if _target_bounds(env, powers, u, i, sigmas, taus, states) is not None:
+        if _decide(env, powers, u, i, sigmas, taus, states) is not None:
             return i
     for i in range(start):
-        if _target_bounds(env, powers, u, i, sigmas, taus, states) is not None:
+        if _decide(env, powers, u, i, sigmas, taus, states) is not None:
             return i
     return None
 

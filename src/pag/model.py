@@ -67,7 +67,8 @@ MAX_EXPONENT = 4300
 
 #: Most decimal digits of a parsed numerator or denominator.  A sum of n
 #: such values over one denominator gains about log10(n) digits, so it stays
-#: below the 4,300 digits `str(int)` prints by default.
+#: below the 4,300 digits `str(int)` prints by default; sums over different
+#: denominators are bounded per scenario by `cli.parse_scenario`.
 MAX_DIGITS = 4000
 _DIGIT_BOUND = 10**MAX_DIGITS
 

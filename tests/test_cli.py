@@ -165,6 +165,23 @@ class TestValidate:
                 assert err == (
                     f"error: power for 'a': not a rational: '{power}' (more than 4000 digits)\n"
                 )
+        # Friend aid of 1/10**2999 and 1/3**6285 is within the bound value by
+        # value, but c's support would have a 5,998-digit denominator.
+        aid = {"a": f"1/{10**2999}", "b": f"1/{3**6285}"}
+        path.write_text(
+            json.dumps(
+                {
+                    "countries": [{"name": n, "power": aid.get(n, "1")} for n in "abc"],
+                    "friends": [["a", "c"], ["b", "c"]],
+                    "allocation": {"a": {"c": aid["a"]}, "b": {"c": aid["b"]}, "c": {"c": "1"}},
+                }
+            )
+        )
+        assert run_cli(capsys, command, path) == (
+            2,
+            "",
+            "error: values too large together: their sums could need more than 4300 digits\n",
+        )
 
 
 class TestEvaluate:

@@ -12,6 +12,7 @@ from pag import (
     InfeasiblePower,
     PreconditionViolated,
     TopologyError,
+    constructors,
     make_environment,
     matrix_from_entries,
     pairwise_annihilation,
@@ -237,6 +238,25 @@ class TestBipartiteSafeEquilibrium:
     def test_odd_cycle_rejected(self, env2):
         with pytest.raises(TopologyError):
             pag.bipartite_safe_equilibrium(env2, 0)
+
+
+@pytest.mark.parametrize("k", [6, 7])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_orderings_are_never_repeated(k, seed):
+    # Each ordering's attempt is deterministic, so a repeat cannot succeed
+    # where it failed.  The orderings are the permutations in order, then
+    # the seeded shuffles, with every repeat left out.
+    pairs = [(j, k + j) for j in range(k)]
+    limit = constructors.MAX_ORDERINGS
+    tried = list(itertools.islice(itertools.permutations(pairs), limit))
+    rng = random.Random(seed)
+    for _ in range(limit):
+        shuffled = list(pairs)
+        rng.shuffle(shuffled)
+        tried.append(tuple(shuffled))
+    orderings = list(constructors._orderings(list(reversed(pairs)), seed, limit))
+    assert orderings == list(dict.fromkeys(tried))
+    assert len(set(orderings)) == len(orderings) == (720 if k == 6 else len(set(tried)))
 
 
 @settings(max_examples=25, deadline=None)

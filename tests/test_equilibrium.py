@@ -1,3 +1,4 @@
+import collections
 import random
 from fractions import Fraction
 from unittest import mock
@@ -161,6 +162,43 @@ def test_is_nash_evaluates_states_locally(monkeypatch):
     assert result.deviations
     # A row's support is the country plus its relations: 1 + deg i.
     assert calls <= env.n + sum(len(env.row_support(d.country)) for d in result.deviations)
+
+
+def test_deciding_a_hub_reads_each_relation_cell_once():
+    # Complexity pin without timing: hub 0 has spent its whole power holding
+    # k adversaries precarious and cannot flip its k safe ones, so it has no
+    # deviation and every target is tried.  Deciding it must read each of
+    # its cells O(1) times, not once per target tried.
+    k = 40
+    safe, precarious = range(1, k + 1), range(k + 1, 2 * k + 1)
+    env = make_environment(
+        [k] + [k + 1] * k + [1] * k, adversaries=[(0, j) for j in range(1, 2 * k + 1)]
+    )
+    u = matrix_from_entries(
+        env,
+        {(0, j): 1 for j in precarious}
+        | {(j, j): k + 1 for j in safe}
+        | {(j, j): 1 for j in precarious},
+    )
+    sigmas, taus = model.sigma_tau(env, u)
+    states = tuple(map(model.state_of, sigmas, taus))
+    assert states == (State.SAFE,) + (State.SAFE,) * k + (State.PRECARIOUS,) * k
+    reads = collections.Counter()
+
+    class CountingRow(tuple):
+        def __getitem__(self, j):
+            reads[self.index, j] += 1
+            return tuple.__getitem__(self, j)
+
+    rows = []
+    for i, row in enumerate(u):
+        rows.append(CountingRow(row))
+        rows[-1].index = i
+    # The hub has no deviation; its first safe adversary, next in the scan,
+    # flips it.
+    assert equilibrium.first_deviator(env, env.powers, tuple(rows), sigmas, taus, states, 0) == 1
+    assert max(reads.values()) == 1
+    assert {cell for cell in reads if cell[0] == 0} == {(0, j) for j in range(1, 2 * k + 1)}
 
 
 @settings(max_examples=50, deadline=None)
