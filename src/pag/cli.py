@@ -61,7 +61,10 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
         if not isinstance(entry, dict) or "name" not in entry or "power" not in entry:
             errors.append(f"country entries need 'name' and 'power': {_echo(entry)}")
             continue
-        names.append(str(entry["name"]))
+        if not isinstance(entry["name"], str):
+            errors.append(f"country name must be a string: {_echo(entry['name'])}")
+            continue
+        names.append(entry["name"])
         powers.append(entry["power"])
 
     def pairs(key: str) -> list[tuple[str, str]]:
@@ -71,10 +74,14 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
             errors.append(f"'{key}' must be a list of name pairs")
             return out
         for item in raw:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
+            if (
+                not isinstance(item, (list, tuple))
+                or len(item) != 2
+                or not all(isinstance(name, str) for name in item)
+            ):
                 errors.append(f"bad {key} pair: {_echo(item)}")
                 continue
-            out.append((str(item[0]), str(item[1])))
+            out.append((item[0], item[1]))
         return out
 
     friend_pairs = pairs("friends")
@@ -267,9 +274,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"nash equilibrium: {'yes' if result.ok else 'no'}",
         "states: " + " ".join(f"{n}={s.value}" for n, s in zip(env.names, states)),
     ]
+    witnesses = {dev.country: dev for dev in result.deviations}
     certificates: dict[str, Any] = {}
     for i, name in enumerate(env.names):
-        dev = result.witness_for(i)
+        dev = witnesses.get(i)
         if dev is None:
             certificates[name] = None
         else:

@@ -1,16 +1,20 @@
 """Nash-equilibrium verification via an exact best-deviation test.
 
-A deviation by country i replaces row i of the allocation matrix.  Only the
-states of i, its friends, and its adversaries can change, and each changes
-monotonically in the single entry i spends on it.  With x_j the new entry
-and u_ij the current one, each is decided by a gap, an exact rational
-derived from the current matrix:
+A country survives when its total support sigma_i equals or exceeds its
+total threat tau_i, so its state is the sign of one number, its survival
+margin d_i = sigma_i - tau_i: safe above zero, precarious at zero, unsafe
+below.  A deviation by country i replaces row i of the allocation matrix.
+Only the states of i, its friends, and its adversaries can change, and
+each changes monotonically in the single entry i spends on it.  With x_j
+the new entry and u_ij the current one, each is decided by a gap, an
+exact rational made of one margin and one of i's own entries:
 
-* friend j survives  iff  x_j >= g_j = tau_j - sigma_j + u_ij,
-* adversary j is not safe  iff  x_j >= h_j = sigma_j - tau_j + u_ij
+* friend j survives  iff  x_j >= g_j = u_ij - d_j,
+* adversary j is not safe  iff  x_j >= h_j = d_j + u_ij
   (strictly unsafe needs a strict inequality),
-* i itself survives iff its friend-directed spending stays within the cap
-  p_i + external support - external threat.
+* i itself survives iff its friend-directed spending stays within its
+  self room p_i + d_i - u_ii - sum of u_ij over its adversaries, which is
+  p_i + the aid i receives - tau_i by the definition of sigma_i.
 
 A deviation is profitable when it is a strict improvement over the binary
 preference categories, or a state-level improvement on the adversary front
@@ -29,8 +33,9 @@ sums the base requirement, and each improving target then costs one
 comparison: an unsafe friend or a safe adversary is gained iff the base
 plus its gap fits the budget, and a precarious adversary is pushed iff
 the base leaves positive slack; while i survives, the friend gaps (a
-gained friend's included) must fit the cap too.  Deciding country i
-costs O(deg i).
+gained friend's included) must fit the self room too.  Deciding country
+i reads its own row and the margins, each cell once: O(deg i), and no
+other row.
 
 Deciding and witnessing are split.  The decision, `_decide`, only adds and
 compares, so it is exact on int entries as well as on Fractions; it names
@@ -39,18 +44,18 @@ the first profitable target (the pass and the country it gains).
 `model._integer_units` scales the powers and the cells the decision reads
 by their common denominator L, which changes no comparison because the
 game is positively homogeneous.  When L would reach `model.MAX_SCALE`, the
-same decision runs on the Fractions instead.  The witness, `_deviation`,
-is built only when a `Deviation` is requested: row i at the target's gaps,
-in the same units, where only the strict push's share of the slack is a
-Fraction, and each entry leaves as that entry over L.  It re-evaluates
-the witness states over the deviator's relevant set alone, from the
-current support and threat and the exact change of each entry, so
-`is_nash` costs O(n + E) plus, per deviator, its n-entry witness row and
-one copy of the n-state tuple.  The result carries the states of the
-checked allocation too, so no caller needs to recompute them.
-`first_deviator` runs the decision alone on powers, support, threat and
-states the caller already holds, scanning from a caller-chosen country;
-the grid oracle calls it on integer grid units.
+same decision runs on the Fractions instead.  Both compute the margins
+once, from `model.sigma_tau`.  The witness, `_deviation`, is built only
+when a `Deviation` is requested: row i at the target's gaps, in the same
+units, where only the strict push's share of the slack is a Fraction,
+and each entry leaves as that entry over L.  It re-evaluates the witness
+states over the deviator's relevant set alone, from the current margins
+and the exact change of i's entries, so `is_nash` costs O(n + E) plus,
+per deviator, its n-entry witness row and one copy of the n-state tuple.
+The result carries the states of the checked allocation too, so no
+caller needs to recompute them.  `first_deviator` runs the decision alone
+on powers, margins and states the caller already holds, scanning from a
+caller-chosen country; the grid oracle calls it on integer grid units.
 
 All functions are pure; per-country checks are independent and results are
 aggregated by ascending country index.
@@ -60,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from .model import (
     ZERO,
@@ -118,61 +124,76 @@ def _decide(
     powers: FractionVec,
     u: Matrix,
     i: int,
-    sigmas: FractionVec,
-    taus: FractionVec,
+    margins: FractionVec,
     states: tuple[State, ...],
 ) -> Target | None:
     """i's first profitable target; None if i has no profitable deviation.
 
-    Sums i's base requirement in one pass over its relations, then compares
-    each target's own gap with the room the budget and the cap leave, in
-    the order self-rescue; pass 1, an unsafe friend, then a safe adversary,
-    each in relation order; pass 2, a precarious adversary pushed strictly
-    down.  A push's gap is i's own entry on it, so it needs positive room
-    and then any precarious adversary can be pushed: the first is the
-    target.  Only adds and compares, from the int 0, so it is exact on int
-    and on Fraction inputs alike; `powers` and `u` must be in the same
-    units, and u's entries nonnegative.
+    Reads each cell of i's own row once, no other row, and the survival
+    margins d = sigma - tau.  One pass over i's relations sums its base
+    requirement and its offense: friends, then the non-safe adversaries,
+    which fixes the room the budget leaves, then the safe adversaries, of
+    which it notes the first whose gap fits that room.  i's self room is
+    p_i + d_i - u_ii minus its offense, which is p_i plus the aid i
+    receives minus its threat by the definition of sigma_i; less the
+    friend part of the base, it caps friend-directed spending.  Targets
+    are then tried in the order self-rescue; pass 1, an unsafe friend,
+    then a safe adversary, each in relation order; pass 2, a precarious
+    adversary pushed strictly down.  A push's gap is i's own entry on it,
+    so it needs positive room and then any precarious adversary can be
+    pushed: the first is the target.  Only adds and compares, from the int
+    0, so it is exact on int and on Fraction inputs alike; `powers`, `u`
+    and `margins` must be in the same units, and u's entries nonnegative.
     """
     own = u[i]
     friends = env.friends_of(i)
-    adversaries = env.adversaries_of(i)
-    s_ext = 0
     base_f = 0
     for j in friends:
-        s_ext += u[j][i]
         if states[j] is not UNSAFE:
-            gap = taus[j] - sigmas[j] + own[j]
+            gap = own[j] - margins[j]
             if gap > 0:
                 base_f += gap
+    # A non-safe adversary with a negative gap is kept down, strictly, at zero.
+    adversaries = env.adversaries_of(i)
+    base = base_f
+    offense = 0
+    for j in adversaries:
+        if states[j] is not SAFE:
+            x = own[j]
+            offense += x
+            gap = margins[j] + x
+            if gap > 0:
+                base += gap
     p = powers[i]
+    room = p - base
+    # The first safe adversary i can flip, if any, is pass 1's last target.
+    flip = None
+    for j in adversaries:
+        if states[j] is SAFE:
+            x = own[j]
+            offense += x
+            if flip is None and margins[j] + x <= room:
+                flip = j
+    self_room = p + margins[i] - own[i] - offense
     if states[i] is UNSAFE:
         # Support is maximal with zero friend-directed spending, so i
         # survives on some row iff it survives on its all-reserve row.
-        if p + s_ext >= taus[i]:
+        if self_room >= 0:
             return SELF_RESCUE
-        cap = None
+        room_f = room
     else:
         # Friend-directed spending must leave i surviving.
-        cap = p + s_ext - taus[i] - base_f
-        if cap < 0:
+        room_f = self_room - base_f
+        if room_f < 0:
             return None
-    # A non-safe adversary with a negative gap is kept down, strictly, at zero.
-    base = base_f
-    for j in adversaries:
-        if states[j] is not SAFE:
-            gap = sigmas[j] - taus[j] + own[j]
-            if gap > 0:
-                base += gap
-    room = p - base
-    room_f = room if cap is None else min(room, cap)
+        if room < room_f:
+            room_f = room
     # Pass 1: rescue an unsafe friend or flip a safe adversary.
     for j in friends:
-        if states[j] is UNSAFE and taus[j] - sigmas[j] + own[j] <= room_f:
+        if states[j] is UNSAFE and own[j] - margins[j] <= room_f:
             return j, None, False
-    for j in adversaries:
-        if states[j] is SAFE and sigmas[j] - taus[j] + own[j] <= room:
-            return None, j, False
+    if flip is not None:
+        return None, flip, False
     # Pass 2: push a precarious adversary strictly down.
     if room > 0:
         for j in adversaries:
@@ -188,8 +209,7 @@ def _deviation(
     scale: int,
     i: int,
     target: Target,
-    sigmas: FractionVec,
-    taus: FractionVec,
+    margins: FractionVec,
     states: tuple[State, ...],
 ) -> Deviation:
     """The witness for i's target, with the states it induces.
@@ -204,12 +224,12 @@ def _deviation(
     release their other attackers' maintenance burdens).  The rest goes to
     reserve, never onto null relations.
 
-    `powers`, `u` and the gaps are in units of 1/`scale`, so the witness
-    row leaves as each entry over `scale`.  Replacing row i moves only the
-    support of i and of its friends and the threat against its
-    adversaries, so only those states are re-evaluated: a friend's or an
-    adversary's from its current sum and the exact change of its one
-    entry, i's own from the new row and its incoming friend aid.
+    `powers`, `u`, the margins and the gaps are in units of 1/`scale`, so
+    the witness row leaves as each entry over `scale`.  Replacing row i
+    moves only the support of i and of its friends and the threat against
+    its adversaries, so only those states are re-evaluated, each from its
+    current margin and the exact change of i's entries: a friend's or an
+    adversary's by its one entry, i's own by its reserve and its offense.
     """
     gain_friend, gain_adv, strict = target
     own = u[i]
@@ -220,10 +240,10 @@ def _deviation(
     if target != SELF_RESCUE:
         for j in friends:
             if states[j] is not UNSAFE or j == gain_friend:
-                row[j] = max(0, taus[j] - sigmas[j] + own[j])
+                row[j] = max(0, own[j] - margins[j])
         for j in adversaries:
             if states[j] is not SAFE or j == gain_adv:
-                gap = sigmas[j] - taus[j] + own[j]
+                gap = margins[j] + own[j]
                 row[j] = max(0, gap)
                 if strict and (j == gain_adv or (states[j] is UNSAFE and gap >= 0)):
                     pushed.append(j)
@@ -235,16 +255,15 @@ def _deviation(
         slack -= len(pushed) * share
     row[i] = slack
     new_states = list(states)
-    incoming = 0
     for j in friends:
-        new_states[j] = state_of(sigmas[j] - own[j] + row.get(j, 0), taus[j])
-        incoming += u[j][i]
-    offense = 0
+        new_states[j] = state_of(margins[j] - own[j] + row.get(j, 0), 0)
+    # i's margin moves by the change of its reserve and of its offense.
+    shift = slack - own[i]
     for j in adversaries:
         entry = row.get(j, 0)
-        new_states[j] = state_of(sigmas[j], taus[j] - own[j] + entry)
-        offense += entry
-    new_states[i] = state_of(row[i] + incoming + offense, taus[i])
+        new_states[j] = state_of(margins[j] + own[j] - entry, 0)
+        shift += entry - own[j]
+    new_states[i] = state_of(margins[i] + shift, 0)
     witness = [ZERO] * env.n
     for j, entry in row.items():
         witness[j] = Fraction(entry, scale)
@@ -259,11 +278,12 @@ def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
     """
     scale, powers, units = _integer_units(env, u, env.powers)
     sigmas, taus = sigma_tau(env, units)
+    margins = tuple(map(sub, sigmas, taus))
     states = tuple(map(state_of, sigmas, taus))
-    target = _decide(env, powers, units, i, sigmas, taus, states)
+    target = _decide(env, powers, units, i, margins, states)
     if target is None:
         return None
-    return _deviation(env, powers, units, scale, i, target, sigmas, taus, states)
+    return _deviation(env, powers, units, scale, i, target, margins, states)
 
 
 def is_nash(
@@ -285,14 +305,13 @@ def is_nash(
     """
     scale, powers, units = _integer_units(env, u, env.powers)
     sigmas, taus = sigma_tau(env, units)
+    margins = tuple(map(sub, sigmas, taus))
     states = tuple(map(state_of, sigmas, taus))
     deviations: list[Deviation] = []
     for i in range(env.n):
-        target = _decide(env, powers, units, i, sigmas, taus, states)
+        target = _decide(env, powers, units, i, margins, states)
         if target is not None:
-            deviations.append(
-                _deviation(env, powers, units, scale, i, target, sigmas, taus, states)
-            )
+            deviations.append(_deviation(env, powers, units, scale, i, target, margins, states))
             if stop_at_first:
                 break
     return NashResult(ok=not deviations, deviations=tuple(deviations), states=states)
@@ -302,25 +321,24 @@ def first_deviator(
     env: Environment,
     powers: FractionVec,
     u: Matrix,
-    sigmas: FractionVec,
-    taus: FractionVec,
+    margins: FractionVec,
     states: tuple[State, ...],
     start: int,
 ) -> int | None:
     """The first country with a profitable deviation, scanning cyclically
     from `start`; None when u is a Nash equilibrium.
 
-    `sigmas`, `taus` and `states` must be those of u.  Whether some country
+    `margins` (sigma - tau per country) and `states` must be those of u;
+    deciding a country reads only its own row of u.  Whether some country
     deviates does not depend on the scan order, so a caller may start from
     the country most likely to reject.  Exact on int entries as well as on
-    Fractions, so a caller may pass powers and a matrix scaled to integer
-    units.
+    Fractions, so a caller may pass powers, a matrix and margins scaled to
+    integer units.
     """
     for i in range(start, len(states)):
-        if _decide(env, powers, u, i, sigmas, taus, states) is not None:
+        if _decide(env, powers, u, i, margins, states) is not None:
             return i
     for i in range(start):
-        if _decide(env, powers, u, i, sigmas, taus, states) is not None:
+        if _decide(env, powers, u, i, margins, states) is not None:
             return i
     return None
-

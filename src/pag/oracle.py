@@ -13,15 +13,20 @@ power and every entry by the same c > 0 keeps every state and every
 profitable deviation.  Only the stored members become `Fraction`s, through
 one converted row per candidate row that all members share.
 
-Support and threat are linear in the matrix, so each candidate row's share
-of them is computed once, by `sigma_tau` on a matrix holding only that row.
-A candidate's sums are its rows' shares added up: the first n - 1 rows'
-once per prefix of the `product` odometer, the last row's per candidate.
-On ints this addition is exact, so the sums equal `sigma_tau` of the whole
-candidate.  Each candidate is then decided by `first_deviator`, starting
-from the country that rejected the previous candidate: neighbouring
-candidates differ mostly in the last row, so that country usually rejects
-again, and whether some country deviates does not depend on the order.
+Support and threat are linear in the matrix, and so is the survival
+margin sigma - tau whose sign is a country's state.  Each candidate row's
+share of the margins is computed once, from `sigma_tau` on a matrix
+holding only that row.  A candidate's margins are its rows' shares added
+up: the first n - 1 rows' once per prefix of the `product` odometer, the
+last row's per candidate, so a candidate costs one vector addition.  On
+ints this addition is exact, so the margins equal those of the whole
+candidate.  Its states come from a dict from margin to state, filled on
+first sight, so `state_of` runs only for a margin not seen before.  Each
+candidate is then decided by `first_deviator`, which reads a country's
+own row and the margins only, starting from the country that rejected
+the previous candidate: neighbouring candidates differ mostly in the last
+row, so that country usually rejects again, and whether some country
+deviates does not depend on the order.
 
 Enumeration is naturally partitioned by the first row's composition and
 could run concurrently; the atlas orders classes and members canonically
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from operator import add
+from operator import add, sub
 from typing import Iterator
 
 from .equilibrium import first_deviator
@@ -145,6 +150,23 @@ def _row_candidates(env: Environment, i: int, step: Fraction) -> list[tuple[int,
     return out
 
 
+def _margin_share(env: Environment, i: int, row: tuple[int, ...]) -> tuple[int, ...]:
+    """Candidate row i's share of the survival margins sigma - tau: the
+    margins of the matrix that holds only that row."""
+    blank = (0,) * env.n
+    sigmas, taus = sigma_tau(env, tuple(row if k == i else blank for k in range(env.n)))
+    return tuple(map(sub, sigmas, taus))
+
+
+class _StateByMargin(dict):
+    """The state of each survival margin seen so far, filled on first sight:
+    a hit is a dict lookup in C, and only a miss calls `state_of`."""
+
+    def __missing__(self, margin: int) -> State:
+        state = self[margin] = state_of(margin, 0)
+        return state
+
+
 def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
     """Enumerate all grid-admissible matrices and keep the exact equilibria."""
     count = candidate_count(env, grid.step)
@@ -153,27 +175,23 @@ def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
 
     per_row = [_row_candidates(env, i, grid.step) for i in range(env.n)]
     powers = tuple(_row_units(env, i, grid.step) for i in range(env.n))
-    # Every candidate row with its shares of support and threat.
-    blank = (0,) * env.n
     shared = [
-        [(row, *sigma_tau(env, tuple(row if k == i else blank for k in range(env.n))))
-         for row in rows]
-        for i, rows in enumerate(per_row)
+        [(row, _margin_share(env, i, row)) for row in rows] for i, rows in enumerate(per_row)
     ]
+    blank = (0,) * env.n
+    state_at = _StateByMargin().__getitem__
     classes: dict[tuple[State, ...], list[tuple[tuple[int, ...], ...]]] = {}
     rejector = 0
     for prefix in product(*shared[:-1]):
-        head = tuple(row for row, _, _ in prefix)
-        head_sigmas = head_taus = blank
-        for _, row_sigmas, row_taus in prefix:
-            head_sigmas = tuple(map(add, head_sigmas, row_sigmas))
-            head_taus = tuple(map(add, head_taus, row_taus))
-        for row, row_sigmas, row_taus in shared[-1]:
-            sigmas = tuple(map(add, head_sigmas, row_sigmas))
-            taus = tuple(map(add, head_taus, row_taus))
-            states = tuple(map(state_of, sigmas, taus))
+        head = tuple(row for row, _ in prefix)
+        head_margins = blank
+        for _, row_margins in prefix:
+            head_margins = tuple(map(add, head_margins, row_margins))
+        for row, row_margins in shared[-1]:
+            margins = tuple(map(add, head_margins, row_margins))
+            states = tuple(map(state_at, margins))
             u = (*head, row)
-            deviator = first_deviator(env, powers, u, sigmas, taus, states, rejector)
+            deviator = first_deviator(env, powers, u, margins, states, rejector)
             if deviator is None:
                 classes.setdefault(states, []).append(u)
             else:

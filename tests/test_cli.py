@@ -103,7 +103,11 @@ class TestValidate:
             ({"allocation": {"a": {"zz": 1}}}, "unknown country 'zz' in allocation row 'a'",
              {"allocation": {"a": {"z" * 5000: 1}}}),
             ({"countries": [{"name": "a", "power": 1}] * 2}, "duplicate name 'a'",
-             {"countries": [{"name": [[[[["z" * 3000]]]]], "power": 1}] * 2}),
+             {"countries": [{"name": "z" * 3000, "power": 1}] * 2}),
+            ({"countries": [{"name": 1, "power": 1}]}, "country name must be a string: 1",
+             {"countries": [{"name": [[[[["z" * 3000]]]]], "power": 1}]}),
+            ({"friends": [["a", 2]]}, "bad friends pair: ['a', 2]",
+             {"friends": [["a", [[[[["z" * 3000]]]]]]]}),
             ({"countries": [{"name": "a", "power": "x"}]}, "power for 'a': not a rational: 'x'",
              {"countries": [{"name": "a" * 3000, "power": "x"}]}),
             ({"countries": [{"name": "a", "power": -1}]}, "negative power for 'a'",
@@ -118,7 +122,7 @@ class TestValidate:
         ],
         ids=[
             "entry", "friends", "adversaries", "pair-name", "row-name", "row-map", "column-name",
-            "duplicate-name", "power-name", "negative-power-name", "self-relation-name",
+            "duplicate-name", "name-type", "pair-member-type", "power-name", "negative-power-name", "self-relation-name",
             "conflict-names",
         ],
     )
@@ -134,6 +138,18 @@ class TestValidate:
             assert (code, out) == (2, "")
             assert err.startswith(f"error: {message[:12]}")
             assert len(err) < 200
+
+    def test_names_must_be_strings(self, capsys, tmp_path):
+        # Names are not passed through str(): a number naming a country or
+        # a pair member is an input error, even where its str() would match.
+        path = tmp_path / "names.json"
+        countries = [{"name": "1", "power": 2}, {"name": "2", "power": 3}]
+        path.write_text(json.dumps({"countries": countries, "adversaries": [[1, 2]]}))
+        assert run_cli(capsys, "analyze", path) == (2, "", "error: bad adversaries pair: [1, 2]\n")
+        path.write_text(json.dumps({"countries": [{"name": 1, "power": 2}, *countries]}))
+        assert run_cli(capsys, "analyze", path) == (
+            2, "", "error: country name must be a string: 1\n"
+        )
 
     def test_float_power_rejected(self, capsys, tmp_path):
         path = tmp_path / "float.json"

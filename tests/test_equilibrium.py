@@ -168,21 +168,27 @@ def test_deciding_a_hub_reads_each_relation_cell_once():
     # Complexity pin without timing: hub 0 has spent its whole power holding
     # k adversaries precarious and cannot flip its k safe ones, so it has no
     # deviation and every target is tried.  Deciding it must read each of
-    # its cells O(1) times, not once per target tried.
+    # its cells O(1) times, not once per target tried, and only its own
+    # row: the margins stand for every other row, the aid its friend sends
+    # it included.
     k = 40
-    safe, precarious = range(1, k + 1), range(k + 1, 2 * k + 1)
+    safe, precarious, friend = range(1, k + 1), range(k + 1, 2 * k + 1), 2 * k + 1
     env = make_environment(
-        [k] + [k + 1] * k + [1] * k, adversaries=[(0, j) for j in range(1, 2 * k + 1)]
+        [k] + [k + 1] * k + [1] * k + [2],
+        friends=[(0, friend)],
+        adversaries=[(0, j) for j in range(1, 2 * k + 1)],
     )
     u = matrix_from_entries(
         env,
         {(0, j): 1 for j in precarious}
         | {(j, j): k + 1 for j in safe}
-        | {(j, j): 1 for j in precarious},
+        | {(j, j): 1 for j in precarious}
+        | {(friend, friend): 1, (friend, 0): 1},
     )
     sigmas, taus = model.sigma_tau(env, u)
+    margins = tuple(s - t for s, t in zip(sigmas, taus))
     states = tuple(map(model.state_of, sigmas, taus))
-    assert states == (State.SAFE,) + (State.SAFE,) * k + (State.PRECARIOUS,) * k
+    assert states == (State.SAFE,) + (State.SAFE,) * k + (State.PRECARIOUS,) * k + (State.SAFE,)
     reads = collections.Counter()
 
     class CountingRow(tuple):
@@ -194,11 +200,17 @@ def test_deciding_a_hub_reads_each_relation_cell_once():
     for i, row in enumerate(u):
         rows.append(CountingRow(row))
         rows[-1].index = i
+    rows = tuple(rows)
+    hub_row = {(0, j) for j in env.row_support(0)}
+    assert equilibrium._decide(env, env.powers, rows, 0, margins, states) is None
+    assert max(reads.values()) == 1
+    assert set(reads) == hub_row
+    reads.clear()
     # The hub has no deviation; its first safe adversary, next in the scan,
     # flips it.
-    assert equilibrium.first_deviator(env, env.powers, tuple(rows), sigmas, taus, states, 0) == 1
+    assert equilibrium.first_deviator(env, env.powers, rows, margins, states, 0) == 1
     assert max(reads.values()) == 1
-    assert {cell for cell in reads if cell[0] == 0} == {(0, j) for j in range(1, 2 * k + 1)}
+    assert {cell for cell in reads if cell[0] == 0} == hub_row
 
 
 @settings(max_examples=50, deadline=None)

@@ -74,6 +74,17 @@ class TestFindEquilibria:
             "unsafe", "safe", "unsafe", "safe",
         ]
 
+    def test_env3_step_one_atlas(self, env3):
+        # Example three's environment at step 1: the candidate count, every
+        # class in canonical order and its size, as found when the decision
+        # still read support and threat as two vectors.
+        atlas = pag.find_equilibria(env3, GridSpec(step=Fraction(1)))
+        assert atlas.candidates_checked == 185_220
+        assert atlas.total == 350
+        assert [
+            ("".join(s.value[0] for s in cls.states), len(cls.members)) for cls in atlas.classes
+        ] == [("ussu", 35), ("usus", 15), ("uusu", 210), ("uuus", 90)]
+
     def test_single_country(self):
         atlas = pag.find_equilibria(make_environment([3]), GridSpec(step=Fraction(1)))
         assert atlas.total == 1
@@ -166,9 +177,10 @@ class TestIntegerKernel:
         env = request.getfixturevalue(name)
         for u in itertools.product(*(list(grid_rows(env, i, step)) for i in range(env.n))):
             sigmas, taus = sigma_tau(env, u)
+            margins = tuple(s - t for s, t in zip(sigmas, taus))
             states = tuple(map(state_of, sigmas, taus))
             found = {
-                first_deviator(env, env.powers, u, sigmas, taus, states, start)
+                first_deviator(env, env.powers, u, margins, states, start)
                 for start in range(env.n)
             }
             assert found == {None} or None not in found
