@@ -19,6 +19,7 @@ topology error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -181,7 +182,10 @@ def _sparse_row(env: Environment, row) -> dict[str, str]:
 
 
 def _load(path: str) -> tuple[Environment, Matrix | None]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError([f"cannot read {exc.filename}"]) from None
     try:
         data = json.loads(text)
     except RecursionError:
@@ -196,9 +200,9 @@ def _print_report(lines: Sequence[str], payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _fail(message: str, code: int = EXIT_ERROR) -> int:
+def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
-    return code
+    return EXIT_ERROR
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -305,9 +309,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     elif args.kind == "sole-survivor":
         u = constructors.sole_survivor_equilibrium(env, env.index(args.target))
     else:
-        u = constructors.bipartite_safe_equilibrium(
-            env, env.index(args.target), seed=args.seed
-        )
+        u = constructors.bipartite_safe_equilibrium(env, env.index(args.target))
     print(json.dumps(emit_scenario(env, u), indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -468,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["balancing", "sole-survivor", "bipartite-safe"],
     )
     p.add_argument("--target", help="country name (sole-survivor, bipartite-safe)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("analyze", help="survival condition reports and the cover")
@@ -489,9 +490,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except OSError as exc:
-        return _fail(f"cannot read {exc.filename}")
+        # Scenarios are read in _load, so this is a write to stdout failing:
+        # its reader went away (`pag search ... | head -1`) or its device is
+        # full.  Closing stdout keeps the flush at interpreter exit from
+        # failing a second time.
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_ERROR
+        return _fail(f"cannot write output: {exc.strerror}")
     except json.JSONDecodeError as exc:
         return _fail(f"invalid JSON: {exc}")
     except ValidationError as exc:

@@ -108,7 +108,7 @@ def symmetric_row_sum_matrix(powers: Sequence[Rational]) -> Matrix:
 def _verify(env: Environment, u: Matrix, label: str, states: tuple[State, ...]) -> Matrix:
     """u itself if it induces `states`, is admissible and is a Nash
     equilibrium; otherwise ConstructionFailed naming the first failure."""
-    result = is_nash(env, u, stop_at_first=True)
+    result = is_nash(env, u)
     if result.states != states:
         raise ConstructionFailed(f"{label} states are {[s.value for s in result.states]}")
     problems = validate_allocation(env, u)
@@ -247,22 +247,20 @@ def pairwise_annihilation(
     )
 
 
-def _orderings(
-    pairs: Sequence[Pair], seed: int, limit: int
-) -> Iterable[tuple[Pair, ...]]:
+def _orderings(pairs: Sequence[Pair]) -> Iterable[tuple[Pair, ...]]:
     """Distinct pair orderings: the sorted one and its next permutations,
-    `limit` in all, then, if permutations remain, `limit` seeded shuffles
-    with the orderings already yielded left out."""
+    `MAX_ORDERINGS` in all, then, if permutations remain, `MAX_ORDERINGS`
+    shuffles from a fixed seed with the orderings already yielded left out."""
     base = tuple(sorted(pairs))
     permutations = itertools.permutations(base)
     seen = set()
-    for ordering in itertools.islice(permutations, limit):
+    for ordering in itertools.islice(permutations, MAX_ORDERINGS):
         seen.add(ordering)
         yield ordering
     if next(permutations, None) is None:
         return
-    rng = random.Random(seed)
-    for _ in range(limit):
+    rng = random.Random(0)
+    for _ in range(MAX_ORDERINGS):
         shuffled = list(base)
         rng.shuffle(shuffled)
         ordering = tuple(shuffled)
@@ -271,50 +269,30 @@ def _orderings(
             yield ordering
 
 
-def _residual_splits(
-    holders: Sequence[int], seed: int, limit: int = 8
-) -> Iterable[dict[int, bool]]:
+def _residual_splits(holders: Sequence[int]) -> Iterable[dict[int, bool]]:
     """Spend-or-reserve assignments for the countries holding residuals.
 
     Whether a leftover is burned on remaining rivals or held back changes
-    who stays pinned, and the right choice can differ per country, so the
-    assignments are enumerated (exhaustively while small, sampled beyond).
+    who stays pinned, and the right choice can differ per country, so up to
+    8 distinct assignments are tried: all-spend, all-reserve, then every
+    assignment while there are at most 8, or samples from a fixed seed.
     """
     k = len(holders)
-    if k == 0:
-        yield {}
-        return
+    if 2 ** k <= 8:
+        rest = itertools.product((True, False), repeat=k)
+    else:
+        rng = random.Random(0x5EED)
+        rest = (tuple(rng.random() < 0.5 for _ in range(k)) for _ in itertools.count())
     seen: set[tuple[bool, ...]] = set()
-
-    def emit(bits: tuple[bool, ...]):
+    for bits in itertools.chain(((True,) * k, (False,) * k), rest):
         if bits not in seen:
             seen.add(bits)
-            return dict(zip(holders, bits))
-        return None
-
-    for bits in ((True,) * k, (False,) * k):
-        split = emit(bits)
-        if split is not None:
-            yield split
-    if 2 ** k <= limit:
-        for bits in itertools.product((True, False), repeat=k):
-            split = emit(bits)
-            if split is not None:
-                yield split
-        return
-    rng = random.Random(seed ^ 0x5EED)
-    while len(seen) < limit:
-        split = emit(tuple(rng.random() < 0.5 for _ in range(k)))
-        if split is not None:
-            yield split
+            yield dict(zip(holders, bits))
+            if len(seen) == 8:
+                return
 
 
-def bipartite_safe_equilibrium(
-    env: Environment,
-    target: int,
-    *,
-    seed: int = 0,
-) -> Matrix:
+def bipartite_safe_equilibrium(env: Environment, target: int) -> Matrix:
     """Equilibrium on a friendless bipartite rivalry where `target` is safe.
 
     Runs the annihilation recursion on all pairs not involving the target,
@@ -333,7 +311,7 @@ def bipartite_safe_equilibrium(
     pairs = sorted(p for p in env.adversaries if target not in p)
 
     attempts = 0
-    for ordering in _orderings(pairs, seed, MAX_ORDERINGS):
+    for ordering in _orderings(pairs):
         attempts += 1
         outcome = pairwise_annihilation(env, target, ordering)
         z = list(outcome.residuals)
@@ -349,7 +327,7 @@ def bipartite_safe_equilibrium(
             and any(j != target for j in env.adversaries_of(k))
         ]
 
-        for split in _residual_splits(holders, seed):
+        for split in _residual_splits(holders):
             rows = [list(row) for row in outcome.matrix]
             if adversaries:
                 margin = surplus / len(adversaries)
@@ -371,13 +349,13 @@ def bipartite_safe_equilibrium(
             u: Matrix = tuple(tuple(row) for row in rows)
             if validate_allocation(env, u):
                 continue
-            result = is_nash(env, u, stop_at_first=True)
+            result = is_nash(env, u)
             for _ in range(REPAIR_ROUNDS):
                 if result.ok:
                     break
                 dev = result.deviations[0]
                 u = replace_row(u, dev.country, dev.row)
-                result = is_nash(env, u, stop_at_first=True)
+                result = is_nash(env, u)
             if result.ok and result.states[target] is State.SAFE:
                 return u
 

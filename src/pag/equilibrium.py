@@ -98,15 +98,6 @@ class NashResult:
     deviations: tuple[Deviation, ...]
     states: tuple[State, ...]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def witness_for(self, i: int) -> Deviation | None:
-        for dev in self.deviations:
-            if dev.country == i:
-                return dev
-        return None
-
 
 #: What a profitable deviation of i gains: (the unsafe friend it rescues,
 #: the adversary it flips or pushes, whether the push is strict).
@@ -286,22 +277,17 @@ def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
     return _deviation(env, powers, units, scale, i, target, margins, states)
 
 
-def is_nash(
-    env: Environment,
-    u: Matrix,
-    *,
-    stop_at_first: bool = False,
-) -> NashResult:
+def is_nash(env: Environment, u: Matrix) -> NashResult:
     """Check that no country has a profitable unilateral deviation.
 
-    The certificate lists a profitable witness per deviating country (all
-    of them, unless `stop_at_first` asks for the cheapest rejection) and
-    the states u induces.  Support, threat and states are computed once,
-    in integer units of the common denominator; each witness re-evaluates
-    only its deviator's relevant set, so a check costs O(n + E) plus, per
-    deviator, its n-entry row and one copy of the n-state tuple.  The
-    entries of u must be nonnegative, as those of every admissible matrix
-    are (`model.validate_allocation`).
+    The certificate lists one profitable witness per deviating country, in
+    country order, and the states u induces; `ok` is the verdict, and the
+    first deviation names the lowest-index deviator.  Support, threat and
+    states are computed once, in integer units of the common denominator;
+    each witness re-evaluates only its deviator's relevant set, so a check
+    costs O(n + E) plus, per deviator, its n-entry row and one copy of the
+    n-state tuple.  The entries of u must be nonnegative, as those of every
+    admissible matrix are (`model.validate_allocation`).
     """
     scale, powers, units = _integer_units(env, u, env.powers)
     sigmas, taus = sigma_tau(env, units)
@@ -312,8 +298,6 @@ def is_nash(
         target = _decide(env, powers, units, i, margins, states)
         if target is not None:
             deviations.append(_deviation(env, powers, units, scale, i, target, margins, states))
-            if stop_at_first:
-                break
     return NashResult(ok=not deviations, deviations=tuple(deviations), states=states)
 
 

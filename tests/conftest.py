@@ -15,9 +15,19 @@ from typing import Sequence
 
 import pytest
 
-from pag import Environment, Matrix, make_environment, matrix_from_entries
+from pag import (
+    Environment,
+    Matrix,
+    TopologyError,
+    bipartite_safe_sufficient,
+    make_environment,
+    matrix_from_entries,
+)
 from pag.model import ZERO, replace_row, state_vector
 from pag.preference import Verdict, improvement_from_states
+
+#: Seed of the acceptance suite's sampled instances.
+SEED = 20260808
 
 
 @pytest.fixture
@@ -171,6 +181,24 @@ def random_bipartite_environment(
     keep = edges[: rng.randint(1, len(edges))]
     powers = [rng.randint(1, max_power) for _ in range(n)]
     return make_environment(powers, adversaries=keep)
+
+
+def criterion_06_instances(
+    rng: random.Random, count: int
+) -> list[tuple[Environment, int]]:
+    """`count` bipartite instances (at most 5 countries, powers 1-8) whose
+    target has adversaries and meets the sufficient condition for safety."""
+    instances = []
+    while len(instances) < count:
+        env = random_bipartite_environment(rng, max_n=5, max_power=8)
+        target = rng.randrange(env.n)
+        try:
+            sufficient = bipartite_safe_sufficient(env, target)
+        except TopologyError:
+            continue
+        if sufficient and env.adversaries_of(target):
+            instances.append((env, target))
+    return instances
 
 
 def random_sparse_scenario(

@@ -25,13 +25,13 @@ from pag.cli import main as cli_main
 from pag.model import State, sigma_tau
 
 from conftest import (
+    SEED,
+    criterion_06_instances,
     grid_profitable_deviation,
     random_allocation,
-    random_bipartite_environment,
     random_environment,
 )
 
-SEED = 20260808
 DATA = Path(__file__).parent / "data"
 ONE = Fraction(1)
 
@@ -198,22 +198,6 @@ def test_criterion_05_companion_sound_parts(capsys, env3):
         )
 
 
-def _criterion_06_instances():
-    rng = random.Random(SEED)
-    instances = []
-    while len(instances) < 50:
-        env = random_bipartite_environment(rng, max_n=5, max_power=8)
-        target = rng.randrange(env.n)
-        try:
-            sufficient = pag.bipartite_safe_sufficient(env, target)
-        except pag.TopologyError:
-            continue
-        if not sufficient or not env.adversaries_of(target):
-            continue
-        instances.append((env, target))
-    return instances
-
-
 @pytest.mark.xfail(
     strict=True,
     reason=(
@@ -228,10 +212,10 @@ def _criterion_06_instances():
 )
 def test_criterion_06_bipartite_constructive(capsys):
     failures = []
-    instances = _criterion_06_instances()
+    instances = criterion_06_instances(random.Random(SEED), 50)
     for env, target in instances:
         try:
-            u = pag.bipartite_safe_equilibrium(env, target, seed=SEED)
+            u = pag.bipartite_safe_equilibrium(env, target)
         except pag.ConstructionFailed:
             failures.append((env, target))
             continue
@@ -254,9 +238,9 @@ def test_criterion_06_companion_failures_are_counterexamples(capsys):
     # counterexample to the sufficiency claim rather than a constructor bug.
     bugs = []
     failures = 0
-    for env, target in _criterion_06_instances():
+    for env, target in criterion_06_instances(random.Random(SEED), 50):
         try:
-            u = pag.bipartite_safe_equilibrium(env, target, seed=SEED)
+            u = pag.bipartite_safe_equilibrium(env, target)
         except pag.ConstructionFailed:
             failures += 1
             atlas = pag.find_equilibria(
@@ -281,7 +265,7 @@ def test_criterion_06_companion_pinned_counterexample():
     env = make_environment([1, 1, 5], adversaries=[(0, 1), (0, 2)])
     assert pag.bipartite_safe_sufficient(env, 1)
     with pytest.raises(pag.ConstructionFailed):
-        pag.bipartite_safe_equilibrium(env, 1, seed=SEED)
+        pag.bipartite_safe_equilibrium(env, 1)
     atlas = pag.find_equilibria(env, GridSpec(step=Fraction(1, 2)))
     assert atlas.classes
     assert all(cls.states[1] is not State.SAFE for cls in atlas.classes)

@@ -1,4 +1,7 @@
+import errno
+import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -311,6 +314,17 @@ class TestConstruct:
         assert code == 2
         assert "--target" in err
 
+    def test_seed_flag_is_rejected(self, capsys):
+        # The bipartite construction has no seed: its search is fixed.
+        with pytest.raises(SystemExit) as exit_:
+            main(["construct", str(DATA / "env3.json"), "--kind", "bipartite-safe",
+                  "--target", "v2", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert exit_.value.code == 2
+        assert err.startswith("usage: pag ")
+        assert "unrecognized arguments: --seed 1" in err
+        assert "Traceback" not in err
+
 
 class TestAnalyze:
     def test_env4_cover_report(self, capsys):
@@ -434,6 +448,54 @@ class TestRoundTrip:
         env2, u2 = parse_scenario(emit_scenario(env, u))
         assert env2.powers == env.powers
         assert u2 == u
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose every write fails with `error`."""
+
+    def __init__(self, error: OSError):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize(
+    "error, message",
+    [
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"), ""),
+        (OSError(errno.ENOSPC, "No space left on device"),
+         "error: cannot write output: No space left on device\n"),
+    ],
+    ids=["closed-pipe", "full-device"],
+)
+def test_failed_stdout_exits_two(capsys, monkeypatch, error, message):
+    # A closed pipe ends the command quietly; any other write failure says
+    # so, and neither is reported as an unreadable input.
+    stdout = _FailingStdout(error)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["search", str(DATA / "env3.json"), "--step", "1"])
+    assert (code, capsys.readouterr().err) == (2, message)
+    assert stdout.closed
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_closed_pipe_leaves_stderr_clean(unbuffered):
+    # The reader closes the pipe before the first write, as `| head -1`
+    # does to a long report; buffered or not, stderr stays empty.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pag", "search", str(DATA / "env3.json"), "--step", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (2, b"")
 
 
 def test_console_entry_point():

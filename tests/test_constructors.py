@@ -19,7 +19,7 @@ from pag import (
 )
 from pag.model import State, state_vector
 
-from conftest import random_bipartite_environment
+from conftest import SEED, criterion_06_instances, random_bipartite_environment
 
 
 def complete(powers):
@@ -219,7 +219,7 @@ class TestBipartiteSafeEquilibrium:
         # Oversized repair margins once overkilled the middle country and
         # released the target's adversary from its maintenance burden.
         env = make_environment([7, 7, 8, 3], adversaries=[(0, 1), (0, 2), (1, 3)])
-        u = pag.bipartite_safe_equilibrium(env, 3, seed=3)
+        u = pag.bipartite_safe_equilibrium(env, 3)
         assert state_vector(env, u)[3] is State.SAFE
         assert pag.is_nash(env, u).ok
 
@@ -227,7 +227,7 @@ class TestBipartiteSafeEquilibrium:
         # Stable only when one residual holder burns its leftover on its
         # remaining rival while the other holds back; uniform policies fail.
         env = make_environment([2, 5, 1, 5], adversaries=[(0, 2), (1, 3), (2, 3)])
-        u = pag.bipartite_safe_equilibrium(env, 1, seed=3)
+        u = pag.bipartite_safe_equilibrium(env, 1)
         assert state_vector(env, u)[1] is State.SAFE
         assert pag.is_nash(env, u).ok
 
@@ -241,20 +241,19 @@ class TestBipartiteSafeEquilibrium:
 
 
 @pytest.mark.parametrize("k", [6, 7])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_orderings_are_never_repeated(k, seed):
+def test_orderings_are_never_repeated(k):
     # Each ordering's attempt is deterministic, so a repeat cannot succeed
     # where it failed.  The orderings are the permutations in order, then
-    # the seeded shuffles, with every repeat left out.
+    # the shuffles from seed 0, with every repeat left out.
     pairs = [(j, k + j) for j in range(k)]
     limit = constructors.MAX_ORDERINGS
     tried = list(itertools.islice(itertools.permutations(pairs), limit))
-    rng = random.Random(seed)
+    rng = random.Random(0)
     for _ in range(limit):
         shuffled = list(pairs)
         rng.shuffle(shuffled)
         tried.append(tuple(shuffled))
-    orderings = list(constructors._orderings(list(reversed(pairs)), seed, limit))
+    orderings = list(constructors._orderings(list(reversed(pairs))))
     assert orderings == list(dict.fromkeys(tried))
     assert len(set(orderings)) == len(orderings) == (720 if k == 6 else len(set(tried)))
 
@@ -273,9 +272,31 @@ def test_bipartite_outputs_always_verify(seed):
     except TopologyError:
         return
     try:
-        u = pag.bipartite_safe_equilibrium(env, target, seed=seed & 0xFFFF)
+        u = pag.bipartite_safe_equilibrium(env, target)
     except pag.ConstructionFailed:
         return
     assert pag.validate_allocation(env, u) == []
     assert state_vector(env, u)[target] is State.SAFE
     assert pag.is_nash(env, u).ok
+
+
+def test_bipartite_reach_on_criterion_06_instances():
+    # What the ordering and split search reaches on the acceptance suite's
+    # instance generator: 587 of 650 succeed, and every success verifies.
+    # A change to the orderings, the splits or the repair moves this count.
+    instances = [
+        instance
+        for rng, count in [(random.Random(s), 200) for s in (0, 1, 2)] + [(random.Random(SEED), 50)]
+        for instance in criterion_06_instances(rng, count)
+    ]
+    successes = 0
+    for env, target in instances:
+        try:
+            u = pag.bipartite_safe_equilibrium(env, target)
+        except ConstructionFailed:
+            continue
+        successes += 1
+        assert pag.validate_allocation(env, u) == []
+        assert state_vector(env, u)[target] is State.SAFE
+        assert pag.is_nash(env, u).ok
+    assert (len(instances), successes) == (650, 587)

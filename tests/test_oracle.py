@@ -137,7 +137,7 @@ class TestIntegerKernel:
         env = request.getfixturevalue(name)
         expected: dict = {}
         for u in itertools.product(*(list(grid_rows(env, i, step)) for i in range(env.n))):
-            if pag.is_nash(env, u, stop_at_first=True).ok:
+            if pag.is_nash(env, u).ok:
                 expected.setdefault(pag.state_vector(env, u), set()).add(u)
         atlas = pag.find_equilibria(env, GridSpec(step=step))
         assert {cls.states: cls.members for cls in atlas.classes} == {
@@ -163,7 +163,7 @@ class TestIntegerKernel:
             )
             expected: dict = {}
             for u in candidates:
-                if pag.is_nash(env, u, stop_at_first=True).ok:
+                if pag.is_nash(env, u).ok:
                     expected.setdefault(pag.state_vector(env, u), []).append(u)
             atlas = pag.find_equilibria(env, GridSpec(step=step))
             assert atlas.candidates_checked == len(candidates)
