@@ -190,6 +190,8 @@ def _load(path: str) -> tuple[Environment, Matrix | None]:
         data = json.loads(text)
     except RecursionError:
         raise ValidationError(["invalid JSON: nested too deeply"]) from None
+    except json.JSONDecodeError as exc:
+        raise ValidationError([f"invalid JSON: {exc}"]) from None
     return parse_scenario(data)
 
 
@@ -503,8 +505,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(exc, BrokenPipeError):
             return EXIT_ERROR
         return _fail(f"cannot write output: {exc.strerror}")
-    except json.JSONDecodeError as exc:
-        return _fail(f"invalid JSON: {exc}")
     except ValidationError as exc:
         for problem in exc.errors:
             print(f"error: {problem}", file=sys.stderr)

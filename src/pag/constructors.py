@@ -269,39 +269,18 @@ def _orderings(pairs: Sequence[Pair]) -> Iterable[tuple[Pair, ...]]:
             yield ordering
 
 
-def _residual_splits(holders: Sequence[int]) -> Iterable[dict[int, bool]]:
-    """Spend-or-reserve assignments for the countries holding residuals.
-
-    Whether a leftover is burned on remaining rivals or held back changes
-    who stays pinned, and the right choice can differ per country, so up to
-    8 distinct assignments are tried: all-spend, all-reserve, then every
-    assignment while there are at most 8, or samples from a fixed seed.
-    """
-    k = len(holders)
-    if 2 ** k <= 8:
-        rest = itertools.product((True, False), repeat=k)
-    else:
-        rng = random.Random(0x5EED)
-        rest = (tuple(rng.random() < 0.5 for _ in range(k)) for _ in itertools.count())
-    seen: set[tuple[bool, ...]] = set()
-    for bits in itertools.chain(((True,) * k, (False,) * k), rest):
-        if bits not in seen:
-            seen.add(bits)
-            yield dict(zip(holders, bits))
-            if len(seen) == 8:
-                return
-
-
 def bipartite_safe_equilibrium(env: Environment, target: int) -> Matrix:
     """Equilibrium on a friendless bipartite rivalry where `target` is safe.
 
     Runs the annihilation recursion on all pairs not involving the target,
     then the target outbids every adversary's residual, exhausting its
     budget with a strictly positive margin per adversary when possible.
-    Residuals of other countries are spent on their remaining rivals rather
-    than held in reserve (idle reserve next to a precarious rival is itself
-    a profitable deviation).  If verification fails, bounded best-response
-    repair and alternative pair orderings are tried before giving up.
+    The other countries' residuals are first spent evenly on their
+    remaining rivals (idle reserve next to a precarious rival is itself a
+    profitable deviation), then, if that does not verify, all held in
+    reserve; a residual with no rival left to spend on is always reserved.
+    Each unverified attempt gets bounded best-response repair, and
+    alternative pair orderings are tried before giving up.
     """
     if not bipartite_safe_sufficient(env, target):
         raise ConditionNotMet(
@@ -319,15 +298,14 @@ def bipartite_safe_equilibrium(env: Environment, target: int) -> Matrix:
         if need > env.powers[target]:
             continue
         surplus = env.powers[target] - need
-        holders = [
-            k
+        spendable = {
+            k: [j for j in env.adversaries_of(k) if j != target]
             for k in range(env.n)
-            if k != target
-            and z[k] > 0
-            and any(j != target for j in env.adversaries_of(k))
-        ]
+            if k != target and z[k] > 0
+        }
+        policies = (True, False) if any(spendable.values()) else (False,)
 
-        for split in _residual_splits(holders):
+        for spend in policies:
             rows = [list(row) for row in outcome.matrix]
             if adversaries:
                 margin = surplus / len(adversaries)
@@ -335,14 +313,10 @@ def bipartite_safe_equilibrium(env: Environment, target: int) -> Matrix:
                     rows[target][j] = z[j] + margin
             else:
                 rows[target][target] = env.powers[target]
-            for k in range(env.n):
-                if k == target or z[k] == 0:
-                    continue
-                spendable = [j for j in env.adversaries_of(k) if j != target]
-                if split.get(k, False) and spendable:
-                    share = z[k] / len(spendable)
-                    for j in spendable:
-                        rows[k][j] += share
+            for k, rivals in spendable.items():
+                if spend and rivals:
+                    for j in rivals:
+                        rows[k][j] += z[k] / len(rivals)
                 else:
                     rows[k][k] = z[k]
 

@@ -72,6 +72,14 @@ class TestValidate:
         assert out == ""
         assert err == "error: invalid JSON: nested too deeply\n"
 
+    def test_malformed_json_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"countries": [')
+        code, out, err = run_cli(capsys, "validate", path)
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid JSON: Expecting value: line 1 column 16 (char 15)\n"
+
     def test_deep_country_entry_is_echoed_short(self, tmp_path):
         # A second country entry nested 980 deep parses (JSON allows it at
         # the top of a fresh interpreter's stack), so only the echo bounds

@@ -223,9 +223,10 @@ class TestBipartiteSafeEquilibrium:
         assert state_vector(env, u)[3] is State.SAFE
         assert pag.is_nash(env, u).ok
 
-    def test_mixed_residual_split_needed(self):
-        # Stable only when one residual holder burns its leftover on its
-        # remaining rival while the other holds back; uniform policies fail.
+    def test_later_ordering_with_reserve_policy(self):
+        # On the sorted ordering both residual policies repair into an
+        # equilibrium where the target is not safe; the second ordering's
+        # all-reserve policy verifies after one repair round.
         env = make_environment([2, 5, 1, 5], adversaries=[(0, 2), (1, 3), (2, 3)])
         u = pag.bipartite_safe_equilibrium(env, 1)
         assert state_vector(env, u)[1] is State.SAFE
@@ -238,6 +239,28 @@ class TestBipartiteSafeEquilibrium:
     def test_odd_cycle_rejected(self, env2):
         with pytest.raises(TopologyError):
             pag.bipartite_safe_equilibrium(env2, 0)
+
+
+def test_shuffled_ordering_reaches_what_permutations_miss(monkeypatch):
+    # Seven non-target pairs have 5,040 orderings, so the permutations stop
+    # at MAX_ORDERINGS and the shuffles run; the first shuffle verifies.
+    env = make_environment(
+        [5, 5, 5, 9, 3, 8, 9, 7, 8],
+        adversaries=[(0, 3), (0, 4), (0, 6), (0, 7), (1, 7), (2, 6), (3, 8), (7, 8)],
+    )
+    u = pag.bipartite_safe_equilibrium(env, 2)
+    assert pag.validate_allocation(env, u) == []
+    assert state_vector(env, u)[2] is State.SAFE
+    assert pag.is_nash(env, u).ok
+    monkeypatch.setattr(
+        constructors,
+        "_orderings",
+        lambda pairs: itertools.islice(
+            itertools.permutations(sorted(pairs)), constructors.MAX_ORDERINGS
+        ),
+    )
+    with pytest.raises(ConstructionFailed):
+        pag.bipartite_safe_equilibrium(env, 2)
 
 
 @pytest.mark.parametrize("k", [6, 7])
@@ -281,9 +304,9 @@ def test_bipartite_outputs_always_verify(seed):
 
 
 def test_bipartite_reach_on_criterion_06_instances():
-    # What the ordering and split search reaches on the acceptance suite's
+    # What the ordering and policy search reaches on the acceptance suite's
     # instance generator: 587 of 650 succeed, and every success verifies.
-    # A change to the orderings, the splits or the repair moves this count.
+    # A change to the orderings, the policies or the repair moves this count.
     instances = [
         instance
         for rng, count in [(random.Random(s), 200) for s in (0, 1, 2)] + [(random.Random(SEED), 50)]
