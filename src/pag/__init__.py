@@ -29,7 +29,6 @@ from .analysis import (
     protectorate,
 )
 from .constructors import (
-    AnnihilationResult,
     ConditionNotMet,
     ConstructionFailed,
     InfeasiblePower,
@@ -72,7 +71,6 @@ from .oracle import (
     survival_possibility,
 )
 from .preference import (
-    Verdict,
     category_profile,
     improvement_from_states,
     strongly_prefers_states,

@@ -55,15 +55,6 @@ def adversary_bipartition(env: Environment) -> tuple[frozenset[int], frozenset[i
     return left, right
 
 
-def _require_bipartite_no_friends(env: Environment) -> tuple[frozenset[int], frozenset[int]]:
-    if env.friends:
-        raise TopologyError("environment has friend relations")
-    parts = adversary_bipartition(env)
-    if parts is None:
-        raise TopologyError("adversary graph is not bipartite")
-    return parts
-
-
 def check_group_balance(env: Environment, group: Iterable[int]) -> bool:
     """No internal antagonism and each member covers its adversaries' power.
 
@@ -115,22 +106,21 @@ def balancing_exists(env: Environment) -> bool:
     return all(p <= total - p for p in env.powers)
 
 
-def _adversaries_coverable(env: Environment, i: int) -> bool:
-    """Each adversary of i has no more power than its own adversaries together."""
-    for j in env.adversaries_of(i):
-        if env.powers[j] > sum((env.powers[k] for k in env.adversaries_of(j)), ZERO):
-            return False
-    return True
-
-
 def bipartite_safe_necessary(env: Environment, i: int) -> bool:
     """Necessary condition for i to be safe in some equilibrium.
 
     Each adversary of i must be coverable: its power must not exceed the
-    total power of its own adversaries.
+    total power of its own adversaries.  TopologyError unless the
+    environment is friendless with a bipartite adversary graph.
     """
-    _require_bipartite_no_friends(env)
-    return _adversaries_coverable(env, i)
+    if env.friends:
+        raise TopologyError("environment has friend relations")
+    if adversary_bipartition(env) is None:
+        raise TopologyError("adversary graph is not bipartite")
+    return all(
+        env.powers[j] <= sum((env.powers[k] for k in env.adversaries_of(j)), ZERO)
+        for j in env.adversaries_of(i)
+    )
 
 
 def bipartite_safe_sufficient(env: Environment, i: int) -> bool:
@@ -140,12 +130,11 @@ def bipartite_safe_sufficient(env: Environment, i: int) -> bool:
     strictly below the total power of those adversaries' adversaries.
     Vacuously true when i has no adversaries.
     """
-    _require_bipartite_no_friends(env)
+    if not bipartite_safe_necessary(env, i):
+        return False
     adversaries = env.adversaries_of(i)
     if not adversaries:
         return True
-    if not _adversaries_coverable(env, i):
-        return False
     second: set[int] = set()
     for j in adversaries:
         second.update(env.adversaries_of(j))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -194,32 +193,18 @@ def sole_survivor_equilibrium(env: Environment, survivor: int) -> Matrix:
     return _verify(env, u, "sole survivor", expected)
 
 
-@dataclass(frozen=True)
-class AnnihilationResult:
-    """Outcome of pair-ordered mutual annihilation.
-
-    `ordering` is the processed pair sequence, `trace` holds the residual
-    vector after every step (index 0 is the initial powers), `matrix` the
-    symmetric allocations placed on the processed pairs, and `residuals`
-    the final unspent powers.
-    """
-
-    ordering: tuple[Pair, ...]
-    trace: tuple[tuple[Fraction, ...], ...]
-    matrix: Matrix
-    residuals: tuple[Fraction, ...]
-
-
 def pairwise_annihilation(
     env: Environment,
     excluded: int,
     ordering: Sequence[Pair] | None = None,
-) -> AnnihilationResult:
+) -> tuple[Matrix, tuple[Fraction, ...]]:
     """Process adversarial pairs not touching `excluded` in order.
 
     Each step allocates the minimum of the two remaining powers
     symmetrically on the pair, so at least one endpoint of every processed
-    pair ends with residual zero.
+    pair ends with residual zero.  Returns the pair `(matrix, residuals)`:
+    the symmetric allocations, zero off the processed pairs, and the
+    unspent powers.
     """
     if env.friends:
         raise TopologyError("annihilation requires a friendless environment")
@@ -230,7 +215,6 @@ def pairwise_annihilation(
         raise ValueError("ordering must list exactly the non-excluded adversary pairs")
 
     z = list(env.powers)
-    trace = [tuple(z)]
     rows = [[ZERO] * env.n for _ in range(env.n)]
     for j, h in ordering:
         amount = min(z[j], z[h])
@@ -238,13 +222,7 @@ def pairwise_annihilation(
         rows[h][j] += amount
         z[j] -= amount
         z[h] -= amount
-        trace.append(tuple(z))
-    return AnnihilationResult(
-        ordering=tuple(ordering),
-        trace=tuple(trace),
-        matrix=tuple(tuple(row) for row in rows),
-        residuals=tuple(z),
-    )
+    return tuple(tuple(row) for row in rows), tuple(z)
 
 
 def _orderings(pairs: Sequence[Pair]) -> Iterable[tuple[Pair, ...]]:
@@ -292,8 +270,7 @@ def bipartite_safe_equilibrium(env: Environment, target: int) -> Matrix:
     attempts = 0
     for ordering in _orderings(pairs):
         attempts += 1
-        outcome = pairwise_annihilation(env, target, ordering)
-        z = list(outcome.residuals)
+        matrix, z = pairwise_annihilation(env, target, ordering)
         need = sum((z[j] for j in adversaries), ZERO)
         if need > env.powers[target]:
             continue
@@ -306,7 +283,7 @@ def bipartite_safe_equilibrium(env: Environment, target: int) -> Matrix:
         policies = (True, False) if any(spendable.values()) else (False,)
 
         for spend in policies:
-            rows = [list(row) for row in outcome.matrix]
+            rows = [list(row) for row in matrix]
             if adversaries:
                 margin = surplus / len(adversaries)
                 for j in adversaries:
@@ -321,8 +298,6 @@ def bipartite_safe_equilibrium(env: Environment, target: int) -> Matrix:
                     rows[k][k] = z[k]
 
             u: Matrix = tuple(tuple(row) for row in rows)
-            if validate_allocation(env, u):
-                continue
             result = is_nash(env, u)
             for _ in range(REPAIR_ROUNDS):
                 if result.ok:
@@ -330,7 +305,7 @@ def bipartite_safe_equilibrium(env: Environment, target: int) -> Matrix:
                 dev = result.deviations[0]
                 u = replace_row(u, dev.country, dev.row)
                 result = is_nash(env, u)
-            if result.ok and result.states[target] is State.SAFE:
+            if result.ok and result.states[target] is State.SAFE and not validate_allocation(env, u):
                 return u
 
     raise ConstructionFailed(

@@ -94,8 +94,6 @@ class EquilibriumClass:
 class EquilibriumAtlas:
     """Grid equilibria grouped by their state vector."""
 
-    env: Environment
-    step: Fraction
     classes: tuple[EquilibriumClass, ...]
     candidates_checked: int
 
@@ -208,7 +206,7 @@ def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
             classes.items(), key=lambda kv: tuple(STATE_ORDER[s] for s in kv[0])
         )
     )
-    return EquilibriumAtlas(env=env, step=grid.step, classes=ordered, candidates_checked=count)
+    return EquilibriumAtlas(classes=ordered, candidates_checked=count)
 
 
 def survival_possibility(atlas: EquilibriumAtlas, i: int) -> SurvivalPossibility:

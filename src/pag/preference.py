@@ -19,21 +19,15 @@ precarious for the adversary front.
 The Nash verifier decides a larger relation: `improvement_from_states` plus
 a refinement on the adversary front, where pushing an adversary strictly
 down (safe or precarious to a lower state) without worsening any relevant
-state also counts.  `equilibrium.py`'s module docstring defines it.
+state also counts.  `equilibrium.py`'s module docstring defines it, and
+`tests/test_exact_best_response.py::relation_r` spells it out as code.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
 from .model import Environment, State
 
 StateVec = tuple[State, ...]
-
-
-class Verdict(Enum):
-    STRICT_IMPROVEMENT = "strict-improvement"
-    NO_IMPROVEMENT = "no-improvement"
 
 
 def category_profile(env: Environment, i: int, states: StateVec) -> tuple[bool, ...]:
@@ -66,7 +60,7 @@ def strongly_prefers_states(env: Environment, i: int, s_u: StateVec, s_v: StateV
     return s_v[i].survives and s_u[i] is State.UNSAFE
 
 
-def improvement_from_states(env: Environment, i: int, s_u: StateVec, s_v: StateVec) -> Verdict:
+def improvement_from_states(env: Environment, i: int, s_u: StateVec, s_v: StateVec) -> bool:
     """Is outcome s_v a strict improvement over outcome s_u for country i?
 
     Strict improvement means either the self-survival jump (strong
@@ -74,11 +68,9 @@ def improvement_from_states(env: Environment, i: int, s_u: StateVec, s_v: StateV
     strictly better.  Category-equal outcomes, such as an adversary moving
     between unsafe and precarious, are no improvement here.
     """
-    if strongly_prefers_states(env, i, s_u, s_v):
-        return Verdict.STRICT_IMPROVEMENT
-    if weakly_prefers_states(env, i, s_u, s_v):
-        # Weak preference means the category profile of s_v dominates that
-        # of s_u pointwise, so any difference is a strict gain somewhere.
-        if category_profile(env, i, s_v) != category_profile(env, i, s_u):
-            return Verdict.STRICT_IMPROVEMENT
-    return Verdict.NO_IMPROVEMENT
+    # Weak preference means the category profile of s_v dominates that of
+    # s_u pointwise, so any difference is a strict gain somewhere.
+    return strongly_prefers_states(env, i, s_u, s_v) or (
+        weakly_prefers_states(env, i, s_u, s_v)
+        and category_profile(env, i, s_v) != category_profile(env, i, s_u)
+    )

@@ -24,7 +24,7 @@ from pag import (
     matrix_from_entries,
 )
 from pag.model import ZERO, replace_row, state_vector
-from pag.preference import Verdict, improvement_from_states
+from pag.preference import improvement_from_states
 
 #: Seed of the acceptance suite's sampled instances.
 SEED = 20260808
@@ -128,7 +128,7 @@ def grid_profitable_deviation(env: Environment, u: Matrix, i: int, step: Fractio
         if row == u[i]:
             continue
         s_v = state_vector(env, replace_row(u, i, row))
-        if improvement_from_states(env, i, s_u, s_v) is Verdict.STRICT_IMPROVEMENT:
+        if improvement_from_states(env, i, s_u, s_v):
             return row
     return None
 

@@ -140,44 +140,52 @@ class TestSoleSurvivor:
 
 
 class TestPairwiseAnnihilation:
-    def test_env3_trace(self, env3):
-        result = pairwise_annihilation(env3, 0)
-        assert result.ordering == ((1, 2), (1, 3))
-        assert result.trace[1] == (4, 0, 1, 5)
-        assert result.residuals == (4, 0, 1, 5)
-        assert result.matrix[1][2] == result.matrix[2][1] == 5
-        assert result.matrix[1][3] == result.matrix[3][1] == 0
+    def test_env3_outcome(self, env3):
+        matrix, residuals = pairwise_annihilation(env3, 0)
+        assert residuals == (4, 0, 1, 5)
+        assert matrix[1][2] == matrix[2][1] == 5
+        assert matrix[1][3] == matrix[3][1] == 0
 
     def test_no_pairs_is_identity(self):
         env = make_environment([10, 3, 4], adversaries=[(0, 1), (0, 2)])
-        result = pairwise_annihilation(env, 0)
-        assert result.ordering == ()
-        assert result.residuals == env.powers
+        matrix, residuals = pairwise_annihilation(env, 0)
+        assert residuals == env.powers
+        assert all(x == 0 for row in matrix for x in row)
 
     def test_equal_pair_annihilates_fully(self):
         env = make_environment([3, 7, 7], adversaries=[(0, 1), (1, 2)])
-        result = pairwise_annihilation(env, 0)
-        assert result.residuals == (3, 0, 0)
-        assert result.matrix[1][2] == result.matrix[2][1] == 7
+        matrix, residuals = pairwise_annihilation(env, 0)
+        assert residuals == (3, 0, 0)
+        assert matrix[1][2] == matrix[2][1] == 7
 
-    def test_step_invariants(self, env3):
-        result = pairwise_annihilation(env3, 0)
-        for before, after, pair in zip(
-            result.trace, result.trace[1:], result.ordering
-        ):
-            step = min(before[pair[0]], before[pair[1]])
-            assert sum(before) - sum(after) == 2 * step
-            assert all(x >= 0 for x in after)
-            assert min(after[pair[0]], after[pair[1]]) == 0
+    def test_invariants_on_every_ordering(self):
+        rng = random.Random(SEED)
+        checked = 0
+        while checked < 30:
+            env = random_bipartite_environment(rng, max_n=6)
+            excluded = rng.randrange(env.n)
+            pairs = sorted(p for p in env.adversaries if excluded not in p)
+            if not 2 <= len(pairs) <= 4:
+                continue
+            checked += 1
+            for ordering in itertools.permutations(pairs):
+                matrix, residuals = pairwise_annihilation(env, excluded, ordering)
+                for k in range(env.n):
+                    assert sum(matrix[k]) == env.powers[k] - residuals[k]
+                    for j in range(env.n):
+                        assert matrix[k][j] == matrix[j][k] >= 0
+                        if (min(k, j), max(k, j)) not in pairs:
+                            assert matrix[k][j] == 0
+                assert all(z >= 0 for z in residuals)
+                assert all(min(residuals[j], residuals[h]) == 0 for j, h in ordering)
 
     def test_friend_guard(self, env4):
         with pytest.raises(TopologyError):
             pairwise_annihilation(env4, 0)
 
     def test_explicit_ordering_is_validated(self, env3):
-        result = pairwise_annihilation(env3, 0, ordering=[(1, 3), (1, 2)])
-        assert result.ordering == ((1, 3), (1, 2))
-        assert result.residuals == (4, 0, 6, 0)
+        _, residuals = pairwise_annihilation(env3, 0, ordering=[(1, 3), (1, 2)])
+        assert residuals == (4, 0, 6, 0)
         with pytest.raises(ValueError, match="ordering"):
             pairwise_annihilation(env3, 0, ordering=[(1, 2)])
 

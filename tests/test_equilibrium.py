@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import pag
 from pag import equilibrium, make_environment, matrix_from_entries, model
 from pag.model import State, replace_row, state_vector
-from pag.preference import Verdict, improvement_from_states
+from pag.preference import improvement_from_states
 
 from conftest import (
     grid_profitable_deviation,
@@ -256,7 +256,7 @@ def test_reported_witness_verified_end_to_end(seed):
         v = replace_row(u, i, dev.row)
         assert pag.validate_allocation(env, v) == []
         s_u, s_v = state_vector(env, u), state_vector(env, v)
-        if improvement_from_states(env, i, s_u, s_v) is not Verdict.STRICT_IMPROVEMENT:
+        if not improvement_from_states(env, i, s_u, s_v):
             # Must then be the adversary-front state refinement: no state
             # regression on the relevant set and a strict push downward.
             order = {State.SAFE: 0, State.PRECARIOUS: 1, State.UNSAFE: 2}

@@ -280,9 +280,7 @@ class TestSurvivalPossibility:
         assert pag.survival_possibility(atlas, 3) is SurvivalPossibility.ALWAYS_ON_GRID
         assert pag.survival_possibility(atlas, 2) is SurvivalPossibility.NEVER_ON_GRID
 
-    def test_empty_atlas(self, env4):
-        atlas = pag.EquilibriumAtlas(
-            env=env4, step=Fraction(1), classes=(), candidates_checked=0
-        )
+    def test_empty_atlas(self):
+        atlas = pag.EquilibriumAtlas(classes=(), candidates_checked=0)
         with pytest.raises(EmptyAtlas):
             pag.survival_possibility(atlas, 0)

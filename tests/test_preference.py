@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from pag import matrix_from_entries
 from pag.model import replace_row, state_vector
 from pag.preference import (
-    Verdict,
     category_profile,
     improvement_from_states,
     strongly_prefers_states,
@@ -43,7 +42,7 @@ class TestIndifferent:
     # Indifference: the exact three-valued states agree on i's relevant set.
     def test_reflexive(self, env2, s1):
         assert not strongly_prefers_states(env2, 2, s1, s1)
-        assert improvement_from_states(env2, 2, s1, s1) is Verdict.NO_IMPROVEMENT
+        assert not improvement_from_states(env2, 2, s1, s1)
 
     def test_adversary_state_change_breaks_indifference(self, env2, s1, s2):
         assert any(s1[j] is not s2[j] for j in env2.adversaries_of(2))
@@ -56,7 +55,7 @@ class TestIndifferent:
         s_u, s_v = state_vector(env1, fig1b), state_vector(env1, variant)
         assert s_u == s_v
         for i in range(env1.n):
-            assert improvement_from_states(env1, i, s_u, s_v) is Verdict.NO_IMPROVEMENT
+            assert not improvement_from_states(env1, i, s_u, s_v)
 
 
 class TestStronglyPrefers:
@@ -72,14 +71,14 @@ class TestStronglyPrefers:
 
 class TestImprovementVerdict:
     def test_self_survival_priority_case(self, env2, s1, s2):
-        assert improvement_from_states(env2, 1, s1, s2) is Verdict.STRICT_IMPROVEMENT
+        assert improvement_from_states(env2, 1, s1, s2)
 
     def test_identity_is_no_improvement(self, env2, s1):
-        assert improvement_from_states(env2, 1, s1, s1) is Verdict.NO_IMPROVEMENT
+        assert not improvement_from_states(env2, 1, s1, s1)
 
     def test_identical_matrices_no_improvement(self, env1, fig1b):
         s = state_vector(env1, fig1b)
-        assert improvement_from_states(env1, 0, s, s) is Verdict.NO_IMPROVEMENT
+        assert not improvement_from_states(env1, 0, s, s)
 
 
 @settings(max_examples=80, deadline=None)
@@ -99,7 +98,7 @@ def test_preference_axiom_consistency(seed):
             assert not strongly_prefers_states(env, i, s_v, s_u)
             assert weakly_prefers_states(env, i, s_u, s_v)
             assert weakly_prefers_states(env, i, s_v, s_u)
-            assert improvement_from_states(env, i, s_u, s_v) is Verdict.NO_IMPROVEMENT
+            assert not improvement_from_states(env, i, s_u, s_v)
         # A strong preference moves the self category up.
         if strongly_prefers_states(env, i, s_u, s_v):
             assert not s_u[i].survives and s_v[i].survives
@@ -117,5 +116,5 @@ def test_verdict_depends_only_on_relevant_categories(seed):
     s_v = state_vector(env, random_allocation(rng, env, denominator=1))
     for i in range(env.n):
         if category_profile(env, i, s_u) == category_profile(env, i, s_v):
-            assert improvement_from_states(env, i, s_u, s_v) is Verdict.NO_IMPROVEMENT
-            assert improvement_from_states(env, i, s_v, s_u) is Verdict.NO_IMPROVEMENT
+            assert not improvement_from_states(env, i, s_u, s_v)
+            assert not improvement_from_states(env, i, s_v, s_u)
