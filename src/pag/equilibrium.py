@@ -37,15 +37,18 @@ gained friend's included) must fit the self room too.  Deciding country
 i reads its own row and the margins, each cell once: O(deg i), and no
 other row.
 
-Deciding and witnessing are split.  The decision, `_decide`, only adds and
-compares, so it is exact on int entries as well as on Fractions; it names
-the first profitable target (the pass and the country it gains).
+Deciding and witnessing are split.  The decision, `_decide`, takes no
+states: it reads each as the sign of a margin (unsafe below zero, safe
+above, precarious at zero) and only adds and compares, so it is exact on
+int entries as well as on Fractions; it names the first profitable target
+(the pass and the country it gains).
 `is_nash` and `best_deviation` run it in integer units:
 `model._integer_units` scales the powers and the cells the decision reads
 by their common denominator L, which changes no comparison because the
 game is positively homogeneous.  When L would reach `model.MAX_SCALE`, the
 same decision runs on the Fractions instead.  Both compute the margins
-once, from `model.sigma_tau`.  The witness, `_deviation`, is built only
+once, from `model.sigma_tau`, and the states once from them, for the
+result and the witness.  The witness, `_deviation`, is built only
 when a `Deviation` is requested: row i at the target's gaps, in the same
 units, where only the strict push's share of the slack is a Fraction,
 and each entry leaves as that entry over L.  It re-evaluates the witness
@@ -54,8 +57,8 @@ and the exact change of i's entries, so `is_nash` costs O(n + E) plus,
 per deviator, its n-entry witness row and one copy of the n-state tuple.
 The result carries the states of the checked allocation too, so no
 caller needs to recompute them.  `first_deviator` runs the decision alone
-on powers, margins and states the caller already holds, scanning from a
-caller-chosen country; the grid oracle calls it on integer grid units.
+on powers, a matrix and its margins, scanning from a caller-chosen
+country; the grid oracle runs `_decide` itself, on integer grid units.
 
 All functions are pure; per-country checks are independent and results are
 aggregated by ascending country index.
@@ -105,23 +108,19 @@ class NashResult:
 Target = tuple[int | None, int | None, bool]
 SELF_RESCUE: Target = (None, None, False)
 
-# States compared by identity in the decision: a module constant is cheaper
-# to load than an enum member looked up on its class.
-SAFE, PRECARIOUS, UNSAFE = State.SAFE, State.PRECARIOUS, State.UNSAFE
-
 
 def _decide(
     env: Environment,
     powers: FractionVec,
-    u: Matrix,
+    own: FractionVec,
     i: int,
     margins: FractionVec,
-    states: tuple[State, ...],
 ) -> Target | None:
     """i's first profitable target; None if i has no profitable deviation.
 
-    Reads each cell of i's own row once, no other row, and the survival
-    margins d = sigma - tau.  One pass over i's relations sums its base
+    Reads each cell of i's own row `own` once, and the survival margins
+    d = sigma - tau, whose signs are the states: a country is unsafe iff
+    d < 0, safe iff d > 0 and precarious iff d == 0.  One pass over i's relations sums its base
     requirement and its offense: friends, then the non-safe adversaries,
     which fixes the room the budget leaves, then the safe adversaries, of
     which it notes the first whose gap fits that room.  i's self room is
@@ -133,15 +132,16 @@ def _decide(
     adversary pushed strictly down.  A push's gap is i's own entry on it,
     so it needs positive room and then any precarious adversary can be
     pushed: the first is the target.  Only adds and compares, from the int
-    0, so it is exact on int and on Fraction inputs alike; `powers`, `u`
-    and `margins` must be in the same units, and u's entries nonnegative.
+    0, so it is exact on int and on Fraction inputs alike, and the sign
+    tests are exact too; `powers`, `own` and `margins` must be in the same
+    units, and the entries of `own` nonnegative.
     """
-    own = u[i]
     friends = env.friends_of(i)
     base_f = 0
     for j in friends:
-        if states[j] is not UNSAFE:
-            gap = own[j] - margins[j]
+        d = margins[j]
+        if d >= 0:
+            gap = own[j] - d
             if gap > 0:
                 base_f += gap
     # A non-safe adversary with a negative gap is kept down, strictly, at zero.
@@ -149,10 +149,11 @@ def _decide(
     base = base_f
     offense = 0
     for j in adversaries:
-        if states[j] is not SAFE:
+        d = margins[j]
+        if d <= 0:
             x = own[j]
             offense += x
-            gap = margins[j] + x
+            gap = d + x
             if gap > 0:
                 base += gap
     p = powers[i]
@@ -160,13 +161,15 @@ def _decide(
     # The first safe adversary i can flip, if any, is pass 1's last target.
     flip = None
     for j in adversaries:
-        if states[j] is SAFE:
+        d = margins[j]
+        if d > 0:
             x = own[j]
             offense += x
-            if flip is None and margins[j] + x <= room:
+            if flip is None and d + x <= room:
                 flip = j
-    self_room = p + margins[i] - own[i] - offense
-    if states[i] is UNSAFE:
+    d = margins[i]
+    self_room = p + d - own[i] - offense
+    if d < 0:
         # Support is maximal with zero friend-directed spending, so i
         # survives on some row iff it survives on its all-reserve row.
         if self_room >= 0:
@@ -181,14 +184,15 @@ def _decide(
             room_f = room
     # Pass 1: rescue an unsafe friend or flip a safe adversary.
     for j in friends:
-        if states[j] is UNSAFE and own[j] - margins[j] <= room_f:
+        d = margins[j]
+        if d < 0 and own[j] - d <= room_f:
             return j, None, False
     if flip is not None:
         return None, flip, False
     # Pass 2: push a precarious adversary strictly down.
     if room > 0:
         for j in adversaries:
-            if states[j] is PRECARIOUS:
+            if margins[j] == 0:
                 return None, j, True
     return None
 
@@ -230,13 +234,14 @@ def _deviation(
     pushed = []
     if target != SELF_RESCUE:
         for j in friends:
-            if states[j] is not UNSAFE or j == gain_friend:
+            if margins[j] >= 0 or j == gain_friend:
                 row[j] = max(0, own[j] - margins[j])
         for j in adversaries:
-            if states[j] is not SAFE or j == gain_adv:
-                gap = margins[j] + own[j]
+            d = margins[j]
+            if d <= 0 or j == gain_adv:
+                gap = d + own[j]
                 row[j] = max(0, gap)
-                if strict and (j == gain_adv or (states[j] is UNSAFE and gap >= 0)):
+                if strict and (j == gain_adv or (d < 0 and gap >= 0)):
                     pushed.append(j)
     slack = powers[i] - sum(row.values())
     if pushed:
@@ -271,7 +276,7 @@ def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
     sigmas, taus = sigma_tau(env, units)
     margins = tuple(map(sub, sigmas, taus))
     states = tuple(map(state_of, sigmas, taus))
-    target = _decide(env, powers, units, i, margins, states)
+    target = _decide(env, powers, units[i], i, margins)
     if target is None:
         return None
     return _deviation(env, powers, units, scale, i, target, margins, states)
@@ -295,7 +300,7 @@ def is_nash(env: Environment, u: Matrix) -> NashResult:
     states = tuple(map(state_of, sigmas, taus))
     deviations: list[Deviation] = []
     for i in range(env.n):
-        target = _decide(env, powers, units, i, margins, states)
+        target = _decide(env, powers, units[i], i, margins)
         if target is not None:
             deviations.append(_deviation(env, powers, units, scale, i, target, margins, states))
     return NashResult(ok=not deviations, deviations=tuple(deviations), states=states)
@@ -306,23 +311,19 @@ def first_deviator(
     powers: FractionVec,
     u: Matrix,
     margins: FractionVec,
-    states: tuple[State, ...],
     start: int,
 ) -> int | None:
     """The first country with a profitable deviation, scanning cyclically
     from `start`; None when u is a Nash equilibrium.
 
-    `margins` (sigma - tau per country) and `states` must be those of u;
-    deciding a country reads only its own row of u.  Whether some country
-    deviates does not depend on the scan order, so a caller may start from
-    the country most likely to reject.  Exact on int entries as well as on
-    Fractions, so a caller may pass powers, a matrix and margins scaled to
-    integer units.
+    `margins` (sigma - tau per country) must be those of u, and each
+    country's state is the sign of its margin; deciding a country reads
+    only its own row of u.  Whether some country deviates does not depend
+    on the scan order, so a caller may start from the country most likely
+    to reject.  Exact on int entries as well as on Fractions, so a caller
+    may pass powers, a matrix and margins scaled to integer units.
     """
-    for i in range(start, len(states)):
-        if _decide(env, powers, u, i, margins, states) is not None:
-            return i
-    for i in range(start):
-        if _decide(env, powers, u, i, margins, states) is not None:
+    for i in (*range(start, env.n), *range(start)):
+        if _decide(env, powers, u[i], i, margins) is not None:
             return i
     return None

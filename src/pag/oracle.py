@@ -20,13 +20,18 @@ holding only that row.  A candidate's margins are its rows' shares added
 up: the first n - 1 rows' once per prefix of the `product` odometer, the
 last row's per candidate, so a candidate costs one vector addition.  On
 ints this addition is exact, so the margins equal those of the whole
-candidate.  Its states come from a dict from margin to state, filled on
-first sight, so `state_of` runs only for a margin not seen before.  Each
-candidate is then decided by `first_deviator`, which reads a country's
-own row and the margins only, starting from the country that rejected
-the previous candidate: neighbouring candidates differ mostly in the last
-row, so that country usually rejects again, and whether some country
-deviates does not depend on the order.
+candidate.  The verifier's decision core, `equilibrium._decide`, reads a
+country's own row and the margins only, a state being the sign of a
+margin.  So each candidate is first decided for the country that
+rejected the previous one, on that country's own row, with no matrix and
+no states built: neighbouring candidates differ mostly in the last row,
+so that country usually rejects again.  Only when it accepts is the
+candidate's matrix assembled and every other country decided, in cyclic
+order after it; whether some country deviates does not depend on the
+order.  States are built only for the members, from a dict from margin
+to state filled on first sight, so `state_of` runs only for a member
+margin not seen before.  Before any of this, the candidate count is
+multiplied out row by row only until it passes the bound.
 
 Enumeration is naturally partitioned by the first row's composition and
 could run concurrently; the atlas orders classes and members canonically
@@ -43,7 +48,7 @@ from itertools import product
 from operator import add, sub
 from typing import Iterator
 
-from .equilibrium import first_deviator
+from .equilibrium import _decide
 from .model import (
     Environment,
     Matrix,
@@ -59,8 +64,16 @@ MAX_CANDIDATES = 10_000_000
 
 
 class EnumerationTooLarge(ValueError):
+    """The grid holds more candidate matrices than `bound`.
+
+    `count` is the product of the rows' candidate counts up to the row at
+    which it first passed `bound`: the exact candidate count when that is
+    the last row, a lower bound on it otherwise.  The message leaves it
+    out, since a fine step can make it too long to print.
+    """
+
     def __init__(self, count: int, bound: int):
-        super().__init__(f"{count} candidate matrices exceed the bound of {bound}")
+        super().__init__(f"the grid's candidate matrices exceed the bound of {bound}")
         self.count = count
         self.bound = bound
 
@@ -119,12 +132,16 @@ def _row_units(env: Environment, i: int, step: Fraction) -> int:
 
 def candidate_count(env: Environment, step: Fraction) -> int:
     """Number of admissible grid matrices (product of row compositions)."""
-    count = 1
-    for i in range(env.n):
-        units = _row_units(env, i, step)
+    return math.prod(_row_counts(env, step))
+
+
+def _row_counts(env: Environment, step: Fraction) -> Iterator[int]:
+    """Each country's number of admissible grid rows, after checking that
+    `step` divides every power."""
+    units = [_row_units(env, i, step) for i in range(env.n)]
+    for i, total in enumerate(units):
         parts = len(env.row_support(i))
-        count *= math.comb(units + parts - 1, parts - 1)
-    return count
+        yield math.comb(total + parts - 1, parts - 1)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -167,9 +184,11 @@ class _StateByMargin(dict):
 
 def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
     """Enumerate all grid-admissible matrices and keep the exact equilibria."""
-    count = candidate_count(env, grid.step)
-    if count > grid.max_candidates:
-        raise EnumerationTooLarge(count, grid.max_candidates)
+    count = 1
+    for rows in _row_counts(env, grid.step):
+        count *= rows
+        if count > grid.max_candidates:
+            raise EnumerationTooLarge(count, grid.max_candidates)
 
     per_row = [_row_candidates(env, i, grid.step) for i in range(env.n)]
     powers = tuple(_row_units(env, i, grid.step) for i in range(env.n))
@@ -178,6 +197,9 @@ def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
     ]
     blank = (0,) * env.n
     state_at = _StateByMargin().__getitem__
+    last = env.n - 1
+    # The countries to scan once the rejector accepts, in cyclic order after it.
+    others = [(*range(r + 1, env.n), *range(r)) for r in range(env.n)]
     classes: dict[tuple[State, ...], list[tuple[tuple[int, ...], ...]]] = {}
     rejector = 0
     for prefix in product(*shared[:-1]):
@@ -187,13 +209,16 @@ def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
             head_margins = tuple(map(add, head_margins, row_margins))
         for row, row_margins in shared[-1]:
             margins = tuple(map(add, head_margins, row_margins))
-            states = tuple(map(state_at, margins))
+            own = row if rejector == last else head[rejector]
+            if _decide(env, powers, own, rejector, margins) is not None:
+                continue
             u = (*head, row)
-            deviator = first_deviator(env, powers, u, margins, states, rejector)
-            if deviator is None:
-                classes.setdefault(states, []).append(u)
+            for i in others[rejector]:
+                if _decide(env, powers, u[i], i, margins) is not None:
+                    rejector = i
+                    break
             else:
-                rejector = deviator
+                classes.setdefault(tuple(map(state_at, margins)), []).append(u)
 
     # One Fraction row per candidate row, shared by every member using it.
     exact = {row: tuple(x * grid.step for x in row) for rows in per_row for row in rows}

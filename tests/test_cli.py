@@ -416,6 +416,25 @@ class TestSearch:
         assert code == 2
         assert "exceed" in err
 
+    @pytest.mark.parametrize("step", ["1e-300", "1/3"])
+    def test_far_too_fine_step_rejected_briefly(self, capsys, tmp_path, step):
+        # 100 countries of power 1-10 with mean degree 3: a rivalry ring
+        # and a friendship across it.  The candidate count has hundreds of
+        # digits at 1/3 and too many to print at 1e-300; the error names
+        # the bound only.
+        names = [f"c{i}" for i in range(100)]
+        scenario = tmp_path / "sparse100.json"
+        scenario.write_text(json.dumps({
+            "countries": [{"name": c, "power": str(i % 10 + 1)} for i, c in enumerate(names)],
+            "adversaries": [[names[i], names[(i + 1) % 100]] for i in range(100)],
+            "friends": [[names[i], names[i + 50]] for i in range(50)],
+        }))
+        code, out, err = run_cli(capsys, "search", scenario, "--step", step)
+        assert (code, out) == (2, "")
+        assert "exceed" in err
+        assert "set_int_max_str_digits" not in err
+        assert len(err) < 200
+
     @pytest.mark.parametrize("bound", ["0", "10000001"])
     def test_candidate_bound_checked_before_enumeration(self, capsys, monkeypatch, bound):
         def never(*_):

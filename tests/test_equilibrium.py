@@ -195,13 +195,13 @@ def test_deciding_a_hub_reads_each_relation_cell_once():
         rows[-1].index = i
     rows = tuple(rows)
     hub_row = {(0, j) for j in env.row_support(0)}
-    assert equilibrium._decide(env, env.powers, rows, 0, margins, states) is None
+    assert equilibrium._decide(env, env.powers, rows[0], 0, margins) is None
     assert max(reads.values()) == 1
     assert set(reads) == hub_row
     reads.clear()
     # The hub has no deviation; its first safe adversary, next in the scan,
     # flips it.
-    assert equilibrium.first_deviator(env, env.powers, rows, margins, states, 0) == 1
+    assert equilibrium.first_deviator(env, env.powers, rows, margins, 0) == 1
     assert max(reads.values()) == 1
     assert {cell for cell in reads if cell[0] == 0} == hub_row
 

@@ -45,6 +45,19 @@ class TestGridSpec:
         with pytest.raises(EnumerationTooLarge) as exc:
             pag.find_equilibria(env2, GridSpec(step=Fraction(1, 8), max_candidates=10 ** 6))
         assert exc.value.count > 10 ** 6
+        assert "exceed" in str(exc.value)
+
+    def test_bound_check_stops_once_passed(self):
+        # At a step of 10**-300 the first row alone passes the bound: it
+        # splits 10**300 units between country 0 and its one adversary.
+        # The check stops there, and the count it carries is that row's.
+        env = make_environment([1] * 50, adversaries=[(i, i + 1) for i in range(49)])
+        step = Fraction(1, 10 ** 300)
+        with pytest.raises(EnumerationTooLarge) as exc:
+            pag.find_equilibria(env, GridSpec(step=step))
+        assert exc.value.count == 10 ** 300 + 1
+        assert len(str(exc.value)) < 200
+        assert candidate_count(env, step) > exc.value.count
 
     @pytest.mark.parametrize("bound", [0, -1, MAX_CANDIDATES + 1])
     def test_candidate_bound_out_of_range(self, bound):
@@ -178,9 +191,8 @@ class TestIntegerKernel:
         for u in itertools.product(*(list(grid_rows(env, i, step)) for i in range(env.n))):
             sigmas, taus = sigma_tau(env, u)
             margins = tuple(s - t for s, t in zip(sigmas, taus))
-            states = tuple(map(state_of, sigmas, taus))
             found = {
-                first_deviator(env, env.powers, u, margins, states, start)
+                first_deviator(env, env.powers, u, margins, start)
                 for start in range(env.n)
             }
             assert found == {None} or None not in found
@@ -204,6 +216,24 @@ class TestIntegerKernel:
         assert atlas.candidates_checked == 45 * 28 * 15
         assert calls["sigma_tau"] <= 45 + 28 + 15
         assert calls["state_vector"] == 0
+
+    def test_states_built_only_for_members(self, env2, monkeypatch):
+        # A rejected candidate is decided on its margins alone, so state_of
+        # runs once per distinct margin among the members (15 on env2 at
+        # step 1), not once per distinct margin among all candidates (19).
+        calls = []
+
+        def counted(sigma, tau):
+            calls.append(sigma - tau)
+            return state_of(sigma, tau)
+
+        monkeypatch.setattr(pag.oracle, "state_of", counted)
+        atlas = pag.find_equilibria(env2, GridSpec(step=Fraction(1)))
+        member_margins = {
+            s - t for cls in atlas.classes for m in cls.members for s, t in zip(*sigma_tau(env2, m))
+        }
+        assert len(calls) == len(set(calls)) == len(member_margins) == 15
+        assert set(calls) == member_margins
 
     def test_members_hold_only_fractions(self, env2, env4, fractional_env):
         for env, step in ((env2, Fraction(1)), (env4, Fraction(1)), (fractional_env, Fraction(1, 4))):
