@@ -120,21 +120,22 @@ def _decide(
 
     Reads each cell of i's own row `own` once, and the survival margins
     d = sigma - tau, whose signs are the states: a country is unsafe iff
-    d < 0, safe iff d > 0 and precarious iff d == 0.  One pass over i's relations sums its base
-    requirement and its offense: friends, then the non-safe adversaries,
-    which fixes the room the budget leaves, then the safe adversaries, of
-    which it notes the first whose gap fits that room.  i's self room is
-    p_i + d_i - u_ii minus its offense, which is p_i plus the aid i
-    receives minus its threat by the definition of sigma_i; less the
-    friend part of the base, it caps friend-directed spending.  Targets
-    are then tried in the order self-rescue; pass 1, an unsafe friend,
-    then a safe adversary, each in relation order; pass 2, a precarious
-    adversary pushed strictly down.  A push's gap is i's own entry on it,
-    so it needs positive room and then any precarious adversary can be
-    pushed: the first is the target.  Only adds and compares, from the int
-    0, so it is exact on int and on Fraction inputs alike, and the sign
-    tests are exact too; `powers`, `own` and `margins` must be in the same
-    units, and the entries of `own` nonnegative.
+    d < 0, safe iff d > 0 and precarious iff d == 0.  One pass over i's
+    relations sums its base requirement and its offense: friends, then
+    the non-safe adversaries, which fixes the room the budget leaves,
+    then the safe adversaries, of which it notes the first whose gap fits
+    that room.  i's self room is p_i + d_i - u_ii minus its offense,
+    which is p_i plus the aid i receives minus its threat by the
+    definition of sigma_i; less the friend part of the base, it caps
+    friend-directed spending.  Targets are then tried in the order
+    self-rescue; pass 1, an unsafe friend, then a safe adversary, each in
+    relation order; pass 2, a precarious adversary pushed strictly down.
+    A push's gap is i's own entry on it, so it needs positive room and
+    then any precarious adversary can be pushed: the first is the target.
+    Only adds and compares, from the int 0, and tests signs, so it is
+    exact on int and on Fraction inputs alike; `powers`, `own` and
+    `margins` must be in the same units, and the entries of `own`
+    nonnegative.
     """
     friends = env.friends_of(i)
     base_f = 0

@@ -230,7 +230,10 @@ class TestIntegerKernel:
         monkeypatch.setattr(pag.oracle, "state_of", counted)
         atlas = pag.find_equilibria(env2, GridSpec(step=Fraction(1)))
         member_margins = {
-            s - t for cls in atlas.classes for m in cls.members for s, t in zip(*sigma_tau(env2, m))
+            s - t
+            for cls in atlas.classes
+            for m in cls.members
+            for s, t in zip(*sigma_tau(env2, m))
         }
         assert len(calls) == len(set(calls)) == len(member_margins) == 15
         assert set(calls) == member_margins
