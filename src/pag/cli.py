@@ -36,6 +36,7 @@ from .model import (
     Matrix,
     ValidationError,
     _echo,
+    _integer_units,
     sigma_tau,
     state_of,
     to_fraction,
@@ -100,6 +101,9 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
     index = {name: i for i, name in enumerate(env.names)}
     rows = [[ZERO] * env.n for _ in range(env.n)]
     values: list[Fraction] = []
+    # Entries repeat, so each distinct string is parsed once; a string that
+    # fails is not stored, so each of its cells reports it again.
+    parsed: dict[str, Fraction] = {}
     for row_name, entries in allocation.items():
         if row_name not in index:
             errors.append(f"unknown country {_echo(row_name)} in allocation")
@@ -114,11 +118,16 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
                     f"unknown country {_echo(col_name)} in allocation row {_echo(row_name)}"
                 )
                 continue
-            try:
-                row[index[col_name]] = value = to_fraction(raw)
-            except ValidationError as exc:
-                errors.extend(f"allocation {row_name}->{col_name}: {e}" for e in exc.errors)
-                continue
+            value = parsed.get(raw) if isinstance(raw, str) else None
+            if value is None:
+                try:
+                    value = to_fraction(raw)
+                except ValidationError as exc:
+                    errors.extend(f"allocation {row_name}->{col_name}: {e}" for e in exc.errors)
+                    continue
+                if isinstance(raw, str):
+                    parsed[raw] = value
+            row[index[col_name]] = value
             if value:
                 values.append(value)
     if errors:
@@ -244,14 +253,18 @@ def _valid_allocation(env: Environment, u: Matrix | None) -> Matrix:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     env, u = _load(args.scenario)
     u = _valid_allocation(env, u)
-    sigmas, taus = sigma_tau(env, u)
-    states = [state_of(s, t) for s, t in zip(sigmas, taus)]
+    # Summed in integer units of L, as `state_vector` does, and printed as
+    # each sum over L; past `MAX_SCALE` the units are the Fractions, L = 1.
+    scale, _, units = _integer_units(env, u, ())
+    sigmas, taus = sigma_tau(env, units)
+    states = [state_of(s, t).value for s, t in zip(sigmas, taus)]
+    if scale > 1:
+        sigmas = [Fraction(x, scale) for x in sigmas]
+        taus = [Fraction(x, scale) for x in taus]
     lines = []
     rows = []
     for i, name in enumerate(env.names):
-        lines.append(
-            f"{name}: support={sigmas[i]} threat={taus[i]} state={states[i].value}"
-        )
+        lines.append(f"{name}: support={sigmas[i]} threat={taus[i]} state={states[i]}")
         rows.append(
             {
                 "name": name,
@@ -259,13 +272,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 "power": str(env.powers[i]),
                 "support": str(sigmas[i]),
                 "threat": str(taus[i]),
-                "state": states[i].value,
+                "state": states[i],
             }
         )
     payload = {
         "command": "evaluate",
         "countries": rows,
-        "states": [s.value for s in states],
+        "states": states,
     }
     _print_report(lines, payload)
     return EXIT_OK
@@ -275,27 +288,30 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     env, u = _load(args.scenario)
     u = _valid_allocation(env, u)
     result = is_nash(env, u)
-    states = result.states
+    names = env.names
+    states = [s.value for s in result.states]
     lines = [
         f"nash equilibrium: {'yes' if result.ok else 'no'}",
-        "states: " + " ".join(f"{n}={s.value}" for n, s in zip(env.names, states)),
+        "states: " + " ".join(f"{n}={s}" for n, s in zip(names, states)),
     ]
-    witnesses = {dev.country: dev for dev in result.deviations}
-    certificates: dict[str, Any] = {}
-    for i, name in enumerate(env.names):
-        dev = witnesses.get(i)
-        if dev is None:
-            certificates[name] = None
-        else:
-            lines.append(f"{name}: profitable deviation found")
-            certificates[name] = {
-                "row": _sparse_row(env, dev.row),
-                "states": [s.value for s in dev.states],
-            }
+    certificates: dict[str, Any] = dict.fromkeys(names)
+    for dev in result.deviations:
+        # A witness fills only the deviator's relation columns, and moves
+        # only their states.
+        i = dev.country
+        support = env.row_support(i)
+        row, new_states = dev.row, states.copy()
+        for j in support:
+            new_states[j] = dev.states[j].value
+        lines.append(f"{names[i]}: profitable deviation found")
+        certificates[names[i]] = {
+            "row": {names[j]: str(row[j]) for j in support if row[j]},
+            "states": new_states,
+        }
     payload = {
         "command": "verify",
         "is_nash": result.ok,
-        "states": [s.value for s in states],
+        "states": states,
         "certificates": certificates,
     }
     _print_report(lines, payload)

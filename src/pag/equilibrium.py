@@ -56,9 +56,8 @@ states over the deviator's relevant set alone, from the current margins
 and the exact change of i's entries, so `is_nash` costs O(n + E) plus,
 per deviator, its n-entry witness row and one copy of the n-state tuple.
 The result carries the states of the checked allocation too, so no
-caller needs to recompute them.  `first_deviator` runs the decision alone
-on powers, a matrix and its margins, scanning from a caller-chosen
-country; the grid oracle runs `_decide` itself, on integer grid units.
+caller needs to recompute them.  The grid oracle runs `_decide` itself,
+on integer grid units.
 
 All functions are pure; per-country checks are independent and results are
 aggregated by ascending country index.
@@ -306,25 +305,3 @@ def is_nash(env: Environment, u: Matrix) -> NashResult:
             deviations.append(_deviation(env, powers, units, scale, i, target, margins, states))
     return NashResult(ok=not deviations, deviations=tuple(deviations), states=states)
 
-
-def first_deviator(
-    env: Environment,
-    powers: FractionVec,
-    u: Matrix,
-    margins: FractionVec,
-    start: int,
-) -> int | None:
-    """The first country with a profitable deviation, scanning cyclically
-    from `start`; None when u is a Nash equilibrium.
-
-    `margins` (sigma - tau per country) must be those of u, and each
-    country's state is the sign of its margin; deciding a country reads
-    only its own row of u.  Whether some country deviates does not depend
-    on the scan order, so a caller may start from the country most likely
-    to reject.  Exact on int entries as well as on Fractions, so a caller
-    may pass powers, a matrix and margins scaled to integer units.
-    """
-    for i in (*range(start, env.n), *range(start)):
-        if _decide(env, powers, u[i], i, margins) is not None:
-            return i
-    return None

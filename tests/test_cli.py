@@ -2,17 +2,26 @@ import errno
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 import pag
 from pag.cli import emit_scenario, main, parse_scenario
+from pag.model import MAX_SCALE
+
+from conftest import random_sparse_scenario
 
 DATA = Path(__file__).parent / "data"
+
+# Integer entries, fractional ones, and denominators whose common
+# denominator L passes MAX_SCALE, so the engine decides on the Fractions.
+SCALES = {"integer": (1,), "fractional": (1, 2, 3, 7), "huge": (1, 10**12 + 39, 10**12 + 61)}
 
 
 def run_cli(capsys, *argv):
@@ -25,6 +34,17 @@ def machine_section(out: str) -> dict:
     human, _, machine = out.partition("---\n")
     assert machine, f"no machine section in output:\n{out}"
     return json.loads(machine)
+
+
+def seeded_scenarios(tmp_path, scale, count=6):
+    """`count` seeded sparse scenarios, n 5 to 100, written to tmp_path, with
+    the environment and matrix each was written from."""
+    rng = random.Random(scale)
+    for k in range(count):
+        env, u = random_sparse_scenario(rng, rng.randint(5, 100), denominators=SCALES[scale])
+        path = tmp_path / f"{scale}{k}.json"
+        path.write_text(json.dumps(emit_scenario(env, u)))
+        yield path, env, u
 
 
 class TestValidate:
@@ -162,6 +182,39 @@ class TestValidate:
             2, "", "error: country name must be a string: 1\n"
         )
 
+    def test_each_bad_cell_is_reported(self, capsys, tmp_path):
+        # Equal strings are parsed once, but a string that fails fails in
+        # every cell, in cell order; a JSON true and a float still fail, and
+        # "2", "4/2" and 2 are the same value.
+        scenario = {
+            "countries": [{"name": n, "power": "6"} for n in "abc"],
+            "friends": [["a", "b"], ["a", "c"]],
+            "adversaries": [["b", "c"]],
+            "allocation": {
+                "a": {"a": "2", "b": "x", "c": "x"},
+                "b": {"b": True, "c": "4/2", "a": 2},
+                "c": {"c": 1.5, "a": "x"},
+            },
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario))
+        assert run_cli(capsys, "validate", path) == (
+            2,
+            "",
+            "error: allocation a->b: not a rational: 'x'\n"
+            "error: allocation a->c: not a rational: 'x'\n"
+            "error: allocation b->b: not a rational: True\n"
+            "error: allocation c->c: not a rational: 1.5 (floats are rejected)\n"
+            "error: allocation c->a: not a rational: 'x'\n",
+        )
+        scenario["allocation"] = {
+            "a": {"a": "2", "b": "2", "c": "2"},
+            "b": {"b": "2", "c": "4/2", "a": 2},
+            "c": {"c": "6"},
+        }
+        _, u = parse_scenario(scenario)
+        assert u[0] == u[1] == (Fraction(2),) * 3
+
     def test_float_power_rejected(self, capsys, tmp_path):
         path = tmp_path / "float.json"
         path.write_text(
@@ -222,6 +275,21 @@ class TestEvaluate:
         v4 = [c for c in payload["countries"] if c["name"] == "v4"][0]
         assert v4["support"] == "15" and v4["threat"] == "19"
 
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_sums_are_exact(self, capsys, tmp_path, scale):
+        # Support and threat print as sigma_tau sums them on the Fractions.
+        for path, env, u in seeded_scenarios(tmp_path, scale, count=3):
+            sigmas, taus = pag.sigma_tau(env, u)
+            code, out, _ = run_cli(capsys, "evaluate", path)
+            assert code == 0
+            countries = machine_section(out)["countries"]
+            assert [(c["support"], c["threat"]) for c in countries] == [
+                (str(s), str(t)) for s, t in zip(sigmas, taus)
+            ]
+            assert [c["state"] for c in countries] == [
+                s.value for s in pag.state_vector(env, u)
+            ]
+
     def test_missing_allocation(self, capsys):
         code, _, err = run_cli(capsys, "evaluate", DATA / "env2.json")
         assert code == 2
@@ -258,6 +326,27 @@ class TestVerify:
         payload = machine_section(out)
         assert payload["is_nash"] is False
         assert payload["certificates"]["v1"] is not None
+
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_certificates_match_full_scan(self, capsys, tmp_path, scale):
+        # Every certificate lists the witness row's nonzero entries and the
+        # states it induces, exactly as a scan of all n cells and states
+        # builds them from is_nash.
+        for path, env, u in seeded_scenarios(tmp_path, scale):
+            denominators = [x.denominator for row in u for x in row]
+            assert (lcm(*denominators) >= MAX_SCALE) == (scale == "huge")
+            result = pag.is_nash(env, u)
+            assert not result.ok
+            expected = dict.fromkeys(env.names)
+            for dev in result.deviations:
+                expected[env.names[dev.country]] = {
+                    "row": {env.names[j]: str(x) for j, x in enumerate(dev.row) if x != 0},
+                    "states": [s.value for s in dev.states],
+                }
+            code, out, _ = run_cli(capsys, "verify", path)
+            assert code == 1
+            assert machine_section(out)["certificates"] == expected
 
 
 class TestConstruct:

@@ -199,9 +199,9 @@ def test_deciding_a_hub_reads_each_relation_cell_once():
     assert max(reads.values()) == 1
     assert set(reads) == hub_row
     reads.clear()
-    # The hub has no deviation; its first safe adversary, next in the scan,
-    # flips it.
-    assert equilibrium.first_deviator(env, env.powers, rows, margins, 0) == 1
+    # The hub has no deviation; its first safe adversary, the lowest-index
+    # deviator, flips it.
+    assert equilibrium.is_nash(env, rows).deviations[0].country == 1
     assert max(reads.values()) == 1
     assert {cell for cell in reads if cell[0] == 0} == hub_row
 

@@ -12,7 +12,7 @@ from pag import (
     SurvivalPossibility,
     make_environment,
 )
-from pag.equilibrium import first_deviator
+from pag.equilibrium import _decide
 from pag.model import State, sigma_tau, state_of
 from pag.oracle import MAX_CANDIDATES, candidate_count
 
@@ -186,17 +186,20 @@ class TestIntegerKernel:
             ]
 
     @pytest.mark.parametrize("name,step", [("env4", Fraction(1)), ("fractional_env", Fraction(1, 4))])
-    def test_first_deviator_is_start_independent(self, name, step, request):
+    def test_deciding_every_country_agrees_with_is_nash(self, name, step, request):
+        # The oracle may decide countries in any order: some country deviates
+        # exactly when is_nash says so, and the deviators are is_nash's.
         env = request.getfixturevalue(name)
         for u in itertools.product(*(list(grid_rows(env, i, step)) for i in range(env.n))):
             sigmas, taus = sigma_tau(env, u)
             margins = tuple(s - t for s, t in zip(sigmas, taus))
-            found = {
-                first_deviator(env, env.powers, u, margins, start)
-                for start in range(env.n)
-            }
-            assert found == {None} or None not in found
-            for i in found - {None}:
+            deviators = [
+                i for i in range(env.n) if _decide(env, env.powers, u[i], i, margins) is not None
+            ]
+            result = pag.is_nash(env, u)
+            assert result.ok == (not deviators)
+            assert [dev.country for dev in result.deviations] == deviators
+            for i in deviators:
                 assert pag.best_deviation(env, u, i) is not None
 
     def test_support_and_threat_summed_once_per_row(self, env2, monkeypatch):
