@@ -300,12 +300,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # only their states.
         i = dev.country
         support = env.row_support(i)
-        row, new_states = dev.row, states.copy()
+        new_states = states.copy()
         for j in support:
             new_states[j] = dev.states[j].value
         lines.append(f"{names[i]}: profitable deviation found")
         certificates[names[i]] = {
-            "row": {names[j]: str(row[j]) for j in support if row[j]},
+            "row": {names[j]: str(dev.row[j]) for j in support if dev.row[j]},
             "states": new_states,
         }
     payload = {
