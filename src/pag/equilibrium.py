@@ -53,8 +53,12 @@ when a `Deviation` is requested: row i at the target's gaps, in the same
 units, where only the strict push's share of the slack is a Fraction,
 and each entry leaves as that entry over L.  It re-evaluates the witness
 states over the deviator's relevant set alone, from the current margins
-and the exact change of i's entries, so `is_nash` costs O(n + E) plus,
-per deviator, its n-entry witness row and one copy of the n-state tuple.
+and the exact change of i's entries.  `is_nash` makes one state list and
+one zero row per check; each witness writes its at most deg i + 1 cells
+into them, copies each into its n-tuple and restores the cells it wrote,
+and each distinct entry becomes a Fraction once per check.  So `is_nash`
+costs O(n + E) plus, per deviator, O(deg i) Python-level work and the two
+n-tuple copies a dense `Deviation` carries.
 The result carries the states of the checked allocation too, so no
 caller needs to recompute them.  The grid oracle runs `_decide` itself,
 on integer grid units.
@@ -200,12 +204,13 @@ def _decide(
 def _deviation(
     env: Environment,
     powers: FractionVec,
-    u: Matrix,
+    own: FractionVec,
     scale: int,
     i: int,
     target: Target,
     margins: FractionVec,
     states: tuple[State, ...],
+    buffers: tuple[list[State], list[Fraction], dict],
 ) -> Deviation:
     """The witness for i's target, with the states it induces.
 
@@ -225,9 +230,12 @@ def _deviation(
     its adversaries, so only those states are re-evaluated, each from its
     current margin and the exact change of i's entries: a friend's or an
     adversary's by its one entry, i's own by its reserve and its offense.
+    They are written into `buffers`, a state list and a row that hold
+    `states` and zeros on entry and again on return (only the cells of
+    i's row support change, and each is restored once the Deviation has
+    its copies), and a map from each entry in units to its Fraction.
     """
     gain_friend, gain_adv, strict = target
-    own = u[i]
     friends = env.friends_of(i)
     adversaries = env.adversaries_of(i)
     row = {}
@@ -250,7 +258,7 @@ def _deviation(
             row[j] += share
         slack -= len(pushed) * share
     row[i] = slack
-    new_states = list(states)
+    new_states, witness, fractions = buffers
     for j in friends:
         new_states[j] = state_of(margins[j] - own[j] + row.get(j, 0), 0)
     # i's margin moves by the change of its reserve and of its offense.
@@ -260,10 +268,18 @@ def _deviation(
         new_states[j] = state_of(margins[j] + own[j] - entry, 0)
         shift += entry - own[j]
     new_states[i] = state_of(margins[i] + shift, 0)
-    witness = [ZERO] * env.n
     for j, entry in row.items():
-        witness[j] = Fraction(entry, scale)
-    return Deviation(country=i, row=tuple(witness), states=tuple(new_states))
+        x = fractions.get(entry)
+        if x is None:
+            x = fractions[entry] = Fraction(entry, scale)
+        witness[j] = x
+    deviation = Deviation(country=i, row=tuple(witness), states=tuple(new_states))
+    # Restore the buffers for the next deviator.
+    for j in env.row_support(i):
+        new_states[j] = states[j]
+    for j in row:
+        witness[j] = ZERO
+    return deviation
 
 
 def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
@@ -276,10 +292,12 @@ def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
     sigmas, taus = sigma_tau(env, units)
     margins = tuple(map(sub, sigmas, taus))
     states = tuple(map(state_of, sigmas, taus))
-    target = _decide(env, powers, units[i], i, margins)
+    own = units[i]
+    target = _decide(env, powers, own, i, margins)
     if target is None:
         return None
-    return _deviation(env, powers, units, scale, i, target, margins, states)
+    buffers = (list(states), [ZERO] * env.n, {0: ZERO})
+    return _deviation(env, powers, own, scale, i, target, margins, states, buffers)
 
 
 def is_nash(env: Environment, u: Matrix) -> NashResult:
@@ -289,19 +307,24 @@ def is_nash(env: Environment, u: Matrix) -> NashResult:
     country order, and the states u induces; `ok` is the verdict, and the
     first deviation names the lowest-index deviator.  Support, threat and
     states are computed once, in integer units of the common denominator;
-    each witness re-evaluates only its deviator's relevant set, so a check
-    costs O(n + E) plus, per deviator, its n-entry row and one copy of the
-    n-state tuple.  The entries of u must be nonnegative, as those of every
-    admissible matrix are (`model.validate_allocation`).
+    each witness writes only its deviator's relevant set into buffers made
+    once per check, so a check costs O(n + E) plus, per deviator, O(deg i)
+    and one copy of each buffer: its n-entry row and its n states.  The
+    entries of u must be nonnegative, as those of every admissible matrix
+    are (`model.validate_allocation`).
     """
     scale, powers, units = _integer_units(env, u, env.powers)
     sigmas, taus = sigma_tau(env, units)
     margins = tuple(map(sub, sigmas, taus))
     states = tuple(map(state_of, sigmas, taus))
+    buffers = (list(states), [ZERO] * env.n, {0: ZERO})
     deviations: list[Deviation] = []
     for i in range(env.n):
-        target = _decide(env, powers, units[i], i, margins)
+        own = units[i]
+        target = _decide(env, powers, own, i, margins)
         if target is not None:
-            deviations.append(_deviation(env, powers, units, scale, i, target, margins, states))
+            deviations.append(
+                _deviation(env, powers, own, scale, i, target, margins, states, buffers)
+            )
     return NashResult(ok=not deviations, deviations=tuple(deviations), states=states)
 

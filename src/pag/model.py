@@ -126,14 +126,24 @@ def _normalize_pair(i: int, j: int) -> Pair:
     return (i, j) if i < j else (j, i)
 
 
+def _first_gap(support: tuple[int, ...]) -> int:
+    """The first column a sorted row support misses, which has no relation
+    (its length when it covers every column before it)."""
+    for k, j in enumerate(support):
+        if j != k:
+            return k
+    return len(support)
+
+
 @dataclass(frozen=True)
 class Environment:
     """Countries, exact powers, and symmetric relation sets.
 
     Countries are referenced by stable 0-based indices internally; names are
     the external interface.  Relation pairs are stored normalized with the
-    smaller index first; each country's friends, adversaries and row support
-    are computed once, at construction.
+    smaller index first; each country's friends, adversaries and row support,
+    and the first column off that support, are computed once, at
+    construction.
     """
 
     names: tuple[str, ...]
@@ -150,6 +160,7 @@ class Environment:
     _support: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
+    _first_off: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         n = len(self.names)
@@ -163,9 +174,9 @@ class Environment:
             ad[j].append(i)
         object.__setattr__(self, "_friend_adj", tuple(tuple(sorted(x)) for x in fr))
         object.__setattr__(self, "_adversary_adj", tuple(tuple(sorted(x)) for x in ad))
-        object.__setattr__(
-            self, "_support", tuple(tuple(sorted((i, *fr[i], *ad[i]))) for i in range(n))
-        )
+        support = tuple(tuple(sorted((i, *fr[i], *ad[i]))) for i in range(n))
+        object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "_first_off", tuple(map(_first_gap, support)))
 
     @property
     def n(self) -> int:
@@ -300,8 +311,9 @@ def validate_allocation(env: Environment, u: Matrix) -> list[str]:
     runs in the verifier's integer units (`_integer_units`): a row passes
     when its relation cells are nonnegative and sum to its power, and its
     cells with no relation are all zero, which is tested by counting the
-    row's cells equal to the first of them (in C, and by identity where
-    they share that object) against the zeros among its relation cells.
+    row's cells equal to the first of them, whose column the Environment
+    keeps (in C, and by identity where they share that object), against the
+    zeros among its relation cells.
     Only a row that fails is scanned cell by cell, on its exact values, to
     name what is wrong with it.
     """
@@ -310,12 +322,10 @@ def validate_allocation(env: Environment, u: Matrix) -> list[str]:
     if len(u) != n or any(len(row) != n for row in u):
         return [f"matrix must be {n}x{n}"]
     _, powers, units = _integer_units(env, u, env.powers)
-    for i, row in enumerate(u):
-        support = env.row_support(i)
-        cells = units[i]
-        values = [cells[j] for j in support]
-        # The first column missing from the sorted support has no relation.
-        off = next((k for k, j in enumerate(support) if j != k), len(support))
+    scaled = units is not u
+    for i, (row, support, off) in enumerate(zip(u, env._support, env._first_off)):
+        # Past `MAX_SCALE` the units are the rows themselves.
+        values = list(units[i].values()) if scaled else [row[j] for j in support]
         if (
             sum(values) != powers[i]
             or min(values) < 0
@@ -408,9 +418,12 @@ def _integer_units(
     over its support, in O(n + E).  One pass over each row's support reads
     the numerators and grows L; where L stays 1 those numerators are the
     units, and otherwise the nonzero ones are multiplied by L over their
-    denominator.  Positive scaling changes no state and no deviation, so
-    deciding on them is exact.  As soon as L reaches `MAX_SCALE` it returns
-    (1, powers, u): the same decision then runs on the Fractions themselves.
+    denominator.  An exact Fraction cell is read by one `as_integer_ratio()`
+    call, any other cell by its `numerator` and `denominator`, so a cell
+    without them (a float, a Decimal) raises.  Positive scaling changes no
+    state and no deviation, so deciding on them is exact.  As soon as L
+    reaches `MAX_SCALE` it returns (1, powers, u): the same decision then
+    runs on the Fractions themselves.
     """
     scale = 1
     for x in powers:
@@ -423,9 +436,13 @@ def _integer_units(
         cells = {}
         for j in support:
             x = row[j]
-            cells[j] = x.numerator
-            if scale % x.denominator:
-                scale = lcm(scale, x.denominator)
+            if type(x) is Fraction:
+                num, den = x.as_integer_ratio()
+            else:
+                num, den = x.numerator, x.denominator
+            cells[j] = num
+            if scale % den:
+                scale = lcm(scale, den)
                 if scale >= MAX_SCALE:
                     return 1, tuple(powers), u
         rows.append(cells)

@@ -1,8 +1,15 @@
+import json
+from pathlib import Path
+
 import pytest
 
 import pag
-from pag import SurvivalVerdict, TopologyError, make_environment
+from pag import State, SurvivalVerdict, TopologyError, make_environment
 from pag.analysis import adversary_bipartition, is_complete_adversary_graph
+from pag.cli import main as cli_main
+from pag.cli import parse_scenario
+
+COUNTEREXAMPLES = Path(__file__).parent / "counterexamples"
 
 
 class TestGroupBalance:
@@ -175,3 +182,63 @@ class TestCover:
         report = pag.dp_cover(env)
         assert report.spans
         assert SurvivalVerdict.UNDETERMINED not in report.verdicts
+
+
+# Two verified equilibria that contradict a spanning cover's verdicts, kept
+# outside tests/data.  Miscoordination: on powers [5, 4, 4] with friends
+# (v2, v3) and adversaries (v1, v3), v2's protectorate covers v3, yet when v1
+# attacks v3 with 5, v3 gives its 4 to v2 and v2 keeps its 4, v3 is unsafe
+# and neither friend can rescue it alone.  Equality boundary: on the
+# complete rivalry [1, 2, 4, 1] the cover condemns v1, v2 and v4, yet the
+# balancing equilibrium leaves all four precarious.
+COVER_VERDICTS = {
+    "cover_miscoordination.json": ("survives", "survives", "survives"),
+    "cover_equality_boundary.json": ("not-survives", "not-survives", "survives", "not-survives"),
+}
+
+
+def _counterexample(name):
+    return parse_scenario(json.loads((COUNTEREXAMPLES / name).read_text(encoding="utf-8")))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "Source-theory defect: a spanning domination-protectorate cover's"
+        " verdicts do not hold in every equilibrium. A protected country can"
+        " be left unsafe when its protector miscoordinates, and countries"
+        " the cover condemns survive, precarious, on an equality boundary;"
+        " the companion test verifies both equilibria."
+    ),
+)
+def test_cover_verdicts_hold_in_every_equilibrium():
+    contradictions = []
+    for name in COVER_VERDICTS:
+        env, u = _counterexample(name)
+        report = pag.dp_cover(env)
+        assert report.spans
+        assert pag.is_nash(env, u).ok
+        for i, (verdict, state) in enumerate(zip(report.verdicts, pag.state_vector(env, u))):
+            if (verdict is SurvivalVerdict.SURVIVES and not state.survives) or (
+                verdict is SurvivalVerdict.NOT_SURVIVES and state.survives
+            ):
+                contradictions.append((name, env.names[i], verdict.value, state.value))
+    assert not contradictions
+
+
+@pytest.mark.parametrize("name", sorted(COVER_VERDICTS))
+def test_cover_counterexamples_are_verified_equilibria(name, capsys):
+    env, u = _counterexample(name)
+    report = pag.dp_cover(env)
+    assert report.spans
+    assert tuple(v.value for v in report.verdicts) == COVER_VERDICTS[name]
+    assert pag.validate_allocation(env, u) == []
+    result = pag.is_nash(env, u)
+    assert result.ok
+    if name == "cover_miscoordination.json":
+        assert result.states == (State.SAFE, State.SAFE, State.UNSAFE)
+    else:
+        assert u == pag.balancing_equilibrium(env)
+        assert result.states == (State.PRECARIOUS,) * 4
+    assert cli_main(["verify", str(COUNTEREXAMPLES / name)]) == 0
+    capsys.readouterr()

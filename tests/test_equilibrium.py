@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -204,6 +205,52 @@ def test_deciding_a_hub_reads_each_relation_cell_once():
     assert equilibrium.is_nash(env, rows).deviations[0].country == 1
     assert max(reads.values()) == 1
     assert {cell for cell in reads if cell[0] == 0} == hub_row
+
+
+def _all_reserve(env):
+    return matrix_from_entries(env, {(i, i): p for i, p in enumerate(env.powers)})
+
+
+def _complete_rivalry_at_reserve():
+    env = make_environment(
+        [3, 1, 4, 1, 5, 9], adversaries=[(i, j) for i in range(6) for j in range(i + 1, 6)]
+    )
+    return env, _all_reserve(env)
+
+
+def _star_at_reserve():
+    # Hub v1 is every leaf's adversary: each leaf's witness rewrites it.
+    env = make_environment([4, 5, 1, 6, 2, 7, 4], adversaries=[(0, j) for j in range(1, 7)])
+    return env, _all_reserve(env)
+
+
+def _sparse_400(denominators):
+    return lambda: random_sparse_scenario(random.Random(400), 400, denominators=denominators)
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        _complete_rivalry_at_reserve,
+        _star_at_reserve,
+        _sparse_400((1,)),
+        _sparse_400((1, 2, 3)),
+        _sparse_400(_DENOMINATORS[-1]),
+    ],
+    ids=["complete-rivalry", "star", "sparse-int", "sparse-123", "sparse-past-max-scale"],
+)
+def test_witnesses_share_no_state_between_deviators(instance):
+    # is_nash writes every witness into buffers it reuses across deviators;
+    # where consecutive deviators share neighbours, each witness must still
+    # be the one a fresh best_deviation builds, its states those of the
+    # replaced matrix, and a second check must return the same result.
+    env, u = instance()
+    result = pag.is_nash(env, u)
+    assert len(result.deviations) >= 3
+    for dev in result.deviations:
+        assert dev == pag.best_deviation(env, u, dev.country)
+        assert dev.states == state_vector(env, replace_row(u, dev.country, dev.row))
+    assert pag.is_nash(env, u) == result
 
 
 @settings(max_examples=50, deadline=None)

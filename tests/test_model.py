@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import types
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -281,6 +282,8 @@ def test_row_support_is_cached_per_environment(seed):
     for i in range(env.n):
         assert env.row_support(i) == expected(env, i)
         assert env.row_support(i) is env.row_support(i)
+        # Validation's first column with no relation (n when there is none).
+        assert env._first_off[i] == min(set(range(env.n + 1)) - set(expected(env, i)))
     free = [p for p in itertools.combinations(range(env.n), 2) if p not in env.friends]
     other = dataclasses.replace(
         env, adversaries=frozenset(rng.sample(free, rng.randint(0, len(free))))
@@ -288,6 +291,53 @@ def test_row_support_is_cached_per_environment(seed):
     for i in range(other.n):
         related = {j for pair in other.friends | other.adversaries if i in pair for j in pair}
         assert other.row_support(i) == expected(other, i) == tuple(sorted(related | {i}))
+        assert other._first_off[i] == min(set(range(other.n + 1)) - related - {i})
+
+
+# Row v1 of an admissible allocation with a diagonal, a friend and an
+# adversary cell: 1, 1 and 0.
+_CELL_ENV = make_environment([2, 2, 2], friends=[(0, 1)], adversaries=[(0, 2)])
+_CELL_ALLOC = matrix_from_entries(_CELL_ENV, {(0, 0): 1, (0, 1): 1, (1, 1): 2, (2, 2): 2})
+
+
+def _with_cell(j, value):
+    rows = [list(row) for row in _CELL_ALLOC]
+    rows[0][j] = value
+    return tuple(tuple(row) for row in rows)
+
+
+def _checks(u):
+    env = _CELL_ENV
+    return (
+        lambda: pag.validate_allocation(env, u),
+        lambda: pag.is_nash(env, u),
+        lambda: pag.best_deviation(env, u, 0),
+        lambda: pag.state_vector(env, u),
+    )
+
+
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["diagonal", "friend", "adversary"])
+@pytest.mark.parametrize("value", [0.0, 1.0, 0.5, Decimal(1), Decimal("0.5")], ids=repr)
+def test_relation_cells_must_be_exact_rationals(column, value):
+    # A float or a Decimal in a cell the verifier reads raises, even where
+    # its value equals the exact cell's (1.0 on the diagonal, 0.0 on the
+    # adversary): none may be read as the rational it happens to equal.
+    u = _with_cell(column, value)
+    for check in _checks(u):
+        with pytest.raises((AttributeError, TypeError)):
+            check()
+
+
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["diagonal", "friend", "adversary"])
+def test_int_and_fraction_subclass_cells_are_accepted(column):
+    class Exact(Fraction):
+        pass
+
+    expected = [check() for check in _checks(_CELL_ALLOC)]
+    assert expected[0] == []
+    value = _CELL_ALLOC[0][column]
+    for cell in (int(value), Exact(value)):
+        assert [check() for check in _checks(_with_cell(column, cell))] == expected
 
 
 def test_random_sparse_scenario_rejects_more_pairs_than_exist():
