@@ -224,15 +224,15 @@ def _deviation(
     release their other attackers' maintenance burdens).  The rest goes to
     reserve, never onto null relations.
 
-    `powers`, `u`, the margins and the gaps are in units of 1/`scale`, so
+    `powers`, `own`, the margins and the gaps are in units of 1/`scale`, so
     the witness row leaves as each entry over `scale`.  Replacing row i
     moves only the support of i and of its friends and the threat against
     its adversaries, so only those states are re-evaluated, each from its
     current margin and the exact change of i's entries: a friend's or an
     adversary's by its one entry, i's own by its reserve and its offense.
-    They are written into `buffers`, a state list and a row that hold
-    `states` and zeros on entry and again on return (only the cells of
-    i's row support change, and each is restored once the Deviation has
+    States and entries are written into `buffers`: a state list and a row
+    that hold `states` and zeros on entry and again on return (only the
+    cells of i's row support change, each restored once the Deviation has
     its copies), and a map from each entry in units to its Fraction.
     """
     gain_friend, gain_adv, strict = target
