@@ -152,7 +152,9 @@ def _check_printable(env: Environment, entries: Sequence[Fraction]) -> None:
     of its slack, 4 (k + 1) L for some k < n, where L is the common
     denominator of the powers and the entries.  So its numerator and
     denominator stay below 4 (n + 1) L M, which must print.  L grows by
-    `lcm`, and the check stops as soon as it passes the bound.
+    `lcm`, and the check stops as soon as it passes the bound.  The bound
+    also caps the L that the verifier scales CLI input to: under 4,300
+    digits.
     """
     values = (*env.powers, *entries)
     magnitude = sum(abs(x.numerator) // x.denominator + 1 for x in values)
@@ -254,7 +256,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     env, u = _load(args.scenario)
     u = _valid_allocation(env, u)
     # Summed in integer units of L, as `state_vector` does, and printed as
-    # each sum over L; past `MAX_SCALE` the units are the Fractions, L = 1.
+    # each sum over L.
     scale, _, units = _integer_units(env, u, ())
     sigmas, taus = sigma_tau(env, units)
     states = [state_of(s, t).value for s, t in zip(sigmas, taus)]

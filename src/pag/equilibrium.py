@@ -45,13 +45,12 @@ int entries as well as on Fractions; it names the first profitable target
 `is_nash` and `best_deviation` run it in integer units:
 `model._integer_units` scales the powers and the cells the decision reads
 by their common denominator L, which changes no comparison because the
-game is positively homogeneous.  When L would reach `model.MAX_SCALE`, the
-same decision runs on the Fractions instead.  Both compute the margins
-once, from `model.sigma_tau`, and the states once from them, for the
-result and the witness.  The witness, `_deviation`, is built only
-when a `Deviation` is requested: row i at the target's gaps, in the same
-units, where only the strict push's share of the slack is a Fraction,
-and each entry leaves as that entry over L.  It re-evaluates the witness
+game is positively homogeneous.  Both compute the margins once, from
+`model.sigma_tau`, and the states once from them, for the result and the
+witness.  The witness, `_deviation`, is built only when a `Deviation` is
+requested: row i at the target's gaps, in the same units, where only the
+strict push's share of the slack is a Fraction, and each entry leaves as
+that entry over L.  It re-evaluates the witness
 states over the deviator's relevant set alone, from the current margins
 and the exact change of i's entries.  `is_nash` makes one state list and
 one zero row per check; each witness writes its at most deg i + 1 cells

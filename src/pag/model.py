@@ -72,10 +72,6 @@ MAX_EXPONENT = 4300
 MAX_DIGITS = 4000
 _DIGIT_BOUND = 10**MAX_DIGITS
 
-#: Common denominators the verifier scales to integer units stay below this
-#: bound; from it up, the same decision runs on the Fractions themselves.
-MAX_SCALE = 1 << 64
-
 _EXPONENT = re.compile(r"[eE][-+]?([\d_]+)")
 
 
@@ -280,6 +276,8 @@ def make_environment(
     """Build an Environment from 0-based index pairs (convenience)."""
     if names is None:
         names = tuple(f"v{i + 1}" for i in range(len(powers)))
+    friends, adversaries = list(friends), list(adversaries)
+    _check_indices(len(names), [*friends, *adversaries])
     return validate_environment(
         names,
         powers,
@@ -288,10 +286,18 @@ def make_environment(
     )
 
 
+def _check_indices(n: int, pairs: Iterable[Pair]) -> None:
+    """ValidationError naming every index of `pairs` outside 0..n-1."""
+    errors = [f"index {k} out of range 0..{n - 1}" for p in pairs for k in p if not 0 <= k < n]
+    if errors:
+        raise ValidationError(errors)
+
+
 def matrix_from_entries(
     env: Environment, entries: Mapping[Pair, Rational]
 ) -> Matrix:
     """Build a full matrix from sparse {(row, col): value} entries."""
+    _check_indices(env.n, entries)
     rows = [[ZERO] * env.n for _ in range(env.n)]
     for (i, j), raw in entries.items():
         rows[i][j] = to_fraction(raw)
@@ -322,16 +328,14 @@ def validate_allocation(env: Environment, u: Matrix) -> list[str]:
     if len(u) != n or any(len(row) != n for row in u):
         return [f"matrix must be {n}x{n}"]
     _, powers, units = _integer_units(env, u, env.powers)
-    scaled = units is not u
-    for i, (row, support, off) in enumerate(zip(u, env._support, env._first_off)):
-        # Past `MAX_SCALE` the units are the rows themselves.
-        values = list(units[i].values()) if scaled else [row[j] for j in support]
+    for i, (row, cells, off) in enumerate(zip(u, units, env._first_off)):
+        values = list(cells.values())
         if (
             sum(values) != powers[i]
             or min(values) < 0
             or (
                 off < n
-                and (row[off] or row.count(row[off]) != values.count(0) + n - len(support))
+                and (row[off] or row.count(row[off]) != values.count(0) + n - len(values))
             )
         ):
             _check_cells(env, i, row, errors)
@@ -408,7 +412,7 @@ def state_vector(env: Environment, u: Matrix) -> tuple[State, ...]:
 
 def _integer_units(
     env: Environment, u: Matrix, powers: Sequence[Fraction]
-) -> tuple[int, tuple, Sequence]:
+) -> tuple[int, tuple[int, ...], list[dict[int, int]]]:
     """Scale `powers` and the cells the verifier reads to integer units.
 
     Returns (L, powers, rows): L is the common denominator of `powers` (the
@@ -421,16 +425,12 @@ def _integer_units(
     denominator.  An exact Fraction cell is read by one `as_integer_ratio()`
     call, any other cell by its `numerator` and `denominator`, so a cell
     without them (a float, a Decimal) raises.  Positive scaling changes no
-    state and no deviation, so deciding on them is exact.  As soon as L
-    reaches `MAX_SCALE` it returns (1, powers, u): the same decision then
-    runs on the Fractions themselves.
+    state and no deviation, so deciding on them is exact.
     """
     scale = 1
     for x in powers:
         if scale % x.denominator:
             scale = lcm(scale, x.denominator)
-            if scale >= MAX_SCALE:
-                return 1, tuple(powers), u
     rows = []
     for row, support in zip(u, env._support):
         cells = {}
@@ -443,8 +443,6 @@ def _integer_units(
             cells[j] = num
             if scale % den:
                 scale = lcm(scale, den)
-                if scale >= MAX_SCALE:
-                    return 1, tuple(powers), u
         rows.append(cells)
     if scale == 1:
         return 1, tuple(x.numerator for x in powers), rows

@@ -6,21 +6,19 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
 import pytest
 
 import pag
 from pag.cli import emit_scenario, main, parse_scenario
-from pag.model import MAX_SCALE
 
 from conftest import random_sparse_scenario
 
 DATA = Path(__file__).parent / "data"
 
 # Integer entries, fractional ones, and denominators whose common
-# denominator L passes MAX_SCALE, so the engine decides on the Fractions.
+# denominator L is past 2^64.
 SCALES = {"integer": (1,), "fractional": (1, 2, 3, 7), "huge": (1, 10**12 + 39, 10**12 + 61)}
 
 
@@ -334,8 +332,6 @@ class TestVerify:
         # states it induces, exactly as a scan of all n cells and states
         # builds them from is_nash.
         for path, env, u in seeded_scenarios(tmp_path, scale):
-            denominators = [x.denominator for row in u for x in row]
-            assert (lcm(*denominators) >= MAX_SCALE) == (scale == "huge")
             result = pag.is_nash(env, u)
             assert not result.ok
             expected = dict.fromkeys(env.names)

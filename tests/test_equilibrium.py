@@ -92,9 +92,17 @@ class TestEquilibriumClass:
         assert state_vector(env4, fig4) == state_vector(env4, variant)
 
 
-# Denominators of the scaled families, and one family whose common
-# denominator passes model.MAX_SCALE, so the verifier decides on Fractions.
-_DENOMINATORS = ((1,), (1, 2, 3), (1, 2, 3, 7, 12), (10**12 + 39, 10**12 + 61, 7))
+# Denominators of each family: small ones; 40 distinct 12-digit ones, whose
+# common denominator has a few hundred digits at these sizes; and two 13-digit
+# primes with 7, whose common denominator is past 2^64 once both occur (the
+# last family).
+_DENOMINATORS = (
+    (1,),
+    (1, 2, 3),
+    (1, 2, 3, 7, 12),
+    tuple(random.Random(12).sample(range(10**11, 10**12), 40)),
+    (10**12 + 39, 10**12 + 61, 7),
+)
 
 
 @settings(max_examples=50, deadline=None)
@@ -104,13 +112,10 @@ def test_sparse_witness_states_match_global_recompute(seed, denominators):
     # they must equal a whole-matrix recompute on the replaced matrix, and
     # is_nash's certificate must be exactly the per-country best deviations.
     # Decisions run in integer units of the common denominator: certificates
-    # must equal those of the same core run on the Fractions (what the
-    # helper returns past its scaling bound), and witness rows must hold
-    # Fractions only.
+    # must equal those of the same core run on the Fractions themselves, and
+    # witness rows must hold Fractions only.
     rng = random.Random(seed)
     env, u = random_sparse_scenario(rng, rng.randint(5, 60), denominators=denominators)
-    scaled = model._integer_units(env, u, env.powers)[2] is not u
-    assert scaled == (denominators != _DENOMINATORS[-1])
     result = pag.is_nash(env, u)
     assert result.states == state_vector(env, u)
     singles = [pag.best_deviation(env, u, i) for i in range(env.n)]

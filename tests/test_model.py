@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import math
 import types
 from decimal import Decimal
 from fractions import Fraction
@@ -88,6 +87,21 @@ class TestValidateEnvironment:
         joined = "; ".join(exc.value.errors)
         assert "duplicate name" in joined
         assert "self relation" in joined
+
+    def test_indices_outside_the_countries_are_rejected(self):
+        # Unchecked, a negative index counts from the end: (-1, 0) would
+        # relate v2 and v1, and an allocation entry at (-1, 0) fill row v2.
+        cases = [
+            (lambda: make_environment([1, 2], adversaries=[(-1, 0)]), -1),
+            (lambda: make_environment([1, 2], friends=[(0, 1), (2, 0)]), 2),
+        ]
+        env = make_environment([1, 2])
+        for entry, bad in (((-1, 0), -1), ((2, 0), 2), ((0, -1), -1), ((1, 2), 2)):
+            cases.append((lambda entry=entry: matrix_from_entries(env, {entry: 1}), bad))
+        for build, bad in cases:
+            with pytest.raises(ValidationError) as exc:
+                build()
+            assert exc.value.errors == [f"index {bad} out of range 0..1"]
 
     def test_all_errors_collected_at_once(self):
         with pytest.raises(ValidationError) as exc:
@@ -191,8 +205,8 @@ def _reference_errors(env, u):
 
 
 # Any nonzero entry over one of these keeps a denominator above 2^64 once
-# reduced, so the common denominator passes model.MAX_SCALE; over the small
-# ones it is at most 84.
+# reduced, so the common denominator is past 2^64; over the small ones it
+# is at most 84.
 HUGE_DENOMINATORS = (10**21 + 1, 10**22 + 3)
 
 
@@ -202,7 +216,7 @@ def test_validate_allocation_matches_brute_force(seed, huge):
     # Rows whose zeros are distinct objects or ints, rows that reuse one
     # nonzero object off their relations, and rows with a negative entry
     # off their relations: the error list must equal a cell-by-cell scan,
-    # whether validation decides in integer units or on the Fractions.
+    # at small and at huge common denominators.
     rng = random.Random(seed)
     denominators = HUGE_DENOMINATORS if huge else (1, 2, 3, 7, 12)
     env, u = random_sparse_scenario(rng, rng.randint(5, 30), denominators=denominators)
@@ -221,7 +235,6 @@ def test_validate_allocation_matches_brute_force(seed, huge):
             row[rng.choice(off)] = Fraction(-rng.randint(1, 4), rng.choice((1, 3)))
         rows.append(tuple(row))
     v = tuple(rows)
-    assert (pag.model._integer_units(env, v, env.powers)[2] is v) == huge
     assert pag.validate_allocation(env, v) == _reference_errors(env, v)
 
 
@@ -247,27 +260,6 @@ def test_valid_matrix_is_validated_without_fraction_addition():
     assert additions == 0
     CountingFraction(1) + 1
     assert additions == 1  # the counter sees an addition
-
-
-def test_integer_units_stop_taking_lcms_at_max_scale(monkeypatch):
-    # With hundreds of distinct 30-digit denominators the first lcm passes
-    # MAX_SCALE; scaling gives up there instead of finishing the lcm.
-    rng = random.Random(30)
-    denominators = [10**29 + rng.randrange(10**29) for _ in range(300)]
-    env, u = random_sparse_scenario(rng, 200, denominators=denominators)
-    assert len({x.denominator for row in u for x in row}) > 200
-    calls = 0
-
-    def counting_lcm(*args):
-        nonlocal calls
-        calls += 1
-        return math.lcm(*args)
-
-    monkeypatch.setattr(pag.model, "lcm", counting_lcm)
-    assert pag.model._integer_units(env, u, env.powers) == (1, env.powers, u)
-    assert calls == 1
-    assert pag.model._integer_units(env, u, ()) == (1, (), u)
-    assert calls == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -300,18 +292,31 @@ _CELL_ENV = make_environment([2, 2, 2], friends=[(0, 1)], adversaries=[(0, 2)])
 _CELL_ALLOC = matrix_from_entries(_CELL_ENV, {(0, 0): 1, (0, 1): 1, (1, 1): 2, (2, 2): 2})
 
 
+# The same rows behind country v0, whose reserve, its whole power
+# 1/(10^21 + 1), puts the common denominator past 2^64 before any of their
+# cells is read, powers or none.
+_LEAD = Fraction(1, 10**21 + 1)
+_LEAD_ENV = make_environment(
+    [_LEAD, 2, 2, 2], friends=[(1, 2)], adversaries=[(1, 3)], names=["v0", "v1", "v2", "v3"]
+)
+
+
 def _with_cell(j, value):
     rows = [list(row) for row in _CELL_ALLOC]
     rows[0][j] = value
     return tuple(tuple(row) for row in rows)
 
 
-def _checks(u):
-    env = _CELL_ENV
+def _led(u):
+    return ((_LEAD, 0, 0, 0),) + tuple((0, *row) for row in u)
+
+
+def _checks(u, env=_CELL_ENV):
+    v1 = env.index("v1")
     return (
         lambda: pag.validate_allocation(env, u),
         lambda: pag.is_nash(env, u),
-        lambda: pag.best_deviation(env, u, 0),
+        lambda: pag.best_deviation(env, u, v1),
         lambda: pag.state_vector(env, u),
     )
 
@@ -321,9 +326,10 @@ def _checks(u):
 def test_relation_cells_must_be_exact_rationals(column, value):
     # A float or a Decimal in a cell the verifier reads raises, even where
     # its value equals the exact cell's (1.0 on the diagonal, 0.0 on the
-    # adversary): none may be read as the rational it happens to equal.
+    # adversary): none may be read as the rational it happens to equal, at
+    # a small common denominator or past 2^64.
     u = _with_cell(column, value)
-    for check in _checks(u):
+    for check in (*_checks(u), *_checks(_led(u), _LEAD_ENV)):
         with pytest.raises((AttributeError, TypeError)):
             check()
 
