@@ -256,11 +256,11 @@ def dp_cover(env: Environment) -> CoverReport:
     for p in protectorates:
         protected.update(p.members)
     condemned_adversary: set[int] = set()
-    condemned_member: set[int] = set()
     for d in dominations:
         condemned_adversary.update(env.adversaries_of(d.owner))
-        condemned_member.update(d.members - {d.owner})
 
+    # The cover spans, so a country that is neither an owner nor protected
+    # is a non-owner member of some domination.
     verdicts = []
     for i in range(env.n):
         source = i in owners or i in protected
@@ -268,10 +268,8 @@ def dp_cover(env: Environment) -> CoverReport:
             verdicts.append(SurvivalVerdict.CONFLICT)
         elif source:
             verdicts.append(SurvivalVerdict.SURVIVES)
-        elif i in condemned_member:
-            verdicts.append(SurvivalVerdict.NOT_SURVIVES)
         else:
-            verdicts.append(SurvivalVerdict.UNDETERMINED)
+            verdicts.append(SurvivalVerdict.NOT_SURVIVES)
     return CoverReport(
         dominations, protectorates, frozenset(covered), spans, tuple(verdicts)
     )

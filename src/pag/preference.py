@@ -20,7 +20,7 @@ The Nash verifier decides a larger relation: `improvement_from_states` plus
 a refinement on the adversary front, where pushing an adversary strictly
 down (safe or precarious to a lower state) without worsening any relevant
 state also counts.  `equilibrium.py`'s module docstring defines it, and
-`tests/test_exact_best_response.py::relation_r` spells it out as code.
+`tests/reference.py::relation_r` spells it out as code.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Shared fixtures: the four worked environments and their allocations.
 
 The expected state vectors asserted in the test modules were derived by
-hand from the support/threat definitions and are frozen here as constants;
-grid helpers below provide the independent brute-force routes used to
-cross-check the closed-form machinery.
+hand from the support/threat definitions and are frozen here as constants.
+The builders below draw the random environments and allocations the tests
+sample; the references they are checked against are in `reference.py`.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from pag import (
     make_environment,
     matrix_from_entries,
 )
-from pag.model import ZERO, replace_row, state_vector
-from pag.preference import improvement_from_states
+from pag.model import ZERO
 
 #: Seed of the acceptance suite's sampled instances.
 SEED = 20260808
@@ -95,42 +94,11 @@ def fig4(env4: Environment) -> Matrix:
     )
 
 
-def compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
-def grid_rows(env: Environment, i: int, step: Fraction):
-    """Every admissible row for country i with entries on the step grid."""
-    support = env.row_support(i)
-    units = env.powers[i] / step
-    assert units.denominator == 1
-    for combo in compositions(int(units), len(support)):
-        row = [ZERO] * env.n
-        for j, count in zip(support, combo):
-            row[j] = count * step
-        yield tuple(row)
-
-
-def grid_profitable_deviation(env: Environment, u: Matrix, i: int, step: Fraction):
-    """Brute-force route: scan i's grid deviations with the category rule.
-
-    Independent of the closed-form best-deviation solver; used to check that
-    the solver never misses a profitable deviation the grid can see.
-    """
-    s_u = state_vector(env, u)
-    for row in grid_rows(env, i, step):
-        if row == u[i]:
-            continue
-        s_v = state_vector(env, replace_row(u, i, row))
-        if improvement_from_states(env, i, s_u, s_v):
-            return row
-    return None
+def complete_rivalry(powers) -> Environment:
+    """The complete rivalry on `powers`: every pair of countries are adversaries."""
+    return make_environment(
+        powers, adversaries=list(itertools.combinations(range(len(powers)), 2))
+    )
 
 
 def random_environment(

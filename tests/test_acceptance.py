@@ -26,11 +26,12 @@ from pag.model import State, sigma_tau
 
 from conftest import (
     SEED,
+    complete_rivalry,
     criterion_06_instances,
-    grid_profitable_deviation,
     random_allocation,
     random_environment,
 )
+from reference import grid_profitable_deviation
 
 DATA = Path(__file__).parent / "data"
 ONE = Fraction(1)
@@ -40,12 +41,6 @@ def _report(num: int, passed: bool, detail: str = "") -> None:
     marker = "PASS" if passed else "FAIL"
     suffix = f": {detail}" if detail else ""
     print(f"\n[criterion {num:>2}] {marker}{suffix}")
-
-
-def _complete(powers):
-    return make_environment(
-        powers, adversaries=list(itertools.combinations(range(len(powers)), 2))
-    )
 
 
 def test_criterion_01_example_one_reproduction(capsys, env1, fig1b):
@@ -103,7 +98,7 @@ def test_criterion_03_balancing_iff(capsys):
     for _ in range(200):
         n = rng.randint(2, 5)
         powers = [rng.randint(0, 12) for _ in range(n)]
-        env = _complete(powers)
+        env = complete_rivalry(powers)
         total = sum(env.powers)
         feasible = all(p <= total - p for p in env.powers)
         try:

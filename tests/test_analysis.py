@@ -45,6 +45,10 @@ class TestCliqueDefense:
     def test_non_clique_rejected(self, env1):
         assert not pag.check_clique_defense(env1, {0, 5})
 
+    def test_empty_group_rejected(self, env1):
+        with pytest.raises(ValueError, match="nonempty"):
+            pag.check_clique_defense(env1, [])
+
 
 class TestBalancingExists:
     def test_env2(self, env2):

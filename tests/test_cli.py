@@ -493,6 +493,20 @@ class TestSearch:
         assert payload["survival"]["v4"] == "always-on-grid"
         assert payload["survival"]["v3"] == "never-on-grid"
 
+    def test_empty_atlas_reported(self, capsys, tmp_path):
+        # v1 outweighs its two rivals together, and they are friends: no
+        # candidate on the unit grid is an equilibrium.
+        env = pag.make_environment([3, 1, 1], friends=[(1, 2)], adversaries=[(0, 1), (0, 2)])
+        path = tmp_path / "no_equilibrium.json"
+        path.write_text(json.dumps(emit_scenario(env)))
+        code, out, _ = run_cli(capsys, "search", path, "--step", "1")
+        assert code == 0
+        assert "candidates checked: 90\n" in out
+        assert "equilibria found: 0 in 0 classes\n" in out
+        assert "survival: no equilibria found on this grid\n" in out
+        payload = machine_section(out)
+        assert (payload["classes"], payload["survival"]) == ([], {})
+
     def test_too_fine_step_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "search", DATA / "env2.json", "--step", "1/8",

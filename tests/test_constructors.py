@@ -19,14 +19,7 @@ from pag import (
 )
 from pag.model import State, state_vector
 
-from conftest import SEED, criterion_06_instances, random_bipartite_environment
-
-
-def complete(powers):
-    n = len(powers)
-    return make_environment(
-        powers, adversaries=list(itertools.combinations(range(n), 2))
-    )
+from conftest import SEED, complete_rivalry, criterion_06_instances, random_bipartite_environment
 
 
 class TestSymmetricRowSumMatrix:
@@ -41,6 +34,13 @@ class TestSymmetricRowSumMatrix:
     def test_infeasible_power(self):
         with pytest.raises(InfeasiblePower):
             pag.symmetric_row_sum_matrix([10, 1, 2])
+
+    @pytest.mark.parametrize(
+        "powers,message", [([1], "at least 2 entries"), ([2, -1, 3], "nonnegative")]
+    )
+    def test_malformed_powers_rejected(self, powers, message):
+        with pytest.raises(ValueError, match=message):
+            pag.symmetric_row_sum_matrix(powers)
 
     def test_tie_heavy_instance(self):
         # Greedy largest-pair matching dead-ends here; the slack-aware rule
@@ -78,18 +78,20 @@ class TestBalancingEquilibrium:
         assert sigmas == taus == env2.powers
 
     def test_two_countries(self):
-        env = complete([3, 3])
+        env = complete_rivalry([3, 3])
         u = pag.balancing_equilibrium(env)
         assert u[0][1] == u[1][0] == 3
         assert all(s is State.PRECARIOUS for s in state_vector(env, u))
 
     def test_infeasible(self):
         with pytest.raises(InfeasiblePower):
-            pag.balancing_equilibrium(complete([20, 1, 2]))
+            pag.balancing_equilibrium(complete_rivalry([20, 1, 2]))
 
     def test_topology_guard(self, env4):
         with pytest.raises(TopologyError):
             pag.balancing_equilibrium(env4)
+        with pytest.raises(TopologyError, match="at least 2 countries"):
+            pag.balancing_equilibrium(make_environment([3]))
 
     def test_wrong_states_name_them(self, env2, monkeypatch):
         # An all-reserve matrix is admissible but leaves everyone safe: the
@@ -98,6 +100,14 @@ class TestBalancingEquilibrium:
         monkeypatch.setattr(pag.constructors, "symmetric_row_sum_matrix", lambda powers: reserve)
         message = r"^balancing states are \['safe', 'safe', 'safe'\]$"
         with pytest.raises(ConstructionFailed, match=message):
+            pag.balancing_equilibrium(env2)
+
+    def test_invalid_allocation_named(self, env2, monkeypatch):
+        # The zero matrix leaves everyone precarious, as balancing should,
+        # but no row sums to its power.
+        zero = matrix_from_entries(env2, {})
+        monkeypatch.setattr(pag.constructors, "symmetric_row_sum_matrix", lambda powers: zero)
+        with pytest.raises(ConstructionFailed, match=r"^balancing: invalid allocation: \["):
             pag.balancing_equilibrium(env2)
 
 
@@ -113,11 +123,13 @@ class TestSoleSurvivor:
 
     def test_precondition_violated(self):
         with pytest.raises(PreconditionViolated):
-            pag.sole_survivor_equilibrium(complete([9, 1, 2]), 1)
+            pag.sole_survivor_equilibrium(complete_rivalry([9, 1, 2]), 1)
 
     def test_zero_power_survivor_rejected(self):
-        with pytest.raises(PreconditionViolated):
-            pag.sole_survivor_equilibrium(complete([0, 1, 2]), 0)
+        # Every power is strictly below the others' total, so only the
+        # survivor's zero power fails.
+        with pytest.raises(PreconditionViolated, match="needs positive power"):
+            pag.sole_survivor_equilibrium(complete_rivalry([2, 2, 1, 0]), 3)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 30))
@@ -129,7 +141,7 @@ class TestSoleSurvivor:
             total = sum(powers)
             if all(p < total - p for p in powers):
                 break
-        env = complete(powers)
+        env = complete_rivalry(powers)
         survivor = rng.randrange(n)
         u = pag.sole_survivor_equilibrium(env, survivor)
         states = state_vector(env, u)

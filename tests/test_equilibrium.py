@@ -10,15 +10,9 @@ from hypothesis import strategies as st
 import pag
 from pag import equilibrium, make_environment, matrix_from_entries, model
 from pag.model import State, replace_row, state_vector
-from pag.preference import improvement_from_states
 
-from conftest import (
-    grid_profitable_deviation,
-    grid_rows,
-    random_allocation,
-    random_environment,
-    random_sparse_scenario,
-)
+from conftest import complete_rivalry, random_allocation, random_environment, random_sparse_scenario
+from reference import grid_profitable_deviation, relation_r, state_refined_improvement
 
 
 class TestBestDeviation:
@@ -217,9 +211,7 @@ def _all_reserve(env):
 
 
 def _complete_rivalry_at_reserve():
-    env = make_environment(
-        [3, 1, 4, 1, 5, 9], adversaries=[(i, j) for i in range(6) for j in range(i + 1, 6)]
-    )
+    env = complete_rivalry([3, 1, 4, 1, 5, 9])
     return env, _all_reserve(env)
 
 
@@ -296,8 +288,8 @@ def test_verdict_invariant_under_positive_scaling(seed, c):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 2 ** 30))
 def test_reported_witness_verified_end_to_end(seed):
-    # Any witness the solver returns must be admissible, and when it claims
-    # a category improvement the preference layer must agree.
+    # Any witness the solver returns must be admissible and an improvement
+    # under R, the category rule or the push clause.
     rng = random.Random(seed)
     env = random_environment(rng, rng.randint(2, 4), max_power=6, min_power=0)
     u = random_allocation(rng, env, denominator=rng.choice([1, 2]))
@@ -307,40 +299,7 @@ def test_reported_witness_verified_end_to_end(seed):
             continue
         v = replace_row(u, i, dev.row)
         assert pag.validate_allocation(env, v) == []
-        s_u, s_v = state_vector(env, u), state_vector(env, v)
-        if not improvement_from_states(env, i, s_u, s_v):
-            # Must then be the adversary-front state refinement: no state
-            # regression on the relevant set and a strict push downward.
-            order = {State.SAFE: 0, State.PRECARIOUS: 1, State.UNSAFE: 2}
-            gains = 0
-            for j in env.adversaries_of(i):
-                assert order[s_v[j]] >= order[s_u[j]]
-                gains += order[s_v[j]] > order[s_u[j]]
-            assert s_v[i].survives == s_u[i].survives
-            for j in env.friends_of(i):
-                assert s_v[j].survives or not s_u[j].survives
-            assert gains > 0
-
-
-def _state_refined_improvement(env, i, s_u, s_v):
-    # Independent reimplementation of the refined deviation relation the
-    # verifier decides in closed form: the self-survival jump, or no state
-    # regression anywhere on the relevant set with at least one gain
-    # (friends count by survival category, adversaries by full state).
-    order = {State.SAFE: 0, State.PRECARIOUS: 1, State.UNSAFE: 2}
-    if not s_u[i].survives and s_v[i].survives:
-        return True
-    for j in (i, *env.friends_of(i)):
-        if s_u[j].survives and not s_v[j].survives:
-            return False
-    gains = 0
-    for j in env.friends_of(i):
-        gains += s_v[j].survives and not s_u[j].survives
-    for j in env.adversaries_of(i):
-        if order[s_v[j]] < order[s_u[j]]:
-            return False
-        gains += order[s_v[j]] > order[s_u[j]]
-    return gains > 0
+        assert relation_r(env, i, state_vector(env, u), state_vector(env, v))
 
 
 @settings(max_examples=40, deadline=None)
@@ -353,17 +312,11 @@ def test_is_nash_complete_against_refined_grid_search(seed):
     rng = random.Random(seed)
     env = random_environment(rng, rng.randint(2, 3), max_power=4, min_power=0)
     u = random_allocation(rng, env, denominator=rng.choice([1, 2]))
-    s_u = state_vector(env, u)
     deviators = {dev.country for dev in pag.is_nash(env, u).deviations}
     for i in range(env.n):
-        found = None
-        for row in grid_rows(env, i, Fraction(1, 2)):
-            if row == u[i]:
-                continue
-            s_v = state_vector(env, replace_row(u, i, row))
-            if _state_refined_improvement(env, i, s_u, s_v):
-                found = row
-                break
+        found = grid_profitable_deviation(
+            env, u, i, Fraction(1, 2), relation=state_refined_improvement
+        )
         if found is not None:
             assert i in deviators, (
                 f"verifier missed a grid deviation for {i}: {found}"

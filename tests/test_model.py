@@ -103,6 +103,15 @@ class TestValidateEnvironment:
                 build()
             assert exc.value.errors == [f"index {bad} out of range 0..1"]
 
+    @pytest.mark.parametrize(
+        "names,powers,message",
+        [([], [], "no countries"), (["a", "b"], [1], "2 countries but 1 powers")],
+    )
+    def test_country_count_errors(self, names, powers, message):
+        with pytest.raises(ValidationError) as exc:
+            pag.validate_environment(names, powers)
+        assert exc.value.errors == [message]
+
     def test_all_errors_collected_at_once(self):
         with pytest.raises(ValidationError) as exc:
             pag.validate_environment(
@@ -125,6 +134,10 @@ class TestValidateAllocation:
 
     def test_alloc1_is_valid(self, env2, alloc1):
         assert pag.validate_allocation(env2, alloc1) == []
+
+    def test_wrong_shape_reported(self, env2, alloc1):
+        for u in (alloc1[:2], (alloc1[0][:2], *alloc1[1:])):
+            assert pag.validate_allocation(env2, u) == ["matrix must be 3x3"]
 
     def test_null_relation_cell_rejected(self, env1):
         u = matrix_from_entries(env1, {(0, 3): 18, (0, 1): 1, (3, 0): 15,

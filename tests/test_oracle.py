@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +15,8 @@ from pag.equilibrium import _decide
 from pag.model import State, sigma_tau, state_of
 from pag.oracle import MAX_CANDIDATES, candidate_count
 
-from conftest import grid_profitable_deviation, grid_rows, random_environment
+from conftest import random_environment
+from reference import brute_force_atlas, grid_candidates, grid_profitable_deviation
 
 
 @pytest.fixture
@@ -26,6 +26,11 @@ def fractional_env():
         friends=[(0, 1)],
         adversaries=[(0, 2), (1, 2)],
     )
+
+
+def _classes(atlas):
+    """(candidates checked, classes) in `reference.brute_force_atlas`'s form."""
+    return atlas.candidates_checked, [(cls.states, cls.members) for cls in atlas.classes]
 
 
 class TestGridSpec:
@@ -148,14 +153,8 @@ class TestIntegerKernel:
         # Reference atlas built from Fraction matrices and the public
         # verifier, never through the oracle's integer units.
         env = request.getfixturevalue(name)
-        expected: dict = {}
-        for u in itertools.product(*(list(grid_rows(env, i, step)) for i in range(env.n))):
-            if pag.is_nash(env, u).ok:
-                expected.setdefault(pag.state_vector(env, u), set()).add(u)
         atlas = pag.find_equilibria(env, GridSpec(step=step))
-        assert {cls.states: cls.members for cls in atlas.classes} == {
-            states: tuple(sorted(members)) for states, members in expected.items()
-        }
+        assert _classes(atlas) == brute_force_atlas(env, step)
 
     def test_atlas_equals_brute_force_on_random_environments(self):
         # Seeded 1-4 country environments, powers 0-6: the oracle's classes,
@@ -163,7 +162,6 @@ class TestIntegerKernel:
         # matrices and the public verifier.  Only environments with some
         # relation count towards the 30.
         rng = random.Random(606)
-        rank = {State.SAFE: 0, State.PRECARIOUS: 1, State.UNSAFE: 2}
         checked = 0
         while checked < 30:
             env = random_environment(rng, rng.randint(1, 4), 6, min_power=0)
@@ -171,26 +169,15 @@ class TestIntegerKernel:
             if candidate_count(env, step) > 3000:
                 continue
             checked += bool(env.friends or env.adversaries)
-            candidates = list(
-                itertools.product(*(list(grid_rows(env, i, step)) for i in range(env.n)))
-            )
-            expected: dict = {}
-            for u in candidates:
-                if pag.is_nash(env, u).ok:
-                    expected.setdefault(pag.state_vector(env, u), []).append(u)
             atlas = pag.find_equilibria(env, GridSpec(step=step))
-            assert atlas.candidates_checked == len(candidates)
-            assert [(cls.states, cls.members) for cls in atlas.classes] == [
-                (states, tuple(sorted(expected[states])))
-                for states in sorted(expected, key=lambda s: [rank[x] for x in s])
-            ]
+            assert _classes(atlas) == brute_force_atlas(env, step)
 
     @pytest.mark.parametrize("name,step", [("env4", Fraction(1)), ("fractional_env", Fraction(1, 4))])
     def test_deciding_every_country_agrees_with_is_nash(self, name, step, request):
         # The oracle may decide countries in any order: some country deviates
         # exactly when is_nash says so, and the deviators are is_nash's.
         env = request.getfixturevalue(name)
-        for u in itertools.product(*(list(grid_rows(env, i, step)) for i in range(env.n))):
+        for u in grid_candidates(env, step):
             sigmas, taus = sigma_tau(env, u)
             margins = tuple(s - t for s, t in zip(sigmas, taus))
             deviators = [
