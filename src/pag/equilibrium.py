@@ -48,16 +48,19 @@ by their common denominator L, which changes no comparison because the
 game is positively homogeneous.  Both compute the margins once, from
 `model.sigma_tau`, and the states once from them, for the result and the
 witness.  The witness, `_deviation`, is built only when a `Deviation` is
-requested: row i at the target's gaps, in the same units, where only the
-strict push's share of the slack is a Fraction, and each entry leaves as
-that entry over L.  It re-evaluates the witness
+requested: row i at the target's gaps, in the same units, except that a
+strict push of k targets works in units m = 4 (k + 1) times finer, so
+that each target's share of the slack is an int too; each entry leaves
+as that entry over L (over L m for a push).  It re-evaluates the witness
 states over the deviator's relevant set alone, from the current margins
-and the exact change of i's entries.  `is_nash` makes one state list and
-one zero row per check; each witness writes its at most deg i + 1 cells
-into them, copies each into its n-tuple and restores the cells it wrote,
-and each distinct entry becomes a Fraction once per check.  So `is_nash`
-costs O(n + E) plus, per deviator, O(deg i) Python-level work and the two
-n-tuple copies a dense `Deviation` carries.
+and the exact change of i's entries.  Both read the `Environment`'s
+adjacency and support tuples directly, with no method call per country.
+`is_nash` makes one state list and one zero row per check; each witness
+writes its at most deg i + 1 cells into them, copies each into its
+n-tuple and restores the cells it wrote, and each distinct entry of a
+witness that pushes nothing becomes a Fraction once per check.  So
+`is_nash` costs O(n + E) plus, per deviator, O(deg i) Python-level work
+and the two n-tuple copies a dense `Deviation` carries.
 The result carries the states of the checked allocation too, so no
 caller needs to recompute them.  The grid oracle runs `_decide` itself,
 on integer grid units.
@@ -139,7 +142,7 @@ def _decide(
     `margins` must be in the same units, and the entries of `own`
     nonnegative.
     """
-    friends = env.friends_of(i)
+    friends = env._friend_adj[i]
     base_f = 0
     for j in friends:
         d = margins[j]
@@ -148,7 +151,7 @@ def _decide(
             if gap > 0:
                 base_f += gap
     # A non-safe adversary with a negative gap is kept down, strictly, at zero.
-    adversaries = env.adversaries_of(i)
+    adversaries = env._adversary_adj[i]
     base = base_f
     offense = 0
     for j in adversaries:
@@ -224,19 +227,25 @@ def _deviation(
     reserve, never onto null relations.
 
     `powers`, `own`, the margins and the gaps are in units of 1/`scale`, so
-    the witness row leaves as each entry over `scale`.  Replacing row i
-    moves only the support of i and of its friends and the threat against
-    its adversaries, so only those states are re-evaluated, each from its
-    current margin and the exact change of i's entries: a friend's or an
-    adversary's by its one entry, i's own by its reserve and its offense.
+    the witness row leaves as each entry over `scale`.  A strict push
+    works in units of 1/(`scale` m), m = 4 (k + 1), so that it stays in
+    ints: the kept gaps are scaled by m, each pushed target gains the
+    slack, the reserve keeps slack (m - k), the states are evaluated on
+    margins scaled by m, and each entry leaves as itself over `scale` m, a
+    zero one as `ZERO`.  Replacing row i moves only the support of i and
+    of its friends and the threat against its adversaries, so only those
+    states are re-evaluated, each from its current margin and the exact
+    change of i's entries: a friend's or an adversary's by its one entry,
+    i's own by its reserve and its offense.
     States and entries are written into `buffers`: a state list and a row
     that hold `states` and zeros on entry and again on return (only the
     cells of i's row support change, each restored once the Deviation has
-    its copies), and a map from each entry in units to its Fraction.
+    its copies), and a map from each entry in units of 1/`scale` to its
+    Fraction, which a push's finer entries bypass.
     """
     gain_friend, gain_adv, strict = target
-    friends = env.friends_of(i)
-    adversaries = env.adversaries_of(i)
+    friends = env._friend_adj[i]
+    adversaries = env._adversary_adj[i]
     row = {}
     pushed = []
     if target != SELF_RESCUE:
@@ -251,30 +260,41 @@ def _deviation(
                 if strict and (j == gain_adv or (d < 0 and gap >= 0)):
                     pushed.append(j)
     slack = powers[i] - sum(row.values())
-    if pushed:
-        share = Fraction(slack, 4 * (len(pushed) + 1))
-        for j in pushed:
-            row[j] += share
-        slack -= len(pushed) * share
-    row[i] = slack
     new_states, witness, fractions = buffers
+    if pushed:
+        # Units m times finer, in which every share of the slack is an int.
+        k = len(pushed)
+        m = 4 * (k + 1)
+        for j in row:
+            row[j] *= m
+        for j in pushed:
+            row[j] += slack
+        slack *= m - k
+        row[i] = slack
+        unit = scale * m
+        for j, entry in row.items():
+            witness[j] = Fraction(entry, unit) if entry else ZERO
+    else:
+        m = 1
+        row[i] = slack
+        for j, entry in row.items():
+            x = fractions.get(entry)
+            if x is None:
+                x = fractions[entry] = Fraction(entry, scale)
+            witness[j] = x
     for j in friends:
-        new_states[j] = state_of(margins[j] - own[j] + row.get(j, 0), 0)
+        new_states[j] = state_of((margins[j] - own[j]) * m + row.get(j, 0), 0)
     # i's margin moves by the change of its reserve and of its offense.
-    shift = slack - own[i]
+    shift = slack - own[i] * m
     for j in adversaries:
         entry = row.get(j, 0)
-        new_states[j] = state_of(margins[j] + own[j] - entry, 0)
-        shift += entry - own[j]
-    new_states[i] = state_of(margins[i] + shift, 0)
-    for j, entry in row.items():
-        x = fractions.get(entry)
-        if x is None:
-            x = fractions[entry] = Fraction(entry, scale)
-        witness[j] = x
+        x = own[j] * m
+        new_states[j] = state_of(margins[j] * m + x - entry, 0)
+        shift += entry - x
+    new_states[i] = state_of(margins[i] * m + shift, 0)
     deviation = Deviation(country=i, row=tuple(witness), states=tuple(new_states))
     # Restore the buffers for the next deviator.
-    for j in env.row_support(i):
+    for j in env._support[i]:
         new_states[j] = states[j]
     for j in row:
         witness[j] = ZERO

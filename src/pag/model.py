@@ -375,15 +375,16 @@ def sigma_tau(env: Environment, u: Matrix) -> tuple[tuple[Fraction, ...], tuple[
     """
     sigmas = []
     taus = []
+    friend_adj, adversary_adj = env._friend_adj, env._adversary_adj
     for i in range(env.n):
         row = u[i]
         sig = row[i]
-        for j in env.friends_of(i):
+        for j in friend_adj[i]:
             x = u[j][i]
             if x:
                 sig += x
         tau = 0
-        for j in env.adversaries_of(i):
+        for j in adversary_adj[i]:
             x = row[j]
             if x:
                 sig += x
@@ -420,18 +421,24 @@ def _integer_units(
     support cells (its diagonal, friend and adversary cells; no other cell
     is read), `powers` times L, and per row a {column: cell times L} map
     over its support, in O(n + E).  One pass over each row's support reads
-    the numerators and grows L; where L stays 1 those numerators are the
-    units, and otherwise the nonzero ones are multiplied by L over their
-    denominator.  An exact Fraction cell is read by one `as_integer_ratio()`
-    call, any other cell by its `numerator` and `denominator`, so a cell
-    without them (a float, a Decimal) raises.  Positive scaling changes no
-    state and no deviation, so deciding on them is exact.
+    each cell's ratio once, keeps its numerator, notes the cells whose
+    denominator is not 1 and grows L from those; where L stays 1 the
+    numerators are the units, and otherwise the nonzero ones are
+    multiplied by L and each noted cell divided, exactly, by its
+    denominator, so the rescale reads no cell again.  Each power's ratio
+    is read once too.  An exact Fraction cell is read by one
+    `as_integer_ratio()` call, any other cell by its `numerator` and
+    `denominator`, so a cell without them (a float, a Decimal) raises.
+    Positive scaling changes no state and no deviation, so deciding on them
+    is exact.
     """
+    ratios = [x.as_integer_ratio() for x in powers]
     scale = 1
-    for x in powers:
-        if scale % x.denominator:
-            scale = lcm(scale, x.denominator)
+    for _, den in ratios:
+        if scale % den:
+            scale = lcm(scale, den)
     rows = []
+    fractional = []
     for row, support in zip(u, env._support):
         cells = {}
         for j in support:
@@ -441,13 +448,18 @@ def _integer_units(
             else:
                 num, den = x.numerator, x.denominator
             cells[j] = num
-            if scale % den:
-                scale = lcm(scale, den)
+            if den != 1:
+                fractional.append((cells, j, den))
+                if scale % den:
+                    scale = lcm(scale, den)
         rows.append(cells)
     if scale == 1:
-        return 1, tuple(x.numerator for x in powers), rows
-    for row, cells in zip(u, rows):
+        return 1, tuple(num for num, _ in ratios), rows
+    for cells in rows:
         for j, x in cells.items():
             if x:
-                cells[j] = x * (scale // row[j].denominator)
-    return scale, tuple(x.numerator * (scale // x.denominator) for x in powers), rows
+                cells[j] = x * scale
+    # Exact: den divides scale.
+    for cells, j, den in fractional:
+        cells[j] //= den
+    return scale, tuple(num * (scale // den) for num, den in ratios), rows

@@ -28,10 +28,12 @@ no states built: neighbouring candidates differ mostly in the last row,
 so that country usually rejects again.  Only when it accepts is the
 candidate's matrix assembled and every other country decided, in cyclic
 order after it; whether some country deviates does not depend on the
-order.  States are built only for the members, from a dict from margin
-to state filled on first sight, so `state_of` runs only for a member
-margin not seen before.  Before any of this, the candidate count is
-multiplied out row by row only until it passes the bound.
+order.  Members are classed by the ranks of their states in
+`STATE_ORDER`, ints read from a dict from margin to rank filled on first
+sight, so `state_of` runs only for a member margin not seen before and a
+class key hashes in C; each class's `State` tuple is made once, at the
+end.  Before any of this, the candidate count is multiplied out row by
+row only until it passes the bound.
 
 Enumeration is naturally partitioned by the first row's composition and
 could run concurrently; the atlas orders classes and members canonically
@@ -173,13 +175,18 @@ def _margin_share(env: Environment, i: int, row: tuple[int, ...]) -> tuple[int, 
     return tuple(map(sub, sigmas, taus))
 
 
-class _StateByMargin(dict):
-    """The state of each survival margin seen so far, filled on first sight:
-    a hit is a dict lookup in C, and only a miss calls `state_of`."""
+#: The states in `STATE_ORDER`: a state's rank there is its index here.
+_BY_RANK = tuple(sorted(STATE_ORDER, key=STATE_ORDER.__getitem__))
 
-    def __missing__(self, margin: int) -> State:
-        state = self[margin] = state_of(margin, 0)
-        return state
+
+class _RankByMargin(dict):
+    """The `STATE_ORDER` rank of the state of each survival margin seen so
+    far, filled on first sight: a hit is a dict lookup in C, and only a
+    miss calls `state_of`."""
+
+    def __missing__(self, margin: int) -> int:
+        rank = self[margin] = STATE_ORDER[state_of(margin, 0)]
+        return rank
 
 
 def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
@@ -196,11 +203,11 @@ def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
         [(row, _margin_share(env, i, row)) for row in rows] for i, rows in enumerate(per_row)
     ]
     blank = (0,) * env.n
-    state_at = _StateByMargin().__getitem__
+    rank_at = _RankByMargin().__getitem__
     last = env.n - 1
     # The countries to scan once the rejector accepts, in cyclic order after it.
     others = [(*range(r + 1, env.n), *range(r)) for r in range(env.n)]
-    classes: dict[tuple[State, ...], list[tuple[tuple[int, ...], ...]]] = {}
+    classes: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
     rejector = 0
     for prefix in product(*shared[:-1]):
         head = tuple(row for row, _ in prefix)
@@ -218,18 +225,18 @@ def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
                     rejector = i
                     break
             else:
-                classes.setdefault(tuple(map(state_at, margins)), []).append(u)
+                classes.setdefault(tuple(map(rank_at, margins)), []).append(u)
 
     # One Fraction row per candidate row, shared by every member using it.
     exact = {row: tuple(x * grid.step for x in row) for rows in per_row for row in rows}
+    convert = exact.__getitem__
+    # Rank vectors sort as the canonical class order; keys are distinct.
     ordered = tuple(
         EquilibriumClass(
-            states=states,
-            members=tuple(tuple(exact[row] for row in m) for m in sorted(members)),
+            states=tuple(map(_BY_RANK.__getitem__, ranks)),
+            members=tuple(tuple(map(convert, m)) for m in sorted(members)),
         )
-        for states, members in sorted(
-            classes.items(), key=lambda kv: tuple(STATE_ORDER[s] for s in kv[0])
-        )
+        for ranks, members in sorted(classes.items())
     )
     return EquilibriumAtlas(classes=ordered, candidates_checked=count)
 

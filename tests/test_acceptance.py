@@ -278,36 +278,31 @@ def test_criterion_06_companion_pinned_counterexample():
     ),
 )
 def test_criterion_07_group_guarantees_vs_oracle(capsys):
-    rng = random.Random(SEED)
-    checked = 0
-    violations = 0
-    while checked < 50:
-        n = rng.randint(2, 4)
-        env = random_environment(rng, n, max_power=6)
-        if pag.candidate_count(env, ONE) > 150_000:
-            continue
-        groups = []
-        for size in range(1, n + 1):
-            for combo in itertools.combinations(range(n), size):
-                if pag.check_group_balance(env, combo) or pag.check_clique_defense(
-                    env, combo
-                ):
-                    groups.append(combo)
-        if not groups:
-            continue
-        atlas = pag.find_equilibria(env, GridSpec(step=ONE))
-        checked += 1
-        for cls in atlas.classes:
-            for group in groups:
-                if not all(cls.states[i].survives for i in group):
-                    violations += 1
+    checked, violations = _group_audit(
+        random.Random(SEED),
+        lambda env, g: pag.check_group_balance(env, g) or pag.check_clique_defense(env, g),
+    )
     with capsys.disabled():
         _report(7, violations == 0, f"{checked} instances, {violations} violations (required 0)")
     assert violations == 0
 
 
 def test_criterion_07_companion_group_balance_sound(capsys):
-    rng = random.Random(SEED + 1)
+    checked, violations = _group_audit(random.Random(SEED + 1), pag.check_group_balance)
+    with capsys.disabled():
+        _report(
+            7, violations == 0,
+            f"(companion) group-balance alone: {checked} instances, "
+            f"{violations} violations",
+        )
+    assert violations == 0
+
+
+def _group_audit(rng: random.Random, guaranteed) -> tuple[int, int]:
+    """Audit 50 random 2-4 country environments that have a guaranteed
+    group against their step-1 atlas: (instances, violations), a violation
+    being a class and a group `guaranteed(env, group)` accepts in which a
+    member of the group does not survive."""
     checked = 0
     violations = 0
     while checked < 50:
@@ -319,7 +314,7 @@ def test_criterion_07_companion_group_balance_sound(capsys):
             combo
             for size in range(1, n + 1)
             for combo in itertools.combinations(range(n), size)
-            if pag.check_group_balance(env, combo)
+            if guaranteed(env, combo)
         ]
         if not groups:
             continue
@@ -329,13 +324,7 @@ def test_criterion_07_companion_group_balance_sound(capsys):
             for group in groups:
                 if not all(cls.states[i].survives for i in group):
                     violations += 1
-    with capsys.disabled():
-        _report(
-            7, violations == 0,
-            f"(companion) group-balance alone: {checked} instances, "
-            f"{violations} violations",
-        )
-    assert violations == 0
+    return checked, violations
 
 
 def test_criterion_07_companion_pinned_clique_counterexample():

@@ -613,15 +613,15 @@ def test_closed_pipe_leaves_stderr_clean(unbuffered):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "pag", "search", str(DATA / "env3.json"), "--step", "1"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
-    )
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(), err) == (2, b"")
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (2, b"")
 
 
 def test_console_entry_point():

@@ -48,6 +48,30 @@ class TestBestDeviation:
         assert dev.states[0].survives
         assert dev.row[0] == 2
 
+    def test_strict_push_witness_pinned(self):
+        # v1 (power 5/2) holds precarious v2 and unsafe v3 and v4 down and
+        # keeps its friend v5 surviving against v6: its base is the gaps
+        # 1/2, 1/4, 1/4 and 1/4, its slack 5/4.  It pushes the k = 3
+        # adversaries strictly down, each by slack / (4 (k + 1)) = 5/64, and
+        # reserves the rest: entries in 1/64 = 1 / (4 (k + 1) L), L = 4.
+        env = make_environment(
+            ["5/2", "1/2", "1/4", "1/4", "1/4", "1/2"],
+            friends=[(0, 4)],
+            adversaries=[(0, 1), (0, 2), (0, 3), (4, 5)],
+        )
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        u = matrix_from_entries(
+            env,
+            {(0, j): half for j in range(5)}
+            | {(1, 1): half, (2, 2): quarter, (3, 3): quarter, (4, 4): quarter, (5, 4): half},
+        )
+        S, P, U = State.SAFE, State.PRECARIOUS, State.UNSAFE
+        assert state_vector(env, u) == (S, P, U, U, S, S)
+        dev = pag.best_deviation(env, u, 0)
+        assert dev.row == tuple(Fraction(x, 64) for x in (65, 37, 21, 21, 16, 0))
+        assert dev.states == (S, U, U, U, P, S)
+        assert pag.is_nash(env, u).deviations[0] == dev
+
 
 class TestIsNash:
     def test_three_allocations_are_equilibria(self, env2, alloc1, alloc2, alloc3):
