@@ -426,13 +426,16 @@ def _integer_units(
     numerators are the units, and otherwise the nonzero ones are
     multiplied by L and each noted cell divided, exactly, by its
     denominator, so the rescale reads no cell again.  Each power's ratio
-    is read once too.  An exact Fraction cell is read by one
-    `as_integer_ratio()` call, any other cell by its `numerator` and
-    `denominator`, so a cell without them (a float, a Decimal) raises.
+    is read once too.  An exact Fraction cell or power is read by one
+    `as_integer_ratio()` call, any other by its `numerator` and
+    `denominator`, so one without them (a float, a Decimal) raises.
     Positive scaling changes no state and no deviation, so deciding on them
     is exact.
     """
-    ratios = [x.as_integer_ratio() for x in powers]
+    ratios = [
+        x.as_integer_ratio() if type(x) is Fraction else (x.numerator, x.denominator)
+        for x in powers
+    ]
     scale = 1
     for _, den in ratios:
         if scale % den:

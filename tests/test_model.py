@@ -347,6 +347,19 @@ def test_relation_cells_must_be_exact_rationals(column, value):
             check()
 
 
+@pytest.mark.parametrize("value", [2.0, 0.5, Decimal(2), Decimal("0.5")], ids=repr)
+def test_powers_must_be_exact_rationals(value):
+    # The same for a power in an Environment built without validation: the
+    # checks that read the powers raise rather than decide on its value.
+    for env, u in ((_CELL_ENV, _CELL_ALLOC), (_LEAD_ENV, _led(_CELL_ALLOC))):
+        v1 = env.index("v1")
+        powers = list(env.powers)
+        powers[v1] = value
+        for check in _checks(u, dataclasses.replace(env, powers=tuple(powers)))[:3]:
+            with pytest.raises(AttributeError):
+                check()
+
+
 @pytest.mark.parametrize("column", [0, 1, 2], ids=["diagonal", "friend", "adversary"])
 def test_int_and_fraction_subclass_cells_are_accepted(column):
     class Exact(Fraction):
