@@ -70,12 +70,6 @@ from .oracle import (
     find_equilibria,
     survival_possibility,
 )
-from .preference import (
-    category_profile,
-    improvement_from_states,
-    strongly_prefers_states,
-    weakly_prefers_states,
-)
 
 # Every name imported above, but not the submodules the imports bind.
 __all__ = sorted(

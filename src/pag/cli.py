@@ -255,9 +255,9 @@ def _valid_allocation(env: Environment, u: Matrix | None) -> Matrix:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     env, u = _load(args.scenario)
     u = _valid_allocation(env, u)
-    # Summed in integer units of L, as `state_vector` does, and printed as
-    # each sum over L.
-    scale, _, units = _integer_units(env, u, ())
+    # Summed in integer units of L, as `state_vector` does, on the view
+    # `_valid_allocation` has just built, and printed as each sum over L.
+    scale, _, units = _integer_units(env, u)
     sigmas, taus = sigma_tau(env, units)
     states = [state_of(s, t).value for s, t in zip(sigmas, taus)]
     if scale > 1:

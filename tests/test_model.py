@@ -1,20 +1,31 @@
 import dataclasses
 import itertools
+import json
+import random
+import sys
+import threading
 import types
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pag
-from pag import State, ValidationError, make_environment, matrix_from_entries
+from pag import State, ValidationError, make_environment, matrix_from_entries, model
+from pag.cli import emit_scenario, main
 from pag.model import sigma_tau, to_fraction
 
-from conftest import random_allocation, random_environment, random_sparse_scenario
+from conftest import (
+    complete_rivalry,
+    random_allocation,
+    random_environment,
+    random_sparse_scenario,
+)
 
-import random
+DATA = Path(__file__).parent / "data"
 
 
 def test_to_fraction_accepts_exact_forms():
@@ -451,3 +462,172 @@ def test_states_invariant_under_rescaling(seed, num, den):
     )
     scaled_u = tuple(tuple(x * scale for x in row) for row in u)
     assert pag.state_vector(env, u) == pag.state_vector(scaled_env, scaled_u)
+
+
+# -- the scaled view kept for the last allocation ------------------------------
+
+
+@pytest.fixture
+def scalings(monkeypatch):
+    """The (env, u) of every scaling pass made while the test runs, from an
+    empty slot."""
+    calls = []
+    scale = model._scale
+
+    def counted(env, u):
+        calls.append((env, u))
+        return scale(env, u)
+
+    monkeypatch.setattr(model, "_last_scaled", [(None, None, None)])
+    monkeypatch.setattr(model, "_scale", counted)
+    return calls
+
+
+def _copy(u):
+    """An equal matrix made of new tuples."""
+    return tuple([tuple(list(row)) for row in u])
+
+
+def test_checks_of_one_allocation_scale_it_once(scalings):
+    env, u = random_sparse_scenario(random.Random(3), 40, denominators=(1, 2, 3))
+    pag.validate_allocation(env, u)
+    pag.is_nash(env, u)
+    pag.best_deviation(env, u, 0)
+    pag.state_vector(env, u)
+    assert len(scalings) == 1
+    pag.is_nash(env, _copy(u))
+    assert len(scalings) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+@pytest.mark.parametrize("scenario", ["env2_alloc1.json", "env1_fig1b.json", "fractional"])
+def test_cli_checks_scale_the_allocation_once(command, scenario, scalings, capsys, tmp_path):
+    if scenario == "fractional":
+        env, u = random_sparse_scenario(random.Random(4), 60, denominators=(1, 2, 3, 7))
+        path = tmp_path / "fractional.json"
+        path.write_text(json.dumps(emit_scenario(env, u)))
+    else:
+        path = DATA / scenario
+    assert main([command, str(path)]) in (0, 1)
+    capsys.readouterr()
+    assert len(scalings) == 1
+
+
+def test_constructor_checks_scale_each_allocation_once(env2, env3, scalings):
+    pag.balancing_equilibrium(complete_rivalry([3, 4, 5]))
+    assert len(scalings) == 1
+    pag.sole_survivor_equilibrium(env2, 0)
+    assert len(scalings) == 2
+    # The bipartite-safe search checks each allocation it builds or repairs
+    # with is_nash and the last one with validate_allocation too.
+    pag.bipartite_safe_equilibrium(env3, 2)
+    allocations = [u for _, u in scalings]
+    assert len({id(u) for u in allocations}) == len(allocations) > 2
+
+
+@pytest.mark.parametrize("outer", [list, tuple])
+def test_a_matrix_with_list_rows_is_scaled_on_every_check(outer, env2, alloc1, scalings):
+    # v1 moves everything to reserve between the checks: still admissible,
+    # but no longer an equilibrium.
+    reserve = (Fraction(8), Fraction(0), Fraction(0))
+    expected = pag.is_nash(env2, (reserve, *alloc1[1:]))
+    assert expected != pag.is_nash(env2, alloc1)
+    u = outer([list(row) for row in alloc1])
+    assert pag.validate_allocation(env2, u) == []
+    u[0][:] = reserve
+    assert pag.is_nash(env2, u) == expected
+    assert pag.state_vector(env2, u) == expected.states
+    u[0][0] = Fraction(9)
+    assert pag.validate_allocation(env2, u) == [
+        "row sum for v1 is 9, expected 8 (deficit -1)"
+    ]
+
+
+class _Exact(Fraction):
+    pass
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        lambda: (_CELL_ENV, tuple([list(_CELL_ALLOC[0]), *_CELL_ALLOC[1:]])),
+        lambda: (_CELL_ENV, _with_cell(0, True)),
+        lambda: (_CELL_ENV, _with_cell(1, _Exact(1))),
+        lambda: (dataclasses.replace(_CELL_ENV, powers=list(_CELL_ENV.powers)), _CELL_ALLOC),
+    ],
+    ids=["list row", "bool cell", "Fraction-subclass cell", "list of powers"],
+)
+def test_a_matrix_the_slot_may_not_keep_is_scaled_on_every_check(scenario, scalings):
+    env, u = scenario()
+    expected = [check() for check in _checks(_copy(u), _CELL_ENV)]
+    scalings.clear()
+    assert [check() for check in _checks(u, env)] == expected
+    assert len(scalings) == len(expected)
+    assert model._last_scaled[0] == (None, None, None)
+
+
+def test_the_same_matrix_under_another_environment_is_scaled_again(env2, alloc1, scalings):
+    assert pag.validate_allocation(env2, alloc1) == []
+    assert pag.is_nash(env2, alloc1).ok
+    shifted = dataclasses.replace(env2, powers=tuple(p + Fraction(1, 2) for p in env2.powers))
+    errors = pag.validate_allocation(shifted, alloc1)
+    result = pag.is_nash(shifted, alloc1)
+    assert [env for env, u in scalings if u is alloc1] == [env2, shifted]
+    assert errors == pag.validate_allocation(shifted, _copy(alloc1))
+    assert errors == [
+        f"row sum for {name} is {p}, expected {p + Fraction(1, 2)} (deficit 1/2)"
+        for name, p in zip(env2.names, env2.powers)
+    ]
+    assert result == pag.is_nash(shifted, _copy(alloc1))
+
+
+@pytest.mark.parametrize("value", [1.0, Decimal(1)], ids=repr)
+def test_an_inexact_cell_raises_on_every_check(value, scalings):
+    u = _with_cell(0, value)
+    for _ in range(2):
+        assert pag.validate_allocation(_CELL_ENV, _CELL_ALLOC) == []
+        for check in (*_checks(u), *_checks(u)):
+            with pytest.raises((AttributeError, TypeError)):
+                check()
+
+
+def test_the_slot_keeps_the_last_exact_allocation_alone(env2, alloc1, alloc2, scalings):
+    pag.validate_allocation(env2, alloc1)
+    kept_env, kept_u, _ = model._last_scaled[0]
+    assert kept_env is env2 and kept_u is alloc1
+    # A matrix the slot may not keep still empties it, so it never holds
+    # an allocation the caller has moved past.
+    pag.validate_allocation(env2, [list(row) for row in alloc2])
+    assert model._last_scaled[0] == (None, None, None)
+
+
+def test_threads_checking_two_matrices_get_the_serial_results():
+    # Four threads, more than a 2-core host has cores, half of them starting
+    # on each matrix and each alternating between the two, so the slot is
+    # replaced under every reader.
+    rng = random.Random(5)
+    scenarios = [random_sparse_scenario(rng, 12, denominators=(1, 2, 3)) for _ in range(2)]
+
+    def check(env, u):
+        return pag.validate_allocation(env, u), pag.is_nash(env, u), pag.state_vector(env, u)
+
+    expected = [check(env, u) for env, u in scenarios]
+    agreed = [0] * 4
+
+    def worker(k):
+        for step in range(1000):
+            which = (k + step) % 2
+            agreed[k] += check(*scenarios[which]) == expected[which]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(agreed))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert agreed == [1000] * len(agreed)

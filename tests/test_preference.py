@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 
 from pag import matrix_from_entries
 from pag.model import replace_row, state_vector
-from pag.preference import (
+
+from conftest import random_allocation, random_environment
+from reference import (
     category_profile,
     improvement_from_states,
     strongly_prefers_states,
     weakly_prefers_states,
 )
-
-from conftest import random_allocation, random_environment
 
 
 @pytest.fixture
