@@ -27,7 +27,7 @@ from math import lcm
 from pathlib import Path
 from typing import Any, Sequence
 
-from . import analysis, constructors, oracle
+from . import analysis, constructors, model, oracle
 from .equilibrium import is_nash
 from .model import (
     MAX_EXPONENT,
@@ -541,6 +541,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_NEGATIVE
     except ValueError as exc:
         return _fail(str(exc))
+    finally:
+        # No later command checks this one's allocation: free it with the
+        # command rather than when the next one scales its own.
+        model._last_scaled[0] = (None, None, None)
 
 
 if __name__ == "__main__":

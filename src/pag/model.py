@@ -17,7 +17,7 @@ the checks of one allocation (`validate_allocation`, `is_nash`,
 only the view of an allocation that cannot change under it: a tuple of
 tuples whose cells it reads are Fractions or ints.  The slot keeps that
 allocation, its environment and the view alive until another allocation is
-scaled, and callers must not mutate the view.  `validate_allocation` goes
+scaled or a `pag` command ends, and callers must not mutate the view.  `validate_allocation` goes
 back to the exact Fractions only for a row that fails, to name its faults.
 `sigma_tau` and `state_vector` only add and compare, so they accept int
 and Fraction matrices alike.  The safe/precarious boundary is an equality
@@ -440,11 +440,12 @@ def _integer_units(
     `pag evaluate` scale a matrix once between them.  A miss empties the
     slot before it scales, so the slot never keeps two allocations alive;
     it keeps its environment, its allocation and the view until the next
-    miss.  Every other matrix (a list row, a `bool` or Fraction-subclass
-    cell) is scaled on each call, and a float or Decimal cell raises on
-    each.  The slot is read once and replaced by one assignment, so
-    concurrent callers see one whole view or none.  The view is shared:
-    callers must not mutate it.
+    miss, or until `cli.main` empties it as a command ends.  Every other
+    matrix (a list row, a `bool` or Fraction-subclass cell) is scaled on
+    each call, and a float or Decimal cell raises on each.  The slot is
+    read once and replaced by one assignment, so concurrent callers see
+    one whole view or none.  The view is shared: callers must not mutate
+    it.
     """
     last_env, last_u, view = _last_scaled[0]
     if last_u is u and last_env is env:

@@ -511,6 +511,8 @@ def test_cli_checks_scale_the_allocation_once(command, scenario, scalings, capsy
     assert main([command, str(path)]) in (0, 1)
     capsys.readouterr()
     assert len(scalings) == 1
+    # The command's allocation is not kept once it returns.
+    assert model._last_scaled[0] == (None, None, None)
 
 
 def test_constructor_checks_scale_each_allocation_once(env2, env3, scalings):
