@@ -50,14 +50,15 @@ and allocation, it returns the view it built last, so checking a matrix
 that `validate_allocation` or `state_vector` has just read scales nothing;
 `is_nash` and `best_deviation` only read that shared view.  Both compute
 the margins once, from `model.sigma_tau`, and the states once from them,
-for the result and the witness.  The witness, `_deviation`, is built only when a `Deviation` is
-requested: row i at the target's gaps, in the same units, except that a
-strict push of k targets works in units m = 4 (k + 1) times finer, so
-that each target's share of the slack is an int too; each entry leaves
-as that entry over L (over L m for a push).  It re-evaluates the witness
-states over the deviator's relevant set alone, from the current margins
-and the exact change of i's entries.  Both read the `Environment`'s
-adjacency and support tuples directly, with no method call per country.
+for the result and the witness.  The witness, `_deviation`, is built only
+when a `Deviation` is requested: row i at the target's gaps, in the same
+units, except that a strict push of k targets works in units m = 4 (k + 1)
+times finer, so that each target's share of the slack is an int too; each
+entry leaves as that entry over L (over L m for a push).  It re-evaluates
+the witness states over the deviator's relevant set alone, from the
+current margins and the exact change of i's entries.  Both read the
+`Environment`'s adjacency and support tuples directly, with no method call
+per country.
 `is_nash` makes one state list and one zero row per check; each witness
 writes its at most deg i + 1 cells into them, copies each into its
 n-tuple and restores the cells it wrote, and each distinct entry of a
