@@ -340,7 +340,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     payload: dict[str, Any] = {"command": "analyze"}
 
     if args.group:
-        group_names = [g.strip() for g in args.group.split(",") if g.strip()]
+        # Each member once, in first-seen order, as the checks count them.
+        group_names = list(dict.fromkeys(g.strip() for g in args.group.split(",") if g.strip()))
         group = [env.index(g) for g in group_names]
         balance = analysis.check_group_balance(env, group)
         clique = analysis.check_clique_defense(env, group)

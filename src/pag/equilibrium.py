@@ -59,12 +59,13 @@ the witness states over the deviator's relevant set alone, from the
 current margins and the exact change of i's entries.  Both read the
 `Environment`'s adjacency and support tuples directly, with no method call
 per country.
-`is_nash` makes one state list and one zero row per check; each witness
-writes its at most deg i + 1 cells into them, copies each into its
-n-tuple and restores the cells it wrote, and each distinct entry of a
-witness that pushes nothing becomes a Fraction once per check.  So
-`is_nash` costs O(n + E) plus, per deviator, O(deg i) Python-level work
-and the two n-tuple copies a dense `Deviation` carries.
+Each witness keeps its at most deg i + 1 entries and states in two small
+dicts, which an `Overlay` lays over an n-tuple of zeros and over the
+check's own states, both made once per check and shared by every
+witness; each distinct entry of a witness that pushes nothing becomes a
+Fraction once per check.  So `is_nash` costs O(n + E), plus O(deg i) per
+deviator, with no n-tuple copied per deviator, and its result holds
+O(n + E) memory.
 The result carries the states of the checked allocation too, so no
 caller needs to recompute them.  The grid oracle runs `_decide` itself,
 on integer grid units.
@@ -75,9 +76,11 @@ aggregated by ascending country index.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
+from typing import Any
 
 from .model import (
     ZERO,
@@ -92,13 +95,63 @@ from .model import (
 FractionVec = tuple[Fraction, ...]
 
 
+class Overlay(Sequence):
+    """n values, read-only: the n-tuple `base` with `cells`, a {position:
+    value} dict, laid over it.
+
+    It reads as the tuple of its values: their length, indexing (a slice
+    is a tuple), iteration and repr, and it equals and hashes as that
+    tuple.  Making one copies nothing, so the views of one check share
+    its base, and each holds only the cells it sets.
+    """
+
+    __slots__ = ("_base", "_cells")
+
+    def __init__(self, base: tuple, cells: dict[int, Any]):
+        self._base = base
+        self._cells = cells
+
+    def __len__(self) -> int:
+        return len(self._base)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        value = self._base[index]
+        return self._cells.get(index % len(self._base), value)
+
+    def __iter__(self):
+        values = list(self._base)
+        for j, x in self._cells.items():
+            values[j] = x
+        return iter(values)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, Overlay)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class Deviation:
-    """A profitable replacement row for one country, with the states it induces."""
+    """A profitable replacement row for one country, with the states it induces.
+
+    `row` and `states` are n-long sequences.  The verifier gives each as an
+    `Overlay` that stores only what the deviation sets: the witness entries
+    on the deviator's row support over zeros, and the states of its
+    relevant set over the checked allocation's states, O(deg i) cells in
+    all.  Plain tuples are accepted too.
+    """
 
     country: int
-    row: FractionVec
-    states: tuple[State, ...]
+    row: Sequence[Fraction]
+    states: Sequence[State]
 
 
 @dataclass(frozen=True)
@@ -216,7 +269,8 @@ def _deviation(
     target: Target,
     margins: FractionVec,
     states: tuple[State, ...],
-    buffers: tuple[list[State], list[Fraction], dict],
+    zeros: FractionVec,
+    fractions: dict[int, Fraction],
 ) -> Deviation:
     """The witness for i's target, with the states it induces.
 
@@ -241,11 +295,12 @@ def _deviation(
     states are re-evaluated, each from its current margin and the exact
     change of i's entries: a friend's or an adversary's by its one entry,
     i's own by its reserve and its offense.
-    States and entries are written into `buffers`: a state list and a row
-    that hold `states` and zeros on entry and again on return (only the
-    cells of i's row support change, each restored once the Deviation has
-    its copies), and a map from each entry in units of 1/`scale` to its
-    Fraction, which a push's finer entries bypass.
+    The Deviation holds those at most deg i + 1 entries and states as
+    `Overlay` cells over `zeros`, an n-tuple of `ZERO`, and over `states`,
+    both shared by every witness of one check, so a witness costs O(deg i)
+    and copies no n-tuple.  `fractions` maps each entry in units of
+    1/`scale` to its Fraction, once per check; a push's finer entries
+    bypass it.
     """
     gain_friend, gain_adv, strict = target
     friends = env._friend_adj[i]
@@ -264,7 +319,7 @@ def _deviation(
                 if strict and (j == gain_adv or (d < 0 and gap >= 0)):
                     pushed.append(j)
     slack = powers[i] - sum(row.values())
-    new_states, witness, fractions = buffers
+    witness = {}
     if pushed:
         # Units m times finer, in which every share of the slack is an int.
         k = len(pushed)
@@ -286,6 +341,7 @@ def _deviation(
             if x is None:
                 x = fractions[entry] = Fraction(entry, scale)
             witness[j] = x
+    new_states = {}
     for j in friends:
         new_states[j] = state_of((margins[j] - own[j]) * m + row.get(j, 0), 0)
     # i's margin moves by the change of its reserve and of its offense.
@@ -296,13 +352,9 @@ def _deviation(
         new_states[j] = state_of(margins[j] * m + x - entry, 0)
         shift += entry - x
     new_states[i] = state_of(margins[i] * m + shift, 0)
-    deviation = Deviation(country=i, row=tuple(witness), states=tuple(new_states))
-    # Restore the buffers for the next deviator.
-    for j in env._support[i]:
-        new_states[j] = states[j]
-    for j in row:
-        witness[j] = ZERO
-    return deviation
+    return Deviation(
+        country=i, row=Overlay(zeros, witness), states=Overlay(states, new_states)
+    )
 
 
 def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
@@ -319,8 +371,8 @@ def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
     target = _decide(env, powers, own, i, margins)
     if target is None:
         return None
-    buffers = (list(states), [ZERO] * env.n, {0: ZERO})
-    return _deviation(env, powers, own, scale, i, target, margins, states, buffers)
+    zeros = (ZERO,) * env.n
+    return _deviation(env, powers, own, scale, i, target, margins, states, zeros, {0: ZERO})
 
 
 def is_nash(env: Environment, u: Matrix) -> NashResult:
@@ -330,9 +382,9 @@ def is_nash(env: Environment, u: Matrix) -> NashResult:
     country order, and the states u induces; `ok` is the verdict, and the
     first deviation names the lowest-index deviator.  Support, threat and
     states are computed once, in integer units of the common denominator;
-    each witness writes only its deviator's relevant set into buffers made
-    once per check, so a check costs O(n + E) plus, per deviator, O(deg i)
-    and one copy of each buffer: its n-entry row and its n states.  The
+    each witness stores only its deviator's row support, as `Overlay` cells
+    over the zeros and the states the check shares, so a check costs
+    O(n + E), plus O(deg i) per deviator, and copies no n-tuple.  The
     entries of u must be nonnegative, as those of every admissible matrix
     are (`model.validate_allocation`).
     """
@@ -340,14 +392,17 @@ def is_nash(env: Environment, u: Matrix) -> NashResult:
     sigmas, taus = sigma_tau(env, units)
     margins = tuple(map(sub, sigmas, taus))
     states = tuple(map(state_of, sigmas, taus))
-    buffers = (list(states), [ZERO] * env.n, {0: ZERO})
+    zeros = (ZERO,) * env.n
+    fractions = {0: ZERO}
     deviations: list[Deviation] = []
     for i in range(env.n):
         own = units[i]
         target = _decide(env, powers, own, i, margins)
         if target is not None:
             deviations.append(
-                _deviation(env, powers, own, scale, i, target, margins, states, buffers)
+                _deviation(
+                    env, powers, own, scale, i, target, margins, states, zeros, fractions
+                )
             )
     return NashResult(ok=not deviations, deviations=tuple(deviations), states=states)
 

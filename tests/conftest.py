@@ -182,7 +182,8 @@ def random_sparse_scenario(
     (ValueError, before any draw, when n countries have fewer pairs).  Each
     row's entries over its relations are random rationals whose denominators
     are drawn from `denominators` (zeros included), and each power is its
-    row's sum.
+    row's sum.  Only the entries are drawn and summed, so building costs
+    O(E) Fraction work besides the n * n matrix itself.
     """
     pairs = round(n * mean_degree / 2)
     if pairs > n * (n - 1) // 2:
@@ -197,13 +198,13 @@ def random_sparse_scenario(
         (friends if rng.random() < friend_share else adversaries).append((a, b))
         support[a].add(b)
         support[b].add(a)
-    rows = []
+    entries = {}
+    powers = []
     for i in range(n):
-        row = [ZERO] * n
+        power = ZERO
         for j in sorted(support[i]):
-            row[j] = Fraction(rng.randint(0, 6), rng.choice(denominators))
-        rows.append(tuple(row))
-    env = make_environment(
-        [sum(row) for row in rows], friends=friends, adversaries=adversaries
-    )
-    return env, tuple(rows)
+            x = entries[i, j] = Fraction(rng.randint(0, 6), rng.choice(denominators))
+            power += x
+        powers.append(power)
+    env = make_environment(powers, friends=friends, adversaries=adversaries)
+    return env, matrix_from_entries(env, entries)

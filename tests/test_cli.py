@@ -442,6 +442,16 @@ class TestAnalyze:
         assert payload["group"]["group_balance"] is False
         assert payload["cover"]["spans"] is False
 
+    def test_repeated_group_member_is_reported_once(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "analyze", DATA / "env2.json", "--group", "v2, v1,v2,v1"
+        )
+        _, single, _ = run_cli(capsys, "analyze", DATA / "env2.json", "--group", "v2,v1")
+        assert code == 0
+        assert out == single
+        assert "group v2,v1: " in out
+        assert machine_section(out)["group"]["members"] == ["v2", "v1"]
+
     def test_env3_safety_conditions(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", DATA / "env3.json")
         assert code == 0

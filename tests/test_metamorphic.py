@@ -1,10 +1,11 @@
 """Metamorphic relations of the verifier, which need no reference.
 
 Each test checks the outputs on one input against those on a related one:
-scaled by a positive rational, joined to an unrelated environment, or
-given an isolated country.  No exact reference reaches the sizes drawn
-here (sparse networks of up to 300 countries), so these relations are what
-checks the integer scaler and the decision there.
+scaled by a positive rational, joined to an unrelated environment, given
+an isolated country, or with its countries relabeled.  No exact reference
+reaches the sizes drawn here (sparse networks of up to 300 countries, and
+one seeded network of thousands), so these relations are what checks the
+integer scaler and the decision there.
 """
 
 import random
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 
 import pag
 from pag import Deviation, NashResult, State, make_environment
-from pag.model import ZERO
+from pag.model import ZERO, replace_row
 
 from conftest import random_allocation, random_environment, random_sparse_scenario
+from reference import relation_r
 
 
 def _scenario(rng):
@@ -46,19 +48,25 @@ def test_positive_homogeneity(seed, a, b, perturb):
         rows = [list(row) for row in u]
         rows[rng.randrange(env.n)][rng.randrange(env.n)] += 1
         u = tuple(map(tuple, rows))
-    c = Fraction(a, b)
+    valid = _assert_homogeneous(env, u, Fraction(a, b))
+    assert valid or perturb
+
+
+def _assert_homogeneous(env, u, c):
+    """Check (env, u) scaled by c against (env, u); whether u is admissible."""
     scaled_env = _environment([p * c for p in env.powers], env.friends, env.adversaries)
-    v = tuple(tuple(x * c if x else x for x in row) for row in u)
+    # Zero cells are mostly the one ZERO object; each other cell is scaled.
+    v = tuple(tuple(x if x is ZERO else x * c for x in row) for row in u)
     base, result = pag.is_nash(env, u), pag.is_nash(scaled_env, v)
     assert result.ok == base.ok
     assert result.states == base.states == pag.state_vector(scaled_env, v)
     assert [d.country for d in result.deviations] == [d.country for d in base.deviations]
     for before, after in zip(base.deviations, result.deviations):
-        assert after.row == tuple(x * c for x in before.row)
+        assert after.row == tuple(x if x is ZERO else x * c for x in before.row)
         assert after.states == before.states
     valid = not pag.validate_allocation(env, u)
     assert valid == (not pag.validate_allocation(scaled_env, v))
-    assert valid or perturb
+    return valid
 
 
 def _union(parts):
@@ -87,7 +95,10 @@ def test_disjoint_union_gives_the_parts_deviations(seed):
     # witness are those it has in its own part, padded with the other part's
     # zeros and states.
     rng = random.Random(seed)
-    parts = [_scenario(rng), _scenario(rng)]
+    _assert_union_of([_scenario(rng), _scenario(rng)])
+
+
+def _assert_union_of(parts):
     env, u, offsets = _union(parts)
     results = [pag.is_nash(*part) for part in parts]
     states = sum((r.states for r in results), ())
@@ -98,8 +109,8 @@ def test_disjoint_union_gives_the_parts_deviations(seed):
             deviations.append(
                 Deviation(
                     country=d.country + k,
-                    row=before + d.row + after,
-                    states=states[:k] + d.states + states[k + part.n :],
+                    row=before + tuple(d.row) + after,
+                    states=states[:k] + tuple(d.states) + states[k + part.n :],
                 )
             )
     expected = NashResult(
@@ -144,3 +155,54 @@ def test_an_isolated_country_is_safe_and_changes_nothing(seed, num, den):
     assert pag.is_nash(iso_env, iso_u) == expected
     assert pag.state_vector(iso_env, iso_u) == expected.states
     assert pag.best_deviation(iso_env, iso_u, k) is None
+
+
+def _relabel(env, u, perm):
+    """(env, u) with country k moved to perm[k]: its power, its relations,
+    its row and its column."""
+    n = env.n
+    powers, rows = [None] * n, [None] * n
+    for k, row in enumerate(u):
+        powers[perm[k]] = env.powers[k]
+        moved = [None] * n
+        for j, x in enumerate(row):
+            moved[perm[j]] = x
+        rows[perm[k]] = tuple(moved)
+    friends = [(perm[i], perm[j]) for i, j in env.friends]
+    adversaries = [(perm[i], perm[j]) for i, j in env.adversaries]
+    return _environment(powers, friends, adversaries), tuple(rows)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**30))
+def test_relabeling_permutes_the_verdict_states_and_deviators(seed):
+    # Permuting the countries permutes `ok`, the states and the set of
+    # deviators.  A deviator's witness may differ from its counterpart's,
+    # because targets are taken in relation order, but it must still be an
+    # admissible row that induces the states it reports and that R prefers.
+    rng = random.Random(seed)
+    env, u = _scenario(rng)
+    perm = list(range(env.n))
+    rng.shuffle(perm)
+    p_env, p_u = _relabel(env, u, perm)
+    base, result = pag.is_nash(env, u), pag.is_nash(p_env, p_u)
+    assert result.ok == base.ok
+    assert [result.states[perm[k]] for k in range(env.n)] == list(base.states)
+    assert {d.country for d in result.deviations} == {perm[d.country] for d in base.deviations}
+    for d in result.deviations:
+        v = replace_row(p_u, d.country, d.row)
+        assert pag.validate_allocation(p_env, v) == []
+        after = pag.state_vector(p_env, v)
+        assert d.states == after
+        assert relation_r(p_env, d.country, result.states, after)
+
+
+def test_relations_hold_at_thousands_of_countries():
+    # Positive homogeneity and disjoint union once more at a size no grid or
+    # per-deviation reference reaches: a seeded sparse network of 2,000
+    # countries, and the union of two of 1,200 and 900.
+    rng = random.Random(22)
+    env, u = random_sparse_scenario(rng, 2000, denominators=(1, 2, 3, 7))
+    assert _assert_homogeneous(env, u, Fraction(7, 3))
+    parts = [random_sparse_scenario(rng, 1200), random_sparse_scenario(rng, 900)]
+    _assert_union_of(parts)
