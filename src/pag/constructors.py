@@ -253,12 +253,10 @@ def bipartite_safe_equilibrium(env: Environment, target: int) -> Matrix:
     Runs the annihilation recursion on all pairs not involving the target,
     then the target outbids every adversary's residual, exhausting its
     budget with a strictly positive margin per adversary when possible.
-    The other countries' residuals are first spent evenly on their
-    remaining rivals (idle reserve next to a precarious rival is itself a
-    profitable deviation), then, if that does not verify, all held in
-    reserve; a residual with no rival left to spend on is always reserved.
-    Each unverified attempt gets bounded best-response repair, and
-    alternative pair orderings are tried before giving up.
+    Every other country holds its residual in reserve.  Idle reserve next
+    to a precarious rival is a profitable deviation, so each unverified
+    attempt gets bounded best-response repair, which moves such reserve
+    onto the rival; alternative pair orderings are tried before giving up.
     """
     if not bipartite_safe_sufficient(env, target):
         raise ConditionNotMet(
@@ -275,38 +273,27 @@ def bipartite_safe_equilibrium(env: Environment, target: int) -> Matrix:
         if need > env.powers[target]:
             continue
         surplus = env.powers[target] - need
-        spendable = {
-            k: [j for j in env.adversaries_of(k) if j != target]
-            for k in range(env.n)
-            if k != target and z[k] > 0
-        }
-        policies = (True, False) if any(spendable.values()) else (False,)
+        rows = [list(row) for row in matrix]
+        if adversaries:
+            margin = surplus / len(adversaries)
+            for j in adversaries:
+                rows[target][j] = z[j] + margin
+        else:
+            rows[target][target] = env.powers[target]
+        for k in range(env.n):
+            if k != target:
+                rows[k][k] = z[k]
 
-        for spend in policies:
-            rows = [list(row) for row in matrix]
-            if adversaries:
-                margin = surplus / len(adversaries)
-                for j in adversaries:
-                    rows[target][j] = z[j] + margin
-            else:
-                rows[target][target] = env.powers[target]
-            for k, rivals in spendable.items():
-                if spend and rivals:
-                    for j in rivals:
-                        rows[k][j] += z[k] / len(rivals)
-                else:
-                    rows[k][k] = z[k]
-
-            u: Matrix = tuple(tuple(row) for row in rows)
+        u: Matrix = tuple(tuple(row) for row in rows)
+        result = is_nash(env, u)
+        for _ in range(REPAIR_ROUNDS):
+            if result.ok:
+                break
+            dev = result.deviations[0]
+            u = replace_row(u, dev.country, dev.row)
             result = is_nash(env, u)
-            for _ in range(REPAIR_ROUNDS):
-                if result.ok:
-                    break
-                dev = result.deviations[0]
-                u = replace_row(u, dev.country, dev.row)
-                result = is_nash(env, u)
-            if result.ok and result.states[target] is State.SAFE and not validate_allocation(env, u):
-                return u
+        if result.ok and result.states[target] is State.SAFE and not validate_allocation(env, u):
+            return u
 
     raise ConstructionFailed(
         f"no verifying construction for {env.names[target]} after {attempts} orderings"

@@ -357,37 +357,12 @@ def _deviation(
     )
 
 
-def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
-    """Search i's deviation set for a profitable row; None if there is none.
-
-    The decision is `_decide`, in integer units; the witness row and
-    the states it induces are built only once a target is found.
-    """
-    scale, powers, units = _integer_units(env, u)
-    sigmas, taus = sigma_tau(env, units)
-    margins = tuple(map(sub, sigmas, taus))
-    states = tuple(map(state_of, sigmas, taus))
-    own = units[i]
-    target = _decide(env, powers, own, i, margins)
-    if target is None:
-        return None
-    zeros = (ZERO,) * env.n
-    return _deviation(env, powers, own, scale, i, target, margins, states, zeros, {0: ZERO})
-
-
-def is_nash(env: Environment, u: Matrix) -> NashResult:
-    """Check that no country has a profitable unilateral deviation.
-
-    The certificate lists one profitable witness per deviating country, in
-    country order, and the states u induces; `ok` is the verdict, and the
-    first deviation names the lowest-index deviator.  Support, threat and
-    states are computed once, in integer units of the common denominator;
-    each witness stores only its deviator's row support, as `Overlay` cells
-    over the zeros and the states the check shares, so a check costs
-    O(n + E), plus O(deg i) per deviator, and copies no n-tuple.  The
-    entries of u must be nonnegative, as those of every admissible matrix
-    are (`model.validate_allocation`).
-    """
+def _check(
+    env: Environment, u: Matrix, countries: Sequence[int]
+) -> tuple[list[Deviation], tuple[State, ...]]:
+    """The witness of each of `countries` that deviates profitably, in the
+    order given, and the states u induces; margins, states, zeros and the
+    Fraction memo are made once, in integer units, for every witness."""
     scale, powers, units = _integer_units(env, u)
     sigmas, taus = sigma_tau(env, units)
     margins = tuple(map(sub, sigmas, taus))
@@ -395,7 +370,7 @@ def is_nash(env: Environment, u: Matrix) -> NashResult:
     zeros = (ZERO,) * env.n
     fractions = {0: ZERO}
     deviations: list[Deviation] = []
-    for i in range(env.n):
+    for i in countries:
         own = units[i]
         target = _decide(env, powers, own, i, margins)
         if target is not None:
@@ -404,5 +379,28 @@ def is_nash(env: Environment, u: Matrix) -> NashResult:
                     env, powers, own, scale, i, target, margins, states, zeros, fractions
                 )
             )
-    return NashResult(ok=not deviations, deviations=tuple(deviations), states=states)
+    return deviations, states
 
+
+def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
+    """Search i's deviation set for a profitable row; None if there is none.
+
+    The decision is `_decide`, in integer units; the witness row and
+    the states it induces are built only once a target is found.
+    """
+    deviations, _ = _check(env, u, (i,))
+    return deviations[0] if deviations else None
+
+
+def is_nash(env: Environment, u: Matrix) -> NashResult:
+    """Check that no country has a profitable unilateral deviation.
+
+    The certificate lists one profitable witness per deviating country, in
+    country order, and the states u induces; `ok` is the verdict, and the
+    first deviation names the lowest-index deviator.  A check costs
+    O(n + E), plus O(deg i) per deviator, and copies no n-tuple.  The
+    entries of u must be nonnegative, as those of every admissible matrix
+    are (`model.validate_allocation`).
+    """
+    deviations, states = _check(env, u, range(env.n))
+    return NashResult(ok=not deviations, deviations=tuple(deviations), states=states)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -99,6 +100,24 @@ class TestBalancingEquilibrium:
         reserve = matrix_from_entries(env2, {(0, 0): 8, (1, 1): 6, (2, 2): 4})
         monkeypatch.setattr(pag.constructors, "symmetric_row_sum_matrix", lambda powers: reserve)
         message = r"^balancing states are \['safe', 'safe', 'safe'\]$"
+        with pytest.raises(ConstructionFailed, match=message):
+            pag.balancing_equilibrium(env2)
+
+    def test_profitable_deviation_named(self, env2, monkeypatch):
+        # No admissible matrix that leaves a complete rivalry all precarious
+        # has a profitable deviation, so the check is told the all-reserve
+        # matrix induces balancing's states: it is admissible, and its first
+        # deviator must be named.
+        reserve = matrix_from_entries(env2, {(0, 0): 8, (1, 1): 6, (2, 2): 4})
+        monkeypatch.setattr(pag.constructors, "symmetric_row_sum_matrix", lambda powers: reserve)
+        monkeypatch.setattr(
+            pag.constructors,
+            "is_nash",
+            lambda env, u: dataclasses.replace(
+                pag.is_nash(env, u), states=(State.PRECARIOUS,) * env.n
+            ),
+        )
+        message = r"^balancing: country v1 still has a profitable deviation$"
         with pytest.raises(ConstructionFailed, match=message):
             pag.balancing_equilibrium(env2)
 
@@ -244,9 +263,9 @@ class TestBipartiteSafeEquilibrium:
         assert pag.is_nash(env, u).ok
 
     def test_later_ordering_with_reserve_policy(self):
-        # On the sorted ordering both residual policies repair into an
-        # equilibrium where the target is not safe; the second ordering's
-        # all-reserve policy verifies after one repair round.
+        # On the sorted ordering the reserved residuals repair into an
+        # equilibrium where the target is not safe; the second ordering
+        # verifies after one repair round.
         env = make_environment([2, 5, 1, 5], adversaries=[(0, 2), (1, 3), (2, 3)])
         u = pag.bipartite_safe_equilibrium(env, 1)
         assert state_vector(env, u)[1] is State.SAFE
@@ -324,9 +343,10 @@ def test_bipartite_outputs_always_verify(seed):
 
 
 def test_bipartite_reach_on_criterion_06_instances():
-    # What the ordering and policy search reaches on the acceptance suite's
-    # instance generator: 587 of 650 succeed, and every success verifies.
-    # A change to the orderings, the policies or the repair moves this count.
+    # What the ordering search and its repair reach on the acceptance
+    # suite's instance generator: 587 of 650 succeed, and every success
+    # verifies.  A change to the orderings, the residual policy or the
+    # repair moves this count.
     instances = [
         instance
         for rng, count in [(random.Random(s), 200) for s in (0, 1, 2)] + [(random.Random(SEED), 50)]

@@ -380,31 +380,3 @@ def test_is_nash_complete_against_refined_grid_search(seed):
             assert i in deviators, (
                 f"verifier missed a grid deviation for {i}: {found}"
             )
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2 ** 30))
-def test_is_nash_invariant_under_relabeling(seed):
-    rng = random.Random(seed)
-    env = random_environment(rng, rng.randint(2, 4), max_power=5, min_power=0)
-    u = random_allocation(rng, env, denominator=1)
-    perm = list(range(env.n))
-    rng.shuffle(perm)
-    # perm maps old index -> new index.
-    names = [None] * env.n
-    powers = [None] * env.n
-    for old, new in enumerate(perm):
-        names[new] = env.names[old]
-        powers[new] = env.powers[old]
-    permuted = pag.validate_environment(
-        names,
-        powers,
-        friends=[(env.names[i], env.names[j]) for i, j in env.friends],
-        adversaries=[(env.names[i], env.names[j]) for i, j in env.adversaries],
-    )
-    pu = [[None] * env.n for _ in range(env.n)]
-    for a in range(env.n):
-        for b in range(env.n):
-            pu[perm[a]][perm[b]] = u[a][b]
-    permuted_u = tuple(tuple(row) for row in pu)
-    assert pag.is_nash(env, u).ok == pag.is_nash(permuted, permuted_u).ok

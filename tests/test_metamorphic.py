@@ -22,12 +22,17 @@ from conftest import random_allocation, random_environment, random_sparse_scenar
 from reference import relation_r
 
 
+def _dense(rng):
+    """A small admissible (env, u) with dense relations: 2 to 6 countries."""
+    env = random_environment(rng, rng.randint(2, 6), max_power=9, min_power=0)
+    return env, random_allocation(rng, env, denominator=rng.choice([1, 2, 3]))
+
+
 def _scenario(rng):
-    """An admissible (env, u): a small one with dense relations, or a sparse
-    one of 5 to 300 countries."""
+    """An admissible (env, u): a small dense one, or a sparse one of 5 to
+    300 countries."""
     if rng.random() < 0.5:
-        env = random_environment(rng, rng.randint(2, 6), max_power=9, min_power=0)
-        return env, random_allocation(rng, env, denominator=rng.choice([1, 2, 3]))
+        return _dense(rng)
     return random_sparse_scenario(rng, rng.randint(5, 300), denominators=(1, 2, 3, 7))
 
 
@@ -180,21 +185,26 @@ def test_relabeling_permutes_the_verdict_states_and_deviators(seed):
     # deviators.  A deviator's witness may differ from its counterpart's,
     # because targets are taken in relation order, but it must still be an
     # admissible row that induces the states it reports and that R prefers.
+    # Each example also relabels three small dense cases, so every run
+    # covers at least 30 of them.
     rng = random.Random(seed)
-    env, u = _scenario(rng)
-    perm = list(range(env.n))
-    rng.shuffle(perm)
-    p_env, p_u = _relabel(env, u, perm)
-    base, result = pag.is_nash(env, u), pag.is_nash(p_env, p_u)
-    assert result.ok == base.ok
-    assert [result.states[perm[k]] for k in range(env.n)] == list(base.states)
-    assert {d.country for d in result.deviations} == {perm[d.country] for d in base.deviations}
-    for d in result.deviations:
-        v = replace_row(p_u, d.country, d.row)
-        assert pag.validate_allocation(p_env, v) == []
-        after = pag.state_vector(p_env, v)
-        assert d.states == after
-        assert relation_r(p_env, d.country, result.states, after)
+    for draw in (_scenario, _dense, _dense, _dense):
+        env, u = draw(rng)
+        perm = list(range(env.n))
+        rng.shuffle(perm)
+        p_env, p_u = _relabel(env, u, perm)
+        base, result = pag.is_nash(env, u), pag.is_nash(p_env, p_u)
+        assert result.ok == base.ok
+        assert [result.states[perm[k]] for k in range(env.n)] == list(base.states)
+        assert {d.country for d in result.deviations} == {
+            perm[d.country] for d in base.deviations
+        }
+        for d in result.deviations:
+            v = replace_row(p_u, d.country, d.row)
+            assert pag.validate_allocation(p_env, v) == []
+            after = pag.state_vector(p_env, v)
+            assert d.states == after
+            assert relation_r(p_env, d.country, result.states, after)
 
 
 def test_relations_hold_at_thousands_of_countries():

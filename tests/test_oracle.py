@@ -15,7 +15,7 @@ from pag.equilibrium import _decide
 from pag.model import State, sigma_tau, state_of
 from pag.oracle import MAX_CANDIDATES, candidate_count
 
-from conftest import random_environment
+from conftest import random_bipartite_environment, random_environment
 from reference import brute_force_atlas, grid_candidates, grid_profitable_deviation
 
 
@@ -243,23 +243,10 @@ class TestAgainstEnvironmentConditions:
         rng = random.Random(31)
         checked = 0
         while checked < 12:
-            n = rng.randint(2, 4)
-            order = list(range(n))
-            rng.shuffle(order)
-            cut = rng.randint(1, n - 1)
-            edges = [
-                (min(a, b), max(a, b))
-                for a in order[:cut]
-                for b in order[cut:]
-            ]
-            rng.shuffle(edges)
-            env = make_environment(
-                [rng.randint(1, 5) for _ in range(n)],
-                adversaries=edges[: rng.randint(1, len(edges))],
-            )
+            env = random_bipartite_environment(rng, max_n=4, max_power=5)
             doomed = [
                 i
-                for i in range(n)
+                for i in range(env.n)
                 if env.adversaries_of(i) and not pag.bipartite_safe_necessary(env, i)
             ]
             if not doomed or pag.candidate_count(env, Fraction(1)) > 100_000:
