@@ -1,43 +1,54 @@
 """Desk-scale ground truth by exhaustive grid enumeration.
 
 Every admissible matrix whose entries are multiples of a chosen step is
-generated and checked with the exact continuous Nash verifier, so
-membership in the resulting atlas is sound unconditionally; only coverage
-is grid-limited.  Absence from the grid is evidence, not proof, for
+checked with the exact continuous Nash verifier, a whole subtree of them
+at once where a partial matrix already fixes a deviation, so membership
+in the resulting atlas is sound unconditionally; only coverage is
+grid-limited.  Absence from the grid is evidence, not proof, for
 continuous-strategy claims.
 
 Candidates are decided on integer grid units: powers and entries are
 divided by the step, and the verifier's decision core runs on the ints.
 That is exact, because the game is positively homogeneous: scaling every
 power and every entry by the same c > 0 keeps every state and every
-profitable deviation.  Only the stored members become `Fraction`s, through
-one converted row per candidate row that all members share.
+profitable deviation.  Only the stored members become `Fraction`s: one
+per distinct grid value, and one converted row per member row, shared by
+every member that uses it.
 
 Support and threat are linear in the matrix, and so is the survival
 margin sigma - tau whose sign is a country's state.  Each candidate row's
 share of the margins is computed once, from `sigma_tau` on a matrix
-holding only that row.  A candidate's margins are its rows' shares added
-up: the first n - 1 rows' once per prefix of the `product` odometer, the
-last row's per candidate, so a candidate costs one vector addition.  On
-ints this addition is exact, so the margins equal those of the whole
-candidate.  The verifier's decision core, `equilibrium._decide`, reads a
-country's own row and the margins only, a state being the sign of a
-margin.  So each candidate is first decided for the country that
-rejected the previous one, on that country's own row, with no matrix and
-no states built: neighbouring candidates differ mostly in the last row,
-so that country usually rejects again.  Only when it accepts is the
-candidate's matrix assembled and every other country decided, in cyclic
-order after it; whether some country deviates does not depend on the
-order.  Members are classed by the ranks of their states in
-`STATE_ORDER`, ints read from a dict from margin to rank filled on first
-sight, so `state_of` runs only for a member margin not seen before and a
-class key hashes in C; each class's `State` tuple is made once, at the
-end.  Before any of this, the candidate count is multiplied out row by
-row only until it passes the bound.
+holding only that row, and placing a row adds its share to the margins of
+the rows above it: one vector addition per row visited, exact on ints.
+The verifier's decision core, `equilibrium._decide`, reads a country's
+own row and the margins of the country and its relations, and a margin
+reads the rows of its country and its relations.  So country k's verdict
+is fixed once every row within distance 2 of k is placed: the
+graphical-game view (Kearns, Littman & Singh, UAI 2001).
 
-Enumeration is naturally partitioned by the first row's composition and
-could run concurrently; the atlas orders classes and members canonically
-so any merge is deterministic.
+The search places rows country by country, depth first.  Its order puts
+first the country whose rows complete the most of those neighbourhoods,
+then the one with fewer rows, then the lower index, so in a dense
+environment the country with the most rows comes last.  After each row,
+every country whose neighbourhood it completes is decided; if one
+deviates, no completion of that prefix is an equilibrium, and the subtree
+is skipped (backtracking with forward checking, Haralick & Elliott 1980).
+Whether some country deviates does not depend on the order of asking, so
+the atlas does not depend on the search order, and a skipped subtree's
+candidates count as checked: `candidates_checked` stays the product of
+the row counts.  At the last row, the countries still undecided are asked
+first for the one that rejected the previous candidate, on its own row,
+with no matrix and no states built: neighbouring candidates differ only
+in the last row, so that country usually rejects again.  Only when it
+accepts is the candidate's matrix assembled and every other undecided
+country asked, in cyclic order after it.  Members are classed by the
+ranks of their states in `STATE_ORDER`, ints read from a dict from margin
+to rank filled on first sight, so `state_of` runs only for a member margin
+not seen before and a class key hashes in C; each class's `State` tuple
+is made once, at the end.  Before any of this, the candidate count is
+multiplied out row by row only until it passes the bound.  The atlas
+orders classes and members canonically, whatever order the search finds
+them in.
 """
 
 from __future__ import annotations
@@ -46,7 +57,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
 from operator import add, sub
 from typing import Iterator
 
@@ -189,47 +199,114 @@ class _RankByMargin(dict):
         return rank
 
 
+def _search_order(env: Environment, counts: list[int]) -> tuple[list[int], list[list[int]]]:
+    """The order in which the search places rows, and for each depth the
+    countries whose verdict that depth's row fixes.
+
+    Country k's verdict reads the rows within distance 2 of k.  Each step
+    places the country that completes the most such neighbourhoods, then
+    the one with fewer rows, then the lower index; the last depth fixes
+    every verdict still open.
+    """
+    near = [set(env.row_support(i)) for i in range(env.n)]
+    hood = [set().union(*(near[j] for j in near[k])) for k in range(env.n)]
+    missing = [len(h) for h in hood]
+    left = set(range(env.n))
+    order, checks = [], []
+    while left:
+        c = min(left, key=lambda j: (-sum(missing[k] == 1 for k in hood[j]), counts[j], j))
+        left.remove(c)
+        order.append(c)
+        for k in hood[c]:
+            missing[k] -= 1
+        checks.append(sorted(k for k in hood[c] if missing[k] == 0))
+    return order, checks
+
+
+def _search(
+    env: Environment,
+    powers: tuple[int, ...],
+    order: list[int],
+    levels: list[list[tuple[tuple[int, ...], tuple[int, ...]]]],
+    checks: list[list[int]],
+) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]]:
+    """The equilibria of the grid, keyed by their states' ranks.
+
+    A depth-first search with an explicit stack: `levels[d]` holds the
+    (row, margin share) pairs of country `order[d]`.  A prefix whose row
+    lets a country in `checks[d]` deviate is not extended.  At the last
+    depth the country that rejected the previous candidate is asked first.
+    """
+    n = env.n
+    last = n - 1
+    final = checks[last]
+    # The countries to scan once the rejector accepts, in cyclic order after it.
+    others = {r: (*final[k + 1 :], *final[:k]) for k, r in enumerate(final)}
+    rejector = final[0]
+    inner = order[last]
+    rank_at = _RankByMargin().__getitem__
+    classes: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
+    placed = [None] * n
+    # The margins of the rows placed above each depth, and each depth's rows left.
+    head = [(0,) * n] * n
+    rest = [iter(level) for level in levels]
+    d = 0
+    while d >= 0:
+        if d == last:
+            base = head[last]
+            for row, share in levels[last]:
+                margins = tuple(map(add, base, share))
+                own = row if rejector == inner else placed[rejector]
+                if _decide(env, powers, own, rejector, margins) is not None:
+                    continue
+                placed[inner] = row
+                for i in others[rejector]:
+                    if _decide(env, powers, placed[i], i, margins) is not None:
+                        rejector = i
+                        break
+                else:
+                    classes.setdefault(tuple(map(rank_at, margins)), []).append(tuple(placed))
+            d -= 1
+            continue
+        c = order[d]
+        for row, share in rest[d]:
+            margins = tuple(map(add, head[d], share))
+            placed[c] = row
+            for k in checks[d]:
+                if _decide(env, powers, placed[k], k, margins) is not None:
+                    break
+            else:
+                d += 1
+                head[d] = margins
+                rest[d] = iter(levels[d])
+                break
+        else:
+            d -= 1
+    return classes
+
+
 def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
-    """Enumerate all grid-admissible matrices and keep the exact equilibria."""
+    """Search all grid-admissible matrices and keep the exact equilibria."""
     count = 1
+    counts = []
     for rows in _row_counts(env, grid.step):
         count *= rows
         if count > grid.max_candidates:
             raise EnumerationTooLarge(count, grid.max_candidates)
+        counts.append(rows)
 
-    per_row = [_row_candidates(env, i, grid.step) for i in range(env.n)]
     powers = tuple(_row_units(env, i, grid.step) for i in range(env.n))
-    shared = [
-        [(row, _margin_share(env, i, row)) for row in rows] for i, rows in enumerate(per_row)
+    order, checks = _search_order(env, counts)
+    levels = [
+        [(row, _margin_share(env, i, row)) for row in _row_candidates(env, i, grid.step)]
+        for i in order
     ]
-    blank = (0,) * env.n
-    rank_at = _RankByMargin().__getitem__
-    last = env.n - 1
-    # The countries to scan once the rejector accepts, in cyclic order after it.
-    others = [(*range(r + 1, env.n), *range(r)) for r in range(env.n)]
-    classes: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
-    rejector = 0
-    for prefix in product(*shared[:-1]):
-        head = tuple(row for row, _ in prefix)
-        head_margins = blank
-        for _, row_margins in prefix:
-            head_margins = tuple(map(add, head_margins, row_margins))
-        for row, row_margins in shared[-1]:
-            margins = tuple(map(add, head_margins, row_margins))
-            own = row if rejector == last else head[rejector]
-            if _decide(env, powers, own, rejector, margins) is not None:
-                continue
-            u = (*head, row)
-            for i in others[rejector]:
-                if _decide(env, powers, u[i], i, margins) is not None:
-                    rejector = i
-                    break
-            else:
-                classes.setdefault(tuple(map(rank_at, margins)), []).append(u)
+    classes = _search(env, powers, order, levels, checks)
 
-    # One Fraction row per candidate row, shared by every member using it.
-    exact = {row: tuple(x * grid.step for x in row) for rows in per_row for row in rows}
-    convert = exact.__getitem__
+    # One Fraction per grid value and one Fraction row per member row.
+    used = {row for members in classes.values() for m in members for row in m}
+    exact = {x: x * grid.step for x in set().union(*used)}
+    convert = {row: tuple(map(exact.__getitem__, row)) for row in used}.__getitem__
     # Rank vectors sort as the canonical class order; keys are distinct.
     ordered = tuple(
         EquilibriumClass(

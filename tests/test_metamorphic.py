@@ -1,11 +1,13 @@
-"""Metamorphic relations of the verifier, which need no reference.
+"""Metamorphic relations of the verifier and the grid oracle, which need
+no reference.
 
 Each test checks the outputs on one input against those on a related one:
 scaled by a positive rational, joined to an unrelated environment, given
 an isolated country, or with its countries relabeled.  No exact reference
-reaches the sizes drawn here (sparse networks of up to 300 countries, and
-one seeded network of thousands), so these relations are what checks the
-integer scaler and the decision there.
+reaches the sizes drawn here (sparse networks of up to 300 countries, one
+seeded network of thousands, and a grid of millions of candidates), so
+these relations are what checks the integer scaler, the decision and the
+oracle's search there.
 """
 
 import random
@@ -15,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pag
-from pag import Deviation, NashResult, State, make_environment
+from pag import Deviation, GridSpec, NashResult, State, make_environment
 from pag.model import ZERO, replace_row
+from pag.oracle import candidate_count
 
 from conftest import random_allocation, random_environment, random_sparse_scenario
 from reference import relation_r
@@ -74,23 +77,27 @@ def _assert_homogeneous(env, u, c):
     return valid
 
 
-def _union(parts):
-    """The disjoint union of (env, u) parts, side by side in order, and the
-    offset of each part's first country."""
+def _joined(envs):
+    """The disjoint union of environments, side by side in order, and the
+    offset of each one's first country."""
     powers, friends, adversaries, offsets = [], [], [], []
-    for env, _ in parts:
+    for env in envs:
         k = len(powers)
         offsets.append(k)
         powers += env.powers
         friends += [(i + k, j + k) for i, j in env.friends]
         adversaries += [(i + k, j + k) for i, j in env.adversaries]
-    n = len(powers)
-    rows = [
-        (ZERO,) * k + row + (ZERO,) * (n - k - env.n)
-        for (env, u), k in zip(parts, offsets)
-        for row in u
-    ]
-    return _environment(powers, friends, adversaries), tuple(rows), offsets
+    return _environment(powers, friends, adversaries), offsets
+
+
+def _side_by_side(matrices):
+    """The block-diagonal matrix of square matrices, in order."""
+    n = sum(map(len, matrices))
+    rows, k = [], 0
+    for u in matrices:
+        rows += [(ZERO,) * k + tuple(row) + (ZERO,) * (n - k - len(u)) for row in u]
+        k += len(u)
+    return tuple(rows)
 
 
 @settings(max_examples=10, deadline=None)
@@ -104,7 +111,8 @@ def test_disjoint_union_gives_the_parts_deviations(seed):
 
 
 def _assert_union_of(parts):
-    env, u, offsets = _union(parts)
+    env, offsets = _joined([part for part, _ in parts])
+    u = _side_by_side([u for _, u in parts])
     results = [pag.is_nash(*part) for part in parts]
     states = sum((r.states for r in results), ())
     deviations = []
@@ -162,20 +170,24 @@ def test_an_isolated_country_is_safe_and_changes_nothing(seed, num, den):
     assert pag.best_deviation(iso_env, iso_u, k) is None
 
 
-def _relabel(env, u, perm):
-    """(env, u) with country k moved to perm[k]: its power, its relations,
-    its row and its column."""
-    n = env.n
-    powers, rows = [None] * n, [None] * n
-    for k, row in enumerate(u):
-        powers[perm[k]] = env.powers[k]
-        moved = [None] * n
-        for j, x in enumerate(row):
-            moved[perm[j]] = x
-        rows[perm[k]] = tuple(moved)
+def _moved(values, perm):
+    """The sequence with the value at k moved to perm[k]."""
+    out = [None] * len(values)
+    for k, x in enumerate(values):
+        out[perm[k]] = x
+    return tuple(out)
+
+
+def _relabel(env, perm):
+    """env with country k moved to perm[k]: its power and its relations."""
     friends = [(perm[i], perm[j]) for i, j in env.friends]
     adversaries = [(perm[i], perm[j]) for i, j in env.adversaries]
-    return _environment(powers, friends, adversaries), tuple(rows)
+    return _environment(_moved(env.powers, perm), friends, adversaries)
+
+
+def _relabel_matrix(u, perm):
+    """u with country k's row and column moved to perm[k]."""
+    return _moved([_moved(row, perm) for row in u], perm)
 
 
 @settings(max_examples=10, deadline=None)
@@ -192,7 +204,7 @@ def test_relabeling_permutes_the_verdict_states_and_deviators(seed):
         env, u = draw(rng)
         perm = list(range(env.n))
         rng.shuffle(perm)
-        p_env, p_u = _relabel(env, u, perm)
+        p_env, p_u = _relabel(env, perm), _relabel_matrix(u, perm)
         base, result = pag.is_nash(env, u), pag.is_nash(p_env, p_u)
         assert result.ok == base.ok
         assert [result.states[perm[k]] for k in range(env.n)] == list(base.states)
@@ -216,3 +228,64 @@ def test_relations_hold_at_thousands_of_countries():
     assert _assert_homogeneous(env, u, Fraction(7, 3))
     parts = [random_sparse_scenario(rng, 1200), random_sparse_scenario(rng, 900)]
     _assert_union_of(parts)
+
+
+def _grid_environment(rng, fewest, most):
+    """A seeded environment of 3 to 6 countries, powers 0-3, with `fewest`
+    to `most` step-1 grid matrices."""
+    while True:
+        env = random_environment(
+            rng, rng.randint(3, 6), 3, friend_p=0.2, adversary_p=0.35, min_power=0
+        )
+        if fewest <= candidate_count(env, Fraction(1)) <= most:
+            return env
+
+
+def _atlas(env):
+    return pag.find_equilibria(env, GridSpec(step=Fraction(1)))
+
+
+def _assert_atlas_of_union(first, second):
+    # Each class of the union is a class of each part, its states
+    # concatenated and its members every side-by-side pair of theirs; the
+    # canonical orders of classes and members are the product orders.
+    env, _ = _joined([first, second])
+    a, b, joined = _atlas(first), _atlas(second), _atlas(env)
+    assert joined.candidates_checked == a.candidates_checked * b.candidates_checked
+    assert [(c.states, c.members) for c in joined.classes] == [
+        (x.states + y.states, tuple(_side_by_side((m, w)) for m in x.members for w in y.members))
+        for x in a.classes
+        for y in b.classes
+    ]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**30))
+def test_atlas_of_a_disjoint_union_is_the_product_of_the_parts(seed):
+    rng = random.Random(seed)
+    _assert_atlas_of_union(_grid_environment(rng, 20, 300), _grid_environment(rng, 20, 300))
+
+
+def test_atlas_of_a_union_past_the_reference_reach():
+    # A ring of 6 beside a rivalry: 6,000,000 candidates, within the bound
+    # but far past what `reference.brute_force_atlas` can scan.
+    ring = _environment([3] * 6, [], [(i, (i + 1) % 6) for i in range(6)])
+    _assert_atlas_of_union(ring, _environment([1, 2], [], [(0, 1)]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**30))
+def test_relabeling_permutes_the_atlas(seed):
+    # The search order breaks ties by country index, so a relabeled
+    # environment is searched in another order; its classes are still the
+    # permuted classes, each with the permuted members.
+    rng = random.Random(seed)
+    env = _grid_environment(rng, 500, 20_000)
+    perm = list(range(env.n))
+    rng.shuffle(perm)
+    base, result = _atlas(env), _atlas(_relabel(env, perm))
+    assert result.candidates_checked == base.candidates_checked
+    assert {c.states: c.members for c in result.classes} == {
+        _moved(c.states, perm): tuple(sorted(_relabel_matrix(m, perm) for m in c.members))
+        for c in base.classes
+    }

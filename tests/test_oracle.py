@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -26,6 +27,21 @@ def fractional_env():
         friends=[(0, 1)],
         adversaries=[(0, 2), (1, 2)],
     )
+
+
+def _path_environment(rng, n):
+    """n countries of power 0-3 related along a random path, and by one more
+    random pair half the time, so that most pairs are more than distance 2
+    apart; each relation is a friendship with probability 0.3."""
+    countries = list(range(n))
+    rng.shuffle(countries)
+    pairs = {tuple(sorted(pair)) for pair in zip(countries, countries[1:])}
+    if rng.random() < 0.5:
+        pairs.add(tuple(sorted(rng.sample(countries, 2))))
+    friends = [pair for pair in sorted(pairs) if rng.random() < 0.3]
+    adversaries = [pair for pair in sorted(pairs) if pair not in friends]
+    powers = [rng.randint(0, 3) for _ in range(n)]
+    return make_environment(powers, friends=friends, adversaries=adversaries)
 
 
 def _classes(atlas):
@@ -172,6 +188,53 @@ class TestIntegerKernel:
             atlas = pag.find_equilibria(env, GridSpec(step=step))
             assert _classes(atlas) == brute_force_atlas(env, step)
 
+    def test_atlas_equals_brute_force_on_sparse_environments(self):
+        # Seeded sparse 5-6 country environments, powers 0-3, where the search
+        # decides countries before the last row and skips subtrees: the
+        # classes, members and their order still equal the reference's.
+        rng = random.Random(24)
+        checked = 0
+        while checked < 8:
+            env = _path_environment(rng, rng.randint(5, 6))
+            if candidate_count(env, Fraction(1)) > 20_000:
+                continue
+            checked += 1
+            atlas = pag.find_equilibria(env, GridSpec(step=Fraction(1)))
+            assert _classes(atlas) == brute_force_atlas(env, Fraction(1))
+
+    def test_chain_is_decided_in_fewer_calls_than_candidates(self, monkeypatch):
+        # A chain of 8 (powers 2, 3, 2, ...; pair (i, i+1) a friendship when
+        # i = 0 mod 3, a rivalry otherwise): each country is decided once the
+        # rows within distance 2 of it are placed, and a rejected prefix is
+        # not extended, so most candidates are never decided one by one.
+        chain = make_environment(
+            [2 if i % 2 == 0 else 3 for i in range(8)],
+            friends=[(i, i + 1) for i in range(7) if i % 3 == 0],
+            adversaries=[(i, i + 1) for i in range(7) if i % 3 != 0],
+        )
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return _decide(*args)
+
+        monkeypatch.setattr(pag.oracle, "_decide", counted)
+        atlas = pag.find_equilibria(chain, GridSpec(step=Fraction(1)))
+        assert atlas.candidates_checked == 2_592_000
+        assert (atlas.total, len(atlas.classes)) == (8040, 43)
+        assert len(calls) < atlas.candidates_checked
+
+    def test_search_leaves_no_reference_cycle(self, env4, fractional_env):
+        # Nothing a call builds waits for the cyclic collector.
+        gc.collect()
+        gc.disable()
+        try:
+            pag.find_equilibria(env4, GridSpec(step=Fraction(1)))
+            pag.find_equilibria(fractional_env, GridSpec(step=Fraction(1, 4)))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("name,step", [("env4", Fraction(1)), ("fractional_env", Fraction(1, 4))])
     def test_deciding_every_country_agrees_with_is_nash(self, name, step, request):
         # The oracle may decide countries in any order: some country deviates
@@ -251,8 +314,11 @@ class TestAgainstEnvironmentConditions:
             ]
             if not doomed or pag.candidate_count(env, Fraction(1)) > 100_000:
                 continue
-            checked += 1
             atlas = pag.find_equilibria(env, GridSpec(step=Fraction(1)))
+            # An empty atlas would pass vacuously.
+            if not atlas.classes:
+                continue
+            checked += 1
             for cls in atlas.classes:
                 for i in doomed:
                     assert cls.states[i] is not State.SAFE
