@@ -34,10 +34,10 @@ every country whose neighbourhood it completes is decided; if one
 deviates, no completion of that prefix is an equilibrium, and the subtree
 is skipped (backtracking with forward checking, Haralick & Elliott 1980).
 Whether some country deviates does not depend on the order of asking, so
-the atlas does not depend on the search order, and a skipped subtree's
+the atlas does not depend on the search order.  A skipped subtree's
 candidates count as checked: `candidates_checked` stays the product of
-the row counts.  At the last row, the countries still undecided are asked
-first for the one that rejected the previous candidate, on its own row,
+the row counts.  At the last row, of the countries still undecided, the
+one that rejected the previous candidate is asked first, on its own row,
 with no matrix and no states built: neighbouring candidates differ only
 in the last row, so that country usually rejects again.  Only when it
 accepts is the candidate's matrix assembled and every other undecided
@@ -201,13 +201,7 @@ class _RankByMargin(dict):
 
 def _search_order(env: Environment, counts: list[int]) -> tuple[list[int], list[list[int]]]:
     """The order in which the search places rows, and for each depth the
-    countries whose verdict that depth's row fixes.
-
-    Country k's verdict reads the rows within distance 2 of k.  Each step
-    places the country that completes the most such neighbourhoods, then
-    the one with fewer rows, then the lower index; the last depth fixes
-    every verdict still open.
-    """
+    countries whose neighbourhood, and so whose verdict, its row completes."""
     near = [set(env.row_support(i)) for i in range(env.n)]
     hood = [set().union(*(near[j] for j in near[k])) for k in range(env.n)]
     missing = [len(h) for h in hood]
@@ -223,19 +217,11 @@ def _search_order(env: Environment, counts: list[int]) -> tuple[list[int], list[
     return order, checks
 
 
-def _search(
-    env: Environment,
-    powers: tuple[int, ...],
-    order: list[int],
-    levels: list[list[tuple[tuple[int, ...], tuple[int, ...]]]],
-    checks: list[list[int]],
-) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]]:
-    """The equilibria of the grid, keyed by their states' ranks.
+def _search(env: Environment, powers, order, levels, checks) -> dict:
+    """The grid's equilibria as int rows, keyed by their states' ranks.
 
-    A depth-first search with an explicit stack: `levels[d]` holds the
-    (row, margin share) pairs of country `order[d]`.  A prefix whose row
-    lets a country in `checks[d]` deviate is not extended.  At the last
-    depth the country that rejected the previous candidate is asked first.
+    A depth-first search with an explicit stack; `levels[d]` holds the
+    (row, margin share) pairs of country `order[d]`.
     """
     n = env.n
     last = n - 1
