@@ -62,10 +62,10 @@ per country.
 Each witness keeps its at most deg i + 1 entries and states in two small
 dicts, which an `Overlay` lays over an n-tuple of zeros and over the
 check's own states, both made once per check and shared by every
-witness; each distinct entry of a witness that pushes nothing becomes a
-Fraction once per check.  So `is_nash` costs O(n + E), plus O(deg i) per
-deviator, with no n-tuple copied per deviator, and its result holds
-O(n + E) memory.
+witness; each distinct entry becomes a Fraction once per check, through
+a memo keyed by units of 1/L, or once per witness for a push's finer
+units.  So `is_nash` costs O(n + E), plus O(deg i) per deviator, with no
+n-tuple copied per deviator, and its result holds O(n + E) memory.
 The result carries the states of the checked allocation too, so no
 caller needs to recompute them.  The grid oracle runs `_decide` itself,
 on integer grid units.
@@ -299,8 +299,8 @@ def _deviation(
     `Overlay` cells over `zeros`, an n-tuple of `ZERO`, and over `states`,
     both shared by every witness of one check, so a witness costs O(deg i)
     and copies no n-tuple.  `fractions` maps each entry in units of
-    1/`scale` to its Fraction, once per check; a push's finer entries
-    bypass it.
+    1/`scale` to its Fraction, once per check; a push converts its finer
+    entries through a memo of its own.
     """
     gain_friend, gain_adv, strict = target
     friends = env._friend_adj[i]
@@ -319,7 +319,7 @@ def _deviation(
                 if strict and (j == gain_adv or (d < 0 and gap >= 0)):
                     pushed.append(j)
     slack = powers[i] - sum(row.values())
-    witness = {}
+    m = 1
     if pushed:
         # Units m times finer, in which every share of the slack is an int.
         k = len(pushed)
@@ -329,18 +329,15 @@ def _deviation(
         for j in pushed:
             row[j] += slack
         slack *= m - k
-        row[i] = slack
-        unit = scale * m
-        for j, entry in row.items():
-            witness[j] = Fraction(entry, unit) if entry else ZERO
-    else:
-        m = 1
-        row[i] = slack
-        for j, entry in row.items():
-            x = fractions.get(entry)
-            if x is None:
-                x = fractions[entry] = Fraction(entry, scale)
-            witness[j] = x
+        fractions = {0: ZERO}
+    row[i] = slack
+    unit = scale * m
+    witness = {}
+    for j, entry in row.items():
+        x = fractions.get(entry)
+        if x is None:
+            x = fractions[entry] = Fraction(entry, unit)
+        witness[j] = x
     new_states = {}
     for j in friends:
         new_states[j] = state_of((margins[j] - own[j]) * m + row.get(j, 0), 0)

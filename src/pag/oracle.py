@@ -36,16 +36,17 @@ is skipped (backtracking with forward checking, Haralick & Elliott 1980).
 Whether some country deviates does not depend on the order of asking, so
 the atlas does not depend on the search order.  A skipped subtree's
 candidates count as checked: `candidates_checked` stays the product of
-the row counts.  At the last row, of the countries still undecided, the
-one that rejected the previous candidate is asked first, on its own row,
-with no matrix and no states built: neighbouring candidates differ only
-in the last row, so that country usually rejects again.  Only when it
-accepts is the candidate's matrix assembled and every other undecided
-country asked, in cyclic order after it.  Members are classed by the
-ranks of their states in `STATE_ORDER`, ints read from a dict from margin
-to rank filled on first sight, so `state_of` runs only for a member margin
-not seen before and a class key hashes in C; each class's `State` tuple
-is made once, at the end.  Before any of this, the candidate count is
+the row counts.  Every depth asks by one rule: a country that rejects a
+row is asked first from the next row on, the others following in cyclic
+order, because neighbouring rows differ only in one country's entries,
+so it usually rejects again; each depth keeps its order across
+backtracking.  A row is written into the partial matrix only once every
+country has accepted it; until then the country being placed is asked on
+the candidate row itself.  Members are classed by the ranks of their
+states in `STATE_ORDER`, ints read from a dict from margin to rank
+filled on first sight, so `state_of` runs only for a member margin not
+seen before and a class key hashes in C; each class's `State` tuple is
+made once, at the end.  Before any of this, the candidate count is
 multiplied out row by row only until it passes the bound.  The atlas
 orders classes and members canonically, whatever order the search finds
 them in.
@@ -68,6 +69,7 @@ from .model import (
     STATE_ORDER,
     sigma_tau,
     state_of,
+    to_fraction,
 )
 
 #: Default and largest bound on the number of grid matrices one
@@ -97,12 +99,17 @@ class EmptyAtlas(ValueError):
 @dataclass(frozen=True)
 class GridSpec:
     """Enumeration grid: positive step that must divide every power exactly,
-    and a candidate bound from 1 to `MAX_CANDIDATES`, checked before any work."""
+    and a candidate bound from 1 to `MAX_CANDIDATES`, checked before any work.
+
+    The step is parsed as `model.to_fraction` parses any rational and
+    stored as a `Fraction`: a float, a bool or a Decimal raises
+    `ValidationError`."""
 
     step: Fraction
     max_candidates: int = MAX_CANDIDATES
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "step", to_fraction(self.step))
         if self.step <= 0:
             raise ValueError("step must be positive")
         if not 1 <= self.max_candidates <= MAX_CANDIDATES:
@@ -225,11 +232,10 @@ def _search(env: Environment, powers, order, levels, checks) -> dict:
     """
     n = env.n
     last = n - 1
-    final = checks[last]
-    # The countries to scan once the rejector accepts, in cyclic order after it.
-    others = {r: (*final[k + 1 :], *final[:k]) for k, r in enumerate(final)}
-    rejector = final[0]
-    inner = order[last]
+    # For each depth, the order of asking that starts from each of its
+    # countries, the others following in cyclic order; and the one in use.
+    turns = [{k: (k, *ks[j + 1 :], *ks[:j]) for j, k in enumerate(ks)} for ks in checks]
+    asks = list(checks)
     rank_at = _RankByMargin().__getitem__
     classes: dict[tuple[int, ...], list[tuple[tuple[int, ...], ...]]] = {}
     placed = [None] * n
@@ -238,30 +244,21 @@ def _search(env: Environment, powers, order, levels, checks) -> dict:
     rest = [iter(level) for level in levels]
     d = 0
     while d >= 0:
-        if d == last:
-            base = head[last]
-            for row, share in levels[last]:
-                margins = tuple(map(add, base, share))
-                own = row if rejector == inner else placed[rejector]
-                if _decide(env, powers, own, rejector, margins) is not None:
-                    continue
-                placed[inner] = row
-                for i in others[rejector]:
-                    if _decide(env, powers, placed[i], i, margins) is not None:
-                        rejector = i
-                        break
-                else:
-                    classes.setdefault(tuple(map(rank_at, margins)), []).append(tuple(placed))
-            d -= 1
-            continue
         c = order[d]
+        base = head[d]
+        ask = asks[d]
+        turn = turns[d]
         for row, share in rest[d]:
-            margins = tuple(map(add, head[d], share))
-            placed[c] = row
-            for k in checks[d]:
-                if _decide(env, powers, placed[k], k, margins) is not None:
+            margins = tuple(map(add, base, share))
+            for k in ask:
+                if _decide(env, powers, row if k == c else placed[k], k, margins) is not None:
+                    ask = asks[d] = turn[k]
                     break
             else:
+                placed[c] = row
+                if d == last:
+                    classes.setdefault(tuple(map(rank_at, margins)), []).append(tuple(placed))
+                    continue
                 d += 1
                 head[d] = margins
                 rest[d] = iter(levels[d])

@@ -1,5 +1,5 @@
-"""Metamorphic relations of the verifier and the grid oracle, which need
-no reference.
+"""Metamorphic relations of the verifier, the grid oracle and the analysis
+functions, which need no reference.
 
 Each test checks the outputs on one input against those on a related one:
 scaled by a positive rational, joined to an unrelated environment, given
@@ -10,6 +10,7 @@ these relations are what checks the integer scaler, the decision and the
 oracle's search there.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,11 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pag
-from pag import Deviation, GridSpec, NashResult, State, make_environment
+from pag import Deviation, GridSpec, NashResult, State, TopologyError, make_environment
 from pag.model import ZERO, replace_row
 from pag.oracle import candidate_count
 
-from conftest import random_allocation, random_environment, random_sparse_scenario
+from conftest import (
+    random_allocation,
+    random_bipartite_environment,
+    random_environment,
+    random_sparse_scenario,
+)
 from reference import relation_r
 
 
@@ -217,6 +223,63 @@ def test_relabeling_permutes_the_verdict_states_and_deviators(seed):
             after = pag.state_vector(p_env, v)
             assert d.states == after
             assert relation_r(p_env, d.country, result.states, after)
+
+
+def _cover_by_owner(report, perm):
+    """The dominations and protectorates of a `CoverReport`, keyed by owner,
+    with country k renamed perm[k]."""
+
+    def moved(group):
+        return frozenset(perm[k] for k in group)
+
+    return (
+        {perm[d.owner]: moved(d.members) for d in report.dominations},
+        {
+            perm[p.owner]: (moved(p.weak_friends), moved(p.threats), moved(p.members))
+            for p in report.protectorates
+        },
+    )
+
+
+def _outcome(check, *args):
+    """What `check` returns, or `TopologyError` when it raises one."""
+    try:
+        return check(*args)
+    except TopologyError:
+        return TopologyError
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2**30))
+def test_relabeling_permutes_the_analysis(seed):
+    # Permuting the countries permutes the cover's records, the covered set
+    # and the verdicts, each country's bipartite conditions and each group's
+    # checks; whether a balancing equilibrium exists does not change.  The
+    # sides of `adversary_bipartition` are left out: the smallest index of a
+    # component goes left, so a relabeling may swap them.
+    rng = random.Random(seed)
+    for draw in range(4):
+        if draw % 2:
+            env = random_bipartite_environment(rng, max_n=6)
+        else:
+            env = random_environment(rng, rng.randint(2, 6), 9, min_power=0)
+        perm = list(range(env.n))
+        rng.shuffle(perm)
+        p_env = _relabel(env, perm)
+        base, result = pag.dp_cover(env), pag.dp_cover(p_env)
+        assert _cover_by_owner(result, range(env.n)) == _cover_by_owner(base, perm)
+        assert result.covered == frozenset(perm[k] for k in base.covered)
+        assert result.spans == base.spans
+        assert result.verdicts == _moved(base.verdicts, perm)
+        assert _outcome(pag.balancing_exists, p_env) == _outcome(pag.balancing_exists, env)
+        for k in range(env.n):
+            for check in (pag.bipartite_safe_necessary, pag.bipartite_safe_sufficient):
+                assert _outcome(check, p_env, perm[k]) == _outcome(check, env, k)
+        for size in range(1, env.n + 1):
+            for group in itertools.combinations(range(env.n), size):
+                moved = [perm[k] for k in group]
+                for check in (pag.check_group_balance, pag.check_clique_defense):
+                    assert check(p_env, moved) == check(env, group)
 
 
 def test_relations_hold_at_thousands_of_countries():

@@ -1,5 +1,6 @@
 import gc
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from pag import (
     make_environment,
 )
 from pag.equilibrium import _decide
-from pag.model import State, sigma_tau, state_of
+from pag.model import State, ValidationError, sigma_tau, state_of
 from pag.oracle import MAX_CANDIDATES, candidate_count
 
 from conftest import random_bipartite_environment, random_environment
@@ -26,6 +27,17 @@ def fractional_env():
         [Fraction(5, 4), Fraction(3, 2), Fraction(3, 4)],
         friends=[(0, 1)],
         adversaries=[(0, 2), (1, 2)],
+    )
+
+
+@pytest.fixture
+def chain8():
+    """A chain of 8: powers 2, 3, 2, ...; pair (i, i+1) a friendship when
+    i = 0 mod 3, a rivalry otherwise."""
+    return make_environment(
+        [2 if i % 2 == 0 else 3 for i in range(8)],
+        friends=[(i, i + 1) for i in range(7) if i % 3 == 0],
+        adversaries=[(i, i + 1) for i in range(7) if i % 3 != 0],
     )
 
 
@@ -84,6 +96,21 @@ class TestGridSpec:
     def test_candidate_bound_out_of_range(self, bound):
         with pytest.raises(ValueError, match="max_candidates"):
             GridSpec(step=Fraction(1), max_candidates=bound)
+
+    def test_int_step_is_stored_as_a_fraction(self, env4):
+        # An int step gives the atlas of the equal Fraction step, whose
+        # members hold only Fractions.
+        spec = GridSpec(step=1)
+        assert type(spec.step) is Fraction and spec == GridSpec(step=Fraction(1))
+        atlas = pag.find_equilibria(env4, spec)
+        assert atlas == pag.find_equilibria(env4, GridSpec(step=Fraction(1)))
+        entries = [x for cls in atlas.classes for m in cls.members for row in m for x in row]
+        assert entries and all(type(x) is Fraction for x in entries)
+
+    @pytest.mark.parametrize("step", [0.5, Decimal("0.5"), True], ids=["float", "decimal", "bool"])
+    def test_inexact_step_rejected(self, step):
+        with pytest.raises(ValidationError):
+            GridSpec(step=step)
 
     def test_candidate_bound_limits_accepted(self):
         assert GridSpec(step=Fraction(1), max_candidates=1).max_candidates == 1
@@ -202,16 +229,19 @@ class TestIntegerKernel:
             atlas = pag.find_equilibria(env, GridSpec(step=Fraction(1)))
             assert _classes(atlas) == brute_force_atlas(env, Fraction(1))
 
-    def test_chain_is_decided_in_fewer_calls_than_candidates(self, monkeypatch):
-        # A chain of 8 (powers 2, 3, 2, ...; pair (i, i+1) a friendship when
-        # i = 0 mod 3, a rivalry otherwise): each country is decided once the
-        # rows within distance 2 of it are placed, and a rejected prefix is
-        # not extended, so most candidates are never decided one by one.
-        chain = make_environment(
-            [2 if i % 2 == 0 else 3 for i in range(8)],
-            friends=[(i, i + 1) for i in range(7) if i % 3 == 0],
-            adversaries=[(i, i + 1) for i in range(7) if i % 3 != 0],
-        )
+    @pytest.mark.parametrize(
+        "name,candidates,members,classes,most_calls",
+        [("chain8", 2_592_000, 8040, 43, 643_568), ("env3", 185_220, 350, 4, 187_407)],
+        ids=["chain8", "env3"],
+    )
+    def test_search_decides_within_the_pinned_calls(
+        self, name, candidates, members, classes, most_calls, request, monkeypatch
+    ):
+        # Each country is decided once the rows within distance 2 of it are
+        # placed, and a rejected prefix is not extended, so most of the
+        # chain's candidates are never decided one by one.  A country that
+        # rejects a row is asked first on the next one: asking in a fixed
+        # order takes 860,203 calls on the chain and 269,752 on env3.
         calls = []
 
         def counted(*args):
@@ -219,10 +249,10 @@ class TestIntegerKernel:
             return _decide(*args)
 
         monkeypatch.setattr(pag.oracle, "_decide", counted)
-        atlas = pag.find_equilibria(chain, GridSpec(step=Fraction(1)))
-        assert atlas.candidates_checked == 2_592_000
-        assert (atlas.total, len(atlas.classes)) == (8040, 43)
-        assert len(calls) < atlas.candidates_checked
+        atlas = pag.find_equilibria(request.getfixturevalue(name), GridSpec(step=Fraction(1)))
+        assert atlas.candidates_checked == candidates
+        assert (atlas.total, len(atlas.classes)) == (members, classes)
+        assert len(calls) <= most_calls
 
     def test_search_leaves_no_reference_cycle(self, env4, fractional_env):
         # Nothing a call builds waits for the cyclic collector.
