@@ -60,15 +60,12 @@ from .model import (
     validate_environment,
 )
 from .oracle import (
-    EmptyAtlas,
     EnumerationTooLarge,
     EquilibriumAtlas,
     EquilibriumClass,
     GridSpec,
-    SurvivalPossibility,
     candidate_count,
     find_equilibria,
-    survival_possibility,
 )
 
 # Every name imported above, but not the submodules the imports bind.

@@ -44,7 +44,7 @@ def adversary_bipartition(env: Environment) -> tuple[frozenset[int], frozenset[i
         queue = deque([start])
         while queue:
             i = queue.popleft()
-            for j in env.adversaries_of(i):
+            for j in env.adversaries_of[i]:
                 if j not in color:
                     color[j] = 1 - color[i]
                     queue.append(j)
@@ -65,7 +65,7 @@ def check_group_balance(env: Environment, group: Iterable[int]) -> bool:
         raise ValueError("group must be nonempty")
     member_set = set(members)
     for i in members:
-        adversaries = env.adversaries_of(i)
+        adversaries = env.adversaries_of[i]
         if member_set.intersection(adversaries):
             return False
         if env.powers[i] < sum((env.powers[j] for j in adversaries), ZERO):
@@ -82,13 +82,13 @@ def check_clique_defense(env: Environment, group: Iterable[int]) -> bool:
     if not members:
         raise ValueError("group must be nonempty")
     for a in members:
-        friends = set(env.friends_of(a))
+        friends = set(env.friends_of[a])
         for b in members:
             if b != a and b not in friends:
                 return False
     outside: set[int] = set()
     for i in members:
-        outside.update(env.adversaries_of(i))
+        outside.update(env.adversaries_of[i])
     total = sum((env.powers[i] for i in members), ZERO)
     threat = sum((env.powers[j] for j in outside), ZERO)
     return total >= threat
@@ -118,8 +118,8 @@ def bipartite_safe_necessary(env: Environment, i: int) -> bool:
     if adversary_bipartition(env) is None:
         raise TopologyError("adversary graph is not bipartite")
     return all(
-        env.powers[j] <= sum((env.powers[k] for k in env.adversaries_of(j)), ZERO)
-        for j in env.adversaries_of(i)
+        env.powers[j] <= sum((env.powers[k] for k in env.adversaries_of[j]), ZERO)
+        for j in env.adversaries_of[i]
     )
 
 
@@ -132,12 +132,12 @@ def bipartite_safe_sufficient(env: Environment, i: int) -> bool:
     """
     if not bipartite_safe_necessary(env, i):
         return False
-    adversaries = env.adversaries_of(i)
+    adversaries = env.adversaries_of[i]
     if not adversaries:
         return True
     second: set[int] = set()
     for j in adversaries:
-        second.update(env.adversaries_of(j))
+        second.update(env.adversaries_of[j])
     lhs = sum((env.powers[j] for j in adversaries), ZERO)
     rhs = sum((env.powers[k] for k in second), ZERO)
     return lhs < rhs
@@ -173,10 +173,10 @@ class Protectorate:
 
 def domination(env: Environment, i: int) -> Domination | None:
     """i's domination, when its power covers adversaries plus their friends."""
-    adversaries = set(env.adversaries_of(i))
+    adversaries = set(env.adversaries_of[i])
     covered = set(adversaries)
     for j in adversaries:
-        covered.update(env.friends_of(j))
+        covered.update(env.friends_of[j])
     needed = sum((env.powers[k] for k in covered), ZERO)
     if env.powers[i] < needed:
         return None
@@ -188,17 +188,17 @@ def protectorate(env: Environment, i: int) -> Protectorate | None:
 
     The condition adds each weak friend's own power to i's.
     """
-    friends = env.friends_of(i)
+    friends = env.friends_of[i]
     weak = frozenset(
         j
         for j in friends
-        if env.powers[j] < sum((env.powers[k] for k in env.adversaries_of(j)), ZERO)
+        if env.powers[j] < sum((env.powers[k] for k in env.adversaries_of[j]), ZERO)
     )
     threats: set[int] = set()
     for j in weak:
-        threats.update(env.adversaries_of(j))
+        threats.update(env.adversaries_of[j])
     lhs = env.powers[i] + sum((env.powers[j] for j in weak), ZERO)
-    rhs_set = set(env.adversaries_of(i)) | threats
+    rhs_set = set(env.adversaries_of[i]) | threats
     rhs = sum((env.powers[j] for j in rhs_set), ZERO)
     if lhs < rhs:
         return None
@@ -257,7 +257,7 @@ def dp_cover(env: Environment) -> CoverReport:
         protected.update(p.members)
     condemned_adversary: set[int] = set()
     for d in dominations:
-        condemned_adversary.update(env.adversaries_of(d.owner))
+        condemned_adversary.update(env.adversaries_of[d.owner])
 
     # The cover spans, so a country that is neither an owner nor protected
     # is a non-owner member of some domination.

@@ -301,7 +301,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         # A witness fills only the deviator's relation columns, and moves
         # only their states.
         i = dev.country
-        support = env.row_support(i)
+        support = env.row_support[i]
         new_states = states.copy()
         for j in support:
             new_states[j] = dev.states[j].value
@@ -419,11 +419,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     env, _ = _load(args.scenario)
-    step = to_fraction(args.step)
-    grid = oracle.GridSpec(step=step, max_candidates=args.max_candidates)
+    grid = oracle.GridSpec(step=args.step, max_candidates=args.max_candidates)
     atlas = oracle.find_equilibria(env, grid)
     lines = [
-        f"grid step: {step}",
+        f"grid step: {grid.step}",
         f"candidates checked: {atlas.candidates_checked}",
         f"equilibria found: {atlas.total} in {len(atlas.classes)} classes",
     ]
@@ -442,10 +441,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 "example_allocation": example.get("allocation", {}),
             }
         )
+    # Whether each country survives in every class of the atlas, some, or none.
     survival: dict[str, str] = {}
     if atlas.classes:
         for i, name in enumerate(env.names):
-            survival[name] = oracle.survival_possibility(atlas, i).value
+            survives = {cls.states[i].survives for cls in atlas.classes}
+            word = "sometimes" if len(survives) == 2 else "always" if True in survives else "never"
+            survival[name] = f"{word}-on-grid"
         lines.append(
             "survival: " + " ".join(f"{n}={v}" for n, v in survival.items())
         )
@@ -454,7 +456,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     lines.append("note: grid absence is evidence, not proof, for continuous claims")
     payload = {
         "command": "search",
-        "step": str(step),
+        "step": str(grid.step),
         "candidates_checked": atlas.candidates_checked,
         "classes": classes_payload,
         "survival": survival,

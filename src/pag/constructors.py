@@ -262,7 +262,7 @@ def bipartite_safe_equilibrium(env: Environment, target: int) -> Matrix:
         raise ConditionNotMet(
             f"sufficient condition fails for {env.names[target]}"
         )
-    adversaries = env.adversaries_of(target)
+    adversaries = env.adversaries_of[target]
     pairs = sorted(p for p in env.adversaries if target not in p)
 
     attempts = 0

@@ -56,9 +56,7 @@ units, except that a strict push of k targets works in units m = 4 (k + 1)
 times finer, so that each target's share of the slack is an int too; each
 entry leaves as that entry over L (over L m for a push).  It re-evaluates
 the witness states over the deviator's relevant set alone, from the
-current margins and the exact change of i's entries.  Both read the
-`Environment`'s adjacency and support tuples directly, with no method call
-per country.
+current margins and the exact change of i's entries.
 Each witness keeps its at most deg i + 1 entries and states in two small
 dicts, which an `Overlay` lays over an n-tuple of zeros and over the
 check's own states, both made once per check and shared by every
@@ -199,7 +197,7 @@ def _decide(
     `margins` must be in the same units, and the entries of `own`
     nonnegative.
     """
-    friends = env._friend_adj[i]
+    friends = env.friends_of[i]
     base_f = 0
     for j in friends:
         d = margins[j]
@@ -208,7 +206,7 @@ def _decide(
             if gap > 0:
                 base_f += gap
     # A non-safe adversary with a negative gap is kept down, strictly, at zero.
-    adversaries = env._adversary_adj[i]
+    adversaries = env.adversaries_of[i]
     base = base_f
     offense = 0
     for j in adversaries:
@@ -303,8 +301,8 @@ def _deviation(
     entries through a memo of its own.
     """
     gain_friend, gain_adv, strict = target
-    friends = env._friend_adj[i]
-    adversaries = env._adversary_adj[i]
+    friends = env.friends_of[i]
+    adversaries = env.adversaries_of[i]
     row = {}
     pushed = []
     if target != SELF_RESCUE:

@@ -145,9 +145,10 @@ class Environment:
 
     Countries are referenced by stable 0-based indices internally; names are
     the external interface.  Relation pairs are stored normalized with the
-    smaller index first; each country's friends, adversaries and row support,
-    and the first column off that support, are computed once, at
-    construction.
+    smaller index first.  The graph is computed once, at construction, as
+    read-only tuples indexed by country, each in ascending order:
+    `friends_of[i]`, `adversaries_of[i]`, and `row_support[i]`, the columns
+    where row i may be nonzero (i itself and its relations).
     """
 
     names: tuple[str, ...]
@@ -155,13 +156,13 @@ class Environment:
     friends: frozenset[Pair]
     adversaries: frozenset[Pair]
 
-    _friend_adj: tuple[tuple[int, ...], ...] = field(
+    friends_of: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
-    _adversary_adj: tuple[tuple[int, ...], ...] = field(
+    adversaries_of: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
-    _support: tuple[tuple[int, ...], ...] = field(
+    row_support: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
     _first_off: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
@@ -176,26 +177,15 @@ class Environment:
         for i, j in self.adversaries:
             ad[i].append(j)
             ad[j].append(i)
-        object.__setattr__(self, "_friend_adj", tuple(tuple(sorted(x)) for x in fr))
-        object.__setattr__(self, "_adversary_adj", tuple(tuple(sorted(x)) for x in ad))
+        object.__setattr__(self, "friends_of", tuple(tuple(sorted(x)) for x in fr))
+        object.__setattr__(self, "adversaries_of", tuple(tuple(sorted(x)) for x in ad))
         support = tuple(tuple(sorted((i, *fr[i], *ad[i]))) for i in range(n))
-        object.__setattr__(self, "_support", support)
+        object.__setattr__(self, "row_support", support)
         object.__setattr__(self, "_first_off", tuple(map(_first_gap, support)))
 
     @property
     def n(self) -> int:
         return len(self.names)
-
-    def friends_of(self, i: int) -> tuple[int, ...]:
-        return self._friend_adj[i]
-
-    def adversaries_of(self, i: int) -> tuple[int, ...]:
-        return self._adversary_adj[i]
-
-    def row_support(self, i: int) -> tuple[int, ...]:
-        """Indices where row i may be nonzero: i itself plus its relations,
-        in ascending order."""
-        return self._support[i]
 
     def index(self, name: str) -> int:
         try:
@@ -354,7 +344,7 @@ def _check_cells(env: Environment, i: int, row: Sequence[Fraction], errors: list
     """Append the messages of row i, one that fails validation, from its
     exact cells in column order."""
     names = env.names
-    related = set(env.row_support(i))
+    related = set(env.row_support[i])
     total = ZERO
     for j, value in enumerate(row):
         if not value:
@@ -383,16 +373,16 @@ def sigma_tau(env: Environment, u: Matrix) -> tuple[tuple[Fraction, ...], tuple[
     """
     sigmas = []
     taus = []
-    friend_adj, adversary_adj = env._friend_adj, env._adversary_adj
+    friends_of, adversaries_of = env.friends_of, env.adversaries_of
     for i in range(env.n):
         row = u[i]
         sig = row[i]
-        for j in friend_adj[i]:
+        for j in friends_of[i]:
             x = u[j][i]
             if x:
                 sig += x
         tau = 0
-        for j in adversary_adj[i]:
+        for j in adversaries_of[i]:
             x = row[j]
             if x:
                 sig += x
@@ -494,7 +484,7 @@ def _scale(
             scale = lcm(scale, den)
     rows = []
     fractional = []
-    for row, support in zip(u, env._support):
+    for row, support in zip(u, env.row_support):
         if type(row) is not tuple:
             keep = False
         cells = {}

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from operator import add, sub
 from typing import Iterator
@@ -65,6 +64,7 @@ from .equilibrium import _decide
 from .model import (
     Environment,
     Matrix,
+    Rational,
     State,
     STATE_ORDER,
     sigma_tau,
@@ -90,10 +90,6 @@ class EnumerationTooLarge(ValueError):
         super().__init__(f"the grid's candidate matrices exceed the bound of {bound}")
         self.count = count
         self.bound = bound
-
-
-class EmptyAtlas(ValueError):
-    """The atlas holds no equilibria, so survival cannot be classified."""
 
 
 @dataclass(frozen=True)
@@ -134,32 +130,28 @@ class EquilibriumAtlas:
         return sum(len(c.members) for c in self.classes)
 
 
-class SurvivalPossibility(Enum):
-    ALWAYS_ON_GRID = "always-on-grid"
-    SOMETIMES_ON_GRID = "sometimes-on-grid"
-    NEVER_ON_GRID = "never-on-grid"
+def _row_units(env: Environment, step: Fraction) -> tuple[int, ...]:
+    """Each country's power in grid units, after checking that `step`
+    divides every power."""
+    units = []
+    for name, power in zip(env.names, env.powers):
+        x = power / step
+        if x.denominator != 1:
+            raise ValueError(f"step {step} does not divide the power of {name} ({power})")
+        units.append(x.numerator)
+    return tuple(units)
 
 
-def _row_units(env: Environment, i: int, step: Fraction) -> int:
-    units = env.powers[i] / step
-    if units.denominator != 1:
-        raise ValueError(
-            f"step {step} does not divide the power of {env.names[i]} ({env.powers[i]})"
-        )
-    return int(units)
+def candidate_count(env: Environment, step: Rational) -> int:
+    """Number of admissible grid matrices (product of row compositions);
+    `step` is parsed and checked as `GridSpec` does."""
+    return math.prod(_row_counts(env, _row_units(env, GridSpec(step=step).step)))
 
 
-def candidate_count(env: Environment, step: Fraction) -> int:
-    """Number of admissible grid matrices (product of row compositions)."""
-    return math.prod(_row_counts(env, step))
-
-
-def _row_counts(env: Environment, step: Fraction) -> Iterator[int]:
-    """Each country's number of admissible grid rows, after checking that
-    `step` divides every power."""
-    units = [_row_units(env, i, step) for i in range(env.n)]
-    for i, total in enumerate(units):
-        parts = len(env.row_support(i))
+def _row_counts(env: Environment, units: tuple[int, ...]) -> Iterator[int]:
+    """Each country's number of admissible grid rows."""
+    for total, support in zip(units, env.row_support):
+        parts = len(support)
         yield math.comb(total + parts - 1, parts - 1)
 
 
@@ -172,11 +164,11 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def _row_candidates(env: Environment, i: int, step: Fraction) -> list[tuple[int, ...]]:
-    """Admissible rows of country i in grid units of `step`."""
-    supports = env.row_support(i)
+def _row_candidates(env: Environment, i: int, total: int) -> list[tuple[int, ...]]:
+    """Admissible rows of country i, whose power is `total` grid units."""
+    supports = env.row_support[i]
     out = []
-    for combo in _compositions(_row_units(env, i, step), len(supports)):
+    for combo in _compositions(total, len(supports)):
         row = [0] * env.n
         for j, c in zip(supports, combo):
             row[j] = c
@@ -209,7 +201,7 @@ class _RankByMargin(dict):
 def _search_order(env: Environment, counts: list[int]) -> tuple[list[int], list[list[int]]]:
     """The order in which the search places rows, and for each depth the
     countries whose neighbourhood, and so whose verdict, its row completes."""
-    near = [set(env.row_support(i)) for i in range(env.n)]
+    near = [set(env.row_support[i]) for i in range(env.n)]
     hood = [set().union(*(near[j] for j in near[k])) for k in range(env.n)]
     missing = [len(h) for h in hood]
     left = set(range(env.n))
@@ -270,18 +262,18 @@ def _search(env: Environment, powers, order, levels, checks) -> dict:
 
 def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
     """Search all grid-admissible matrices and keep the exact equilibria."""
+    powers = _row_units(env, grid.step)
     count = 1
     counts = []
-    for rows in _row_counts(env, grid.step):
+    for rows in _row_counts(env, powers):
         count *= rows
         if count > grid.max_candidates:
             raise EnumerationTooLarge(count, grid.max_candidates)
         counts.append(rows)
 
-    powers = tuple(_row_units(env, i, grid.step) for i in range(env.n))
     order, checks = _search_order(env, counts)
     levels = [
-        [(row, _margin_share(env, i, row)) for row in _row_candidates(env, i, grid.step)]
+        [(row, _margin_share(env, i, row)) for row in _row_candidates(env, i, powers[i])]
         for i in order
     ]
     classes = _search(env, powers, order, levels, checks)
@@ -299,15 +291,3 @@ def find_equilibria(env: Environment, grid: GridSpec) -> EquilibriumAtlas:
         for ranks, members in sorted(classes.items())
     )
     return EquilibriumAtlas(classes=ordered, candidates_checked=count)
-
-
-def survival_possibility(atlas: EquilibriumAtlas, i: int) -> SurvivalPossibility:
-    """Classify i's survival across the atlas's equilibrium classes."""
-    if not atlas.classes:
-        raise EmptyAtlas("no equilibria in the atlas")
-    bits = [cls.states[i].survives for cls in atlas.classes]
-    if all(bits):
-        return SurvivalPossibility.ALWAYS_ON_GRID
-    if not any(bits):
-        return SurvivalPossibility.NEVER_ON_GRID
-    return SurvivalPossibility.SOMETIMES_ON_GRID

@@ -125,7 +125,7 @@ def random_allocation(rng: random.Random, env: Environment, denominator: int = 1
     step = Fraction(1, denominator)
     rows = []
     for i in range(env.n):
-        support = env.row_support(i)
+        support = env.row_support[i]
         units = int(env.powers[i] / step)
         cuts = sorted(rng.randint(0, units) for _ in range(len(support) - 1))
         counts = [b - a for a, b in zip([0, *cuts], [*cuts, units])]
@@ -164,7 +164,7 @@ def criterion_06_instances(
             sufficient = bipartite_safe_sufficient(env, target)
         except TopologyError:
             continue
-        if sufficient and env.adversaries_of(target):
+        if sufficient and env.adversaries_of[target]:
             instances.append((env, target))
     return instances
 

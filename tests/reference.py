@@ -46,19 +46,19 @@ def category_profile(env: Environment, i: int, states: StateVec) -> tuple[bool, 
     when the adversary is not safe.
     """
     bits = [states[i].survives]
-    for j in env.friends_of(i):
+    for j in env.friends_of[i]:
         bits.append(states[j].survives)
-    for j in env.adversaries_of(i):
+    for j in env.adversaries_of[i]:
         bits.append(states[j] is not State.SAFE)
     return tuple(bits)
 
 
 def weakly_prefers_states(env: Environment, i: int, s_u: StateVec, s_v: StateVec) -> bool:
     """Does country i weakly prefer outcome s_v over outcome s_u?"""
-    for j in (i, *env.friends_of(i)):
+    for j in (i, *env.friends_of[i]):
         if not (s_v[j].survives or s_u[j] is State.UNSAFE):
             return False
-    for j in env.adversaries_of(i):
+    for j in env.adversaries_of[i]:
         if not (s_v[j] is not State.SAFE or s_u[j] is State.SAFE):
             return False
     return True
@@ -92,13 +92,13 @@ def state_refined_improvement(env, i, s_u, s_v):
     state).  Every deviation it finds, the verifier must report."""
     if not s_u[i].survives and s_v[i].survives:
         return True
-    for j in (i, *env.friends_of(i)):
+    for j in (i, *env.friends_of[i]):
         if s_u[j].survives and not s_v[j].survives:
             return False
     gains = 0
-    for j in env.friends_of(i):
+    for j in env.friends_of[i]:
         gains += s_v[j].survives and not s_u[j].survives
-    for j in env.adversaries_of(i):
+    for j in env.adversaries_of[i]:
         if DOWN[s_v[j]] < DOWN[s_u[j]]:
             return False
         gains += DOWN[s_v[j]] > DOWN[s_u[j]]
@@ -121,8 +121,8 @@ def relation_r(env, i, before, after):
     """
     if before[i] is UNSAFE and after[i] is not UNSAFE:
         return True
-    own = (i, *env.friends_of(i))
-    adversaries = env.adversaries_of(i)
+    own = (i, *env.friends_of[i])
+    adversaries = env.adversaries_of[i]
     if any(before[j] is not UNSAFE and after[j] is UNSAFE for j in own):
         return False
     if any(before[j] is not SAFE and after[j] is SAFE for j in adversaries):
@@ -147,7 +147,7 @@ def compositions(total: int, parts: int):
 
 def grid_rows(env: Environment, i: int, step: Fraction):
     """Every admissible row for country i with entries on the step grid."""
-    support = env.row_support(i)
+    support = env.row_support[i]
     units = env.powers[i] / step
     assert units.denominator == 1
     for combo in compositions(int(units), len(support)):
@@ -245,9 +245,9 @@ _SELF_SIDE = _ADVERSARY_SIDE
 
 
 def _support_threat(env, u, j):
-    support = u[j][j] + sum((u[k][j] for k in env.friends_of(j)), ZERO)
-    support += sum((u[j][k] for k in env.adversaries_of(j)), ZERO)
-    return support, sum((u[k][j] for k in env.adversaries_of(j)), ZERO)
+    support = u[j][j] + sum((u[k][j] for k in env.friends_of[j]), ZERO)
+    support += sum((u[j][k] for k in env.adversaries_of[j]), ZERO)
+    return support, sum((u[k][j] for k in env.adversaries_of[j]), ZERO)
 
 
 def _state(margin):
@@ -282,7 +282,7 @@ def exact_deviates(env, u, i, relation=relation_r):
     deviates iff some reachable profile improves on the current states
     under `relation`.
     """
-    friends, adversaries = env.friends_of(i), env.adversaries_of(i)
+    friends, adversaries = env.friends_of[i], env.adversaries_of[i]
     sums = {j: _support_threat(env, u, j) for j in (i, *friends, *adversaries)}
     before = {j: _state(s - t) for j, (s, t) in sums.items()}
     # Each coordinate's reachable states, with the interval each needs.

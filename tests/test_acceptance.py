@@ -21,7 +21,7 @@ import pytest
 
 import pag
 from pag import GridSpec, make_environment
-from pag.cli import main as cli_main
+from pag.cli import main as cli_main, parse_scenario
 from pag.model import State, sigma_tau
 
 from conftest import (
@@ -31,9 +31,10 @@ from conftest import (
     random_allocation,
     random_environment,
 )
-from reference import grid_profitable_deviation
+from reference import exact_deviates, grid_profitable_deviation
 
 DATA = Path(__file__).parent / "data"
+COUNTEREXAMPLES = Path(__file__).parent / "counterexamples"
 ONE = Fraction(1)
 
 
@@ -172,8 +173,9 @@ def test_criterion_05_example_three(capsys, env3):
 
 
 def test_criterion_05_companion_sound_parts(capsys, env3):
-    # The necessary/sufficient checks and the first country's doom are real;
-    # the second country's safety is a genuine equilibrium, stable even
+    # The necessary/sufficient checks hold, and the first country is never
+    # safe on the step-1 grid (it is safe off it: see the next test); the
+    # second country's safety is a genuine equilibrium, stable even
     # against a brute-force scan on a finer deviation grid.
     assert not pag.bipartite_safe_sufficient(env3, 0)
     assert not pag.bipartite_safe_sufficient(env3, 1)
@@ -188,9 +190,25 @@ def test_criterion_05_companion_sound_parts(capsys, env3):
     with capsys.disabled():
         _report(
             5, True,
-            "(companion) v1 never safe on grid; v2-safe counterexample pinned "
-            "and brute-force stable",
+            "(companion) v1 never safe on the step-1 grid; v2-safe counterexample "
+            "pinned and brute-force stable",
         )
+
+
+def test_criterion_05_v1_safe_off_the_unit_grid(capsys, env3):
+    # The first country is safe in an exact equilibrium whose entries are
+    # not all multiples of 1, so the step-1 atlas cannot hold it.
+    path = COUNTEREXAMPLES / "env3_v1_safe.json"
+    env, u = parse_scenario(json.loads(path.read_text(encoding="utf-8")))
+    assert env == env3
+    assert any(x.denominator != 1 for row in u for x in row)
+    assert pag.validate_allocation(env, u) == []
+    result = pag.is_nash(env, u)
+    assert result.ok
+    assert result.states == (State.SAFE, State.UNSAFE, State.SAFE, State.UNSAFE)
+    assert not any(exact_deviates(env, u, i) for i in range(env.n))
+    assert cli_main(["verify", str(path)]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.xfail(

@@ -179,7 +179,7 @@ def test_is_nash_evaluates_states_locally(monkeypatch):
     result = pag.is_nash(env, u)
     assert result.deviations
     # A row's support is the country plus its relations: 1 + deg i.
-    assert calls <= env.n + sum(len(env.row_support(d.country)) for d in result.deviations)
+    assert calls <= env.n + sum(len(env.row_support[d.country]) for d in result.deviations)
 
 
 def test_overlay_reads_as_the_tuple_of_its_values():
@@ -253,7 +253,7 @@ def test_deciding_a_hub_reads_each_relation_cell_once():
         rows.append(CountingRow(row))
         rows[-1].index = i
     rows = tuple(rows)
-    hub_row = {(0, j) for j in env.row_support(0)}
+    hub_row = {(0, j) for j in env.row_support[0]}
     assert equilibrium._decide(env, env.powers, rows[0], 0, margins) is None
     assert max(reads.values()) == 1
     assert set(reads) == hub_row

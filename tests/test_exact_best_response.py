@@ -23,7 +23,7 @@ def _arbitrary_rows(rng, env, denominators):
     return tuple(
         tuple(
             Fraction(rng.randint(0, 5), rng.choice(denominators))
-            if j in env.row_support(i)
+            if j in env.row_support[i]
             else ZERO
             for j in range(env.n)
         )
@@ -64,7 +64,7 @@ def test_is_nash_agrees_with_exact_best_response(kind, seed):
         env, u = _scenario(rng, kind)
         reported = {d.country for d in pag.is_nash(env, u).deviations}
         for i in range(env.n):
-            if len(env.row_support(i)) - 1 > MAX_DEGREE:
+            if len(env.row_support[i]) - 1 > MAX_DEGREE:
                 continue
             found = exact_deviates(env, u, i)
             assert found == (i in reported), (kind, env, u, i)

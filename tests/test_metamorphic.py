@@ -3,11 +3,11 @@ functions, which need no reference.
 
 Each test checks the outputs on one input against those on a related one:
 scaled by a positive rational, joined to an unrelated environment, given
-an isolated country, or with its countries relabeled.  No exact reference
-reaches the sizes drawn here (sparse networks of up to 300 countries, one
-seeded network of thousands, and a grid of millions of candidates), so
-these relations are what checks the integer scaler, the decision and the
-oracle's search there.
+an isolated country, with its countries relabeled, or searched on a finer
+grid.  No exact reference reaches the sizes drawn here (sparse networks of
+up to 300 countries, one seeded network of thousands, and a grid of
+millions of candidates), so these relations are what checks the integer
+scaler, the decision and the oracle's search there.
 """
 
 import itertools
@@ -306,6 +306,26 @@ def _grid_environment(rng, fewest, most):
 
 def _atlas(env):
     return pag.find_equilibria(env, GridSpec(step=Fraction(1)))
+
+
+def test_refining_the_grid_keeps_every_equilibrium():
+    # Every step-1 grid matrix is a step-1/2 one, and being an equilibrium
+    # does not depend on the grid, so each step-1 member is a step-1/2
+    # member with the same states.
+    environments = members = 0
+    for seed in range(120):
+        rng = random.Random(seed)
+        env = random_environment(rng, rng.randint(2, 4), 3)
+        if candidate_count(env, 1) > 20_000 or candidate_count(env, Fraction(1, 2)) > 200_000:
+            continue
+        fine = pag.find_equilibria(env, GridSpec(step=Fraction(1, 2)))
+        states = {m: cls.states for cls in fine.classes for m in cls.members}
+        for cls in _atlas(env).classes:
+            for m in cls.members:
+                assert states.get(m) == cls.states
+                members += 1
+        environments += 1
+    assert (environments, members) == (107, 2125)
 
 
 def _assert_atlas_of_union(first, second):

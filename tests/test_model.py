@@ -69,17 +69,25 @@ def test_to_fraction_shortens_echoed_values():
 def test_all_exports_resolve_and_none_is_a_module():
     for name in pag.__all__:
         assert not isinstance(getattr(pag, name), types.ModuleType), name
-    for gone in ("support", "threat", "DeviationProblem", "model", "oracle"):
+    removed = (
+        "support",
+        "threat",
+        "DeviationProblem",
+        "survival_possibility",
+        "SurvivalPossibility",
+        "EmptyAtlas",
+    )
+    for gone in (*removed, "model", "oracle"):
         assert gone not in pag.__all__
-    for gone in ("support", "threat", "DeviationProblem"):
+    for gone in removed:
         assert not hasattr(pag, gone)
 
 
 class TestValidateEnvironment:
     def test_env1_description_builds(self, env1):
         assert env1.n == 6
-        assert env1.friends_of(1) == (2,)
-        assert env1.adversaries_of(1) == (4,)
+        assert env1.friends_of[1] == (2,)
+        assert env1.adversaries_of[1] == (4,)
         assert env1.powers[0] == 19
 
     def test_conflicting_relation_reported(self):
@@ -217,7 +225,7 @@ def _reference_errors(env, u):
         for j, value in enumerate(row):
             if value < 0:
                 errors.append(f"negative entry {env.names[i]}->{env.names[j]}")
-            if value != 0 and j not in env.row_support(i):
+            if value != 0 and j not in env.row_support[i]:
                 errors.append(f"nonzero entry {env.names[i]}->{env.names[j]} with no relation")
             total += value
         if total != env.powers[i]:
@@ -248,7 +256,7 @@ def test_validate_allocation_matches_brute_force(seed, huge):
     rows = []
     for i, row in enumerate(u):
         row = list(row)
-        off = [j for j in range(env.n) if j not in env.row_support(i)]
+        off = [j for j in range(env.n) if j not in env.row_support[i]]
         kind = rng.randrange(4)
         if kind == 1:
             row = [x if x else rng.choice((Fraction(0), 0)) for x in row]
@@ -292,22 +300,35 @@ def test_row_support_is_cached_per_environment(seed):
     rng = random.Random(seed)
     env = random_environment(rng, rng.randint(1, 8), max_power=5)
 
-    def expected(e, i):
-        return tuple(sorted((i, *e.friends_of(i), *e.adversaries_of(i))))
+    def neighbours(pairs, i):
+        return tuple(sorted(a + b - i for a, b in pairs if i in (a, b)))
 
-    for i in range(env.n):
-        assert env.row_support(i) == expected(env, i)
-        assert env.row_support(i) is env.row_support(i)
-        # Validation's first column with no relation (n when there is none).
-        assert env._first_off[i] == min(set(range(env.n + 1)) - set(expected(env, i)))
+    def check(e):
+        # Plain tuples indexed by country, computed once: every read is the
+        # same object, and they take no part in equality or repr.
+        for name in ("friends_of", "adversaries_of", "row_support"):
+            table = getattr(e, name)
+            assert type(table) is tuple and len(table) == e.n
+            assert all(type(row) is tuple for row in table)
+            assert getattr(e, name) is table
+            assert name not in repr(e)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e, name, ())
+        for i in range(e.n):
+            assert e.friends_of[i] == neighbours(e.friends, i)
+            assert e.adversaries_of[i] == neighbours(e.adversaries, i)
+            related = {i, *e.friends_of[i], *e.adversaries_of[i]}
+            assert e.row_support[i] == tuple(sorted(related))
+            # Validation's first column with no relation (n when there is none).
+            assert e._first_off[i] == min(set(range(e.n + 1)) - related)
+
+    check(env)
     free = [p for p in itertools.combinations(range(env.n), 2) if p not in env.friends]
     other = dataclasses.replace(
         env, adversaries=frozenset(rng.sample(free, rng.randint(0, len(free))))
     )
-    for i in range(other.n):
-        related = {j for pair in other.friends | other.adversaries if i in pair for j in pair}
-        assert other.row_support(i) == expected(other, i) == tuple(sorted(related | {i}))
-        assert other._first_off[i] == min(set(range(other.n + 1)) - related - {i})
+    check(other)
+    assert (other == env) == (other.adversaries == env.adversaries)
 
 
 # Row v1 of an admissible allocation with a diagonal, a friend and an

@@ -1,18 +1,13 @@
 import gc
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import pag
-from pag import (
-    EmptyAtlas,
-    EnumerationTooLarge,
-    GridSpec,
-    SurvivalPossibility,
-    make_environment,
-)
+from pag import EnumerationTooLarge, GridSpec, make_environment
 from pag.equilibrium import _decide
 from pag.model import State, ValidationError, sigma_tau, state_of
 from pag.oracle import MAX_CANDIDATES, candidate_count
@@ -111,6 +106,28 @@ class TestGridSpec:
     def test_inexact_step_rejected(self, step):
         with pytest.raises(ValidationError):
             GridSpec(step=step)
+
+    @pytest.mark.parametrize(
+        "step, error",
+        [
+            (0.5, ValidationError),
+            (Decimal("0.5"), ValidationError),
+            (True, ValidationError),
+            (0, ValueError),
+            (-1, ValueError),
+        ],
+        ids=["float", "decimal", "bool", "zero", "negative"],
+    )
+    def test_candidate_count_parses_its_step_as_gridspec(self, env2, step, error):
+        with pytest.raises(error) as exc:
+            GridSpec(step=step)
+        with pytest.raises(error, match=re.escape(str(exc.value))):
+            candidate_count(env2, step)
+
+    def test_candidate_count_accepts_any_exact_step(self, env2):
+        half = candidate_count(env2, Fraction(1, 2))
+        assert candidate_count(env2, "1/2") == half == 153 * 91 * 45
+        assert candidate_count(env2, 1) == candidate_count(env2, Fraction(1))
 
     def test_candidate_bound_limits_accepted(self):
         assert GridSpec(step=Fraction(1), max_candidates=1).max_candidates == 1
@@ -340,7 +357,7 @@ class TestAgainstEnvironmentConditions:
             doomed = [
                 i
                 for i in range(env.n)
-                if env.adversaries_of(i) and not pag.bipartite_safe_necessary(env, i)
+                if env.adversaries_of[i] and not pag.bipartite_safe_necessary(env, i)
             ]
             if not doomed or pag.candidate_count(env, Fraction(1)) > 100_000:
                 continue
@@ -371,22 +388,3 @@ class TestAgainstEnvironmentConditions:
         # The dominated country survives in some classes despite the verdict.
         assert report.verdicts[1].value == "not-survives"
         assert survive_bits[1] == {False, True}
-
-
-class TestSurvivalPossibility:
-    def test_env2_first_country(self, env2):
-        atlas = pag.find_equilibria(env2, GridSpec(step=Fraction(1)))
-        assert (
-            pag.survival_possibility(atlas, 0)
-            is SurvivalPossibility.SOMETIMES_ON_GRID
-        )
-
-    def test_env4_always_and_never(self, env4):
-        atlas = pag.find_equilibria(env4, GridSpec(step=Fraction(1)))
-        assert pag.survival_possibility(atlas, 3) is SurvivalPossibility.ALWAYS_ON_GRID
-        assert pag.survival_possibility(atlas, 2) is SurvivalPossibility.NEVER_ON_GRID
-
-    def test_empty_atlas(self):
-        atlas = pag.EquilibriumAtlas(classes=(), candidates_checked=0)
-        with pytest.raises(EmptyAtlas):
-            pag.survival_possibility(atlas, 0)

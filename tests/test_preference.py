@@ -45,7 +45,7 @@ class TestIndifferent:
         assert not improvement_from_states(env2, 2, s1, s1)
 
     def test_adversary_state_change_breaks_indifference(self, env2, s1, s2):
-        assert any(s1[j] is not s2[j] for j in env2.adversaries_of(2))
+        assert any(s1[j] is not s2[j] for j in env2.adversaries_of[2])
 
     def test_distinct_matrices_with_equal_states(self, env1, fig1b):
         # Moving the fourth country's offense into reserve keeps every state:
@@ -93,7 +93,7 @@ def test_preference_axiom_consistency(seed):
         assert weakly_prefers_states(env, i, s_u, s_u)
         # Indifference (equal states on the relevant set) forbids strong
         # preference and forces mutual weak preference.
-        if all(s_u[j] is s_v[j] for j in (i, *env.friends_of(i), *env.adversaries_of(i))):
+        if all(s_u[j] is s_v[j] for j in (i, *env.friends_of[i], *env.adversaries_of[i])):
             assert not strongly_prefers_states(env, i, s_u, s_v)
             assert not strongly_prefers_states(env, i, s_v, s_u)
             assert weakly_prefers_states(env, i, s_u, s_v)
