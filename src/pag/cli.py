@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import analysis, constructors, model, oracle
 from .equilibrium import is_nash
@@ -218,8 +219,7 @@ def _fail(message: str) -> int:
     return EXIT_ERROR
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    env, u = _load(args.scenario)
+def _cmd_validate(args: argparse.Namespace, env: Environment, u: Matrix | None) -> int:
     problems: list[str] = []
     if u is not None:
         problems = validate_allocation(env, u)
@@ -252,8 +252,7 @@ def _valid_allocation(env: Environment, u: Matrix | None) -> Matrix:
     return u
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    env, u = _load(args.scenario)
+def _cmd_evaluate(args: argparse.Namespace, env: Environment, u: Matrix | None) -> int:
     u = _valid_allocation(env, u)
     # Summed in integer units of L, as `state_vector` does, on the view
     # `_valid_allocation` has just built, and printed as each sum over L.
@@ -286,8 +285,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    env, u = _load(args.scenario)
+def _cmd_verify(args: argparse.Namespace, env: Environment, u: Matrix | None) -> int:
     u = _valid_allocation(env, u)
     result = is_nash(env, u)
     names = env.names
@@ -320,8 +318,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if result.ok else EXIT_NEGATIVE
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    env, _ = _load(args.scenario)
+def _cmd_construct(args: argparse.Namespace, env: Environment, _: Matrix | None) -> int:
     if args.kind in ("sole-survivor", "bipartite-safe") and not args.target:
         return _fail(f"--target is required for --kind {args.kind}")
     if args.kind == "balancing":
@@ -334,8 +331,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    env, _ = _load(args.scenario)
+def _cmd_analyze(args: argparse.Namespace, env: Environment, _: Matrix | None) -> int:
     lines = []
     payload: dict[str, Any] = {"command": "analyze"}
 
@@ -417,8 +413,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    env, _ = _load(args.scenario)
+def _cmd_search(args: argparse.Namespace, env: Environment, _: Matrix | None) -> int:
     grid = oracle.GridSpec(step=args.step, max_candidates=args.max_candidates)
     atlas = oracle.find_equilibria(env, grid)
     lines = [
@@ -466,54 +461,49 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `pag` parser, built on first use and shared by every later call,
+    so callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="pag",
         description="Exact analysis of power allocation games on relation graphs.",
     )
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("scenario")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check environment and allocation invariants")
-    p.add_argument("scenario")
-    p.set_defaults(func=_cmd_validate)
+    def command(name: str, func: Callable[..., int], summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[scenario])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("evaluate", help="print support, threat, and state per country")
-    p.add_argument("scenario")
-    p.set_defaults(func=_cmd_evaluate)
+    command("validate", _cmd_validate, "check environment and allocation invariants")
+    command("evaluate", _cmd_evaluate, "print support, threat, and state per country")
+    command("verify", _cmd_verify, "check the allocation for Nash equilibrium")
 
-    p = sub.add_parser("verify", help="check the allocation for Nash equilibrium")
-    p.add_argument("scenario")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("construct", help="construct an equilibrium of the given kind")
-    p.add_argument("scenario")
+    p = command("construct", _cmd_construct, "construct an equilibrium of the given kind")
     p.add_argument(
         "--kind",
         required=True,
         choices=["balancing", "sole-survivor", "bipartite-safe"],
     )
     p.add_argument("--target", help="country name (sole-survivor, bipartite-safe)")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("analyze", help="survival condition reports and the cover")
-    p.add_argument("scenario")
+    p = command("analyze", _cmd_analyze, "survival condition reports and the cover")
     p.add_argument("--group", help="comma-separated country names")
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("search", help="enumerate grid equilibria exhaustively")
-    p.add_argument("scenario")
+    p = command("search", _cmd_search, "enumerate grid equilibria exhaustively")
     p.add_argument("--step", required=True, help="grid step, e.g. 1 or 1/4")
     p.add_argument("--max-candidates", type=int, default=oracle.MAX_CANDIDATES)
-    p.set_defaults(func=_cmd_search)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        code = args.func(args, *_load(args.scenario))
         sys.stdout.flush()
         return code
     except OSError as exc:

@@ -6,6 +6,7 @@ Three families are built here: balancing equilibria on complete rivalries
 rivalries via pair-ordered mutual annihilation.  Every constructor verifies
 its own output with the exact Nash checker before returning it; a
 construction that does not verify is surfaced as an error, never returned.
+A country index outside 0..n-1 raises ValidationError.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .model import (
     Pair,
     Rational,
     State,
+    _check_indices,
     replace_row,
     to_fraction,
     validate_allocation,
@@ -142,6 +144,7 @@ def sole_survivor_equilibrium(env: Environment, survivor: int) -> Matrix:
     total, and a strictly positive power for the survivor (a zero-power
     country can at best be precarious).
     """
+    _check_indices(env.n, [(survivor,)])
     if not is_complete_adversary_graph(env):
         raise TopologyError("sole survivor requires an all-adversary complete graph")
     total = sum(env.powers, ZERO)
@@ -206,6 +209,7 @@ def pairwise_annihilation(
     the symmetric allocations, zero off the processed pairs, and the
     unspent powers.
     """
+    _check_indices(env.n, [(excluded,)])
     if env.friends:
         raise TopologyError("annihilation requires a friendless environment")
     pairs = sorted(p for p in env.adversaries if excluded not in p)
@@ -258,6 +262,7 @@ def bipartite_safe_equilibrium(env: Environment, target: int) -> Matrix:
     attempt gets bounded best-response repair, which moves such reserve
     onto the rival; alternative pair orderings are tried before giving up.
     """
+    _check_indices(env.n, [(target,)])
     if not bipartite_safe_sufficient(env, target):
         raise ConditionNotMet(
             f"sufficient condition fails for {env.names[target]}"

@@ -247,8 +247,9 @@ def test_criterion_06_bipartite_constructive(capsys):
 
 def test_criterion_06_companion_failures_are_counterexamples(capsys):
     # Every construction failure must be arbitrated by the grid oracle as an
-    # instance with no safe equilibrium for the target, i.e. a documented
-    # counterexample to the sufficiency claim rather than a constructor bug.
+    # instance with no safe equilibrium for the target on the step-1 grid,
+    # i.e. a documented counterexample to the sufficiency claim rather than
+    # a constructor bug.
     bugs = []
     failures = 0
     for env, target in criterion_06_instances(random.Random(SEED), 50):
@@ -266,8 +267,8 @@ def test_criterion_06_companion_failures_are_counterexamples(capsys):
     with capsys.disabled():
         _report(
             6, not bugs,
-            f"(companion) {failures} failures, all oracle-confirmed as"
-            f" counterexamples to the sufficiency claim; construction bugs: {len(bugs)}",
+            f"(companion) {failures} failures, all oracle-confirmed as counterexamples"
+            f" on the step-1 grid to the sufficiency claim; construction bugs: {len(bugs)}",
         )
     assert not bugs
 
@@ -375,7 +376,7 @@ def test_criterion_08_example_four(capsys, env4):
     with capsys.disabled():
         _report(
             8, ok,
-            f"cover spans with verdicts {verdicts}; unique atlas class {classes}",
+            f"cover spans with verdicts {verdicts}; unique step-1 atlas class {classes}",
         )
     assert report.spans
     assert verdicts == expected

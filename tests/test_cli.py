@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pag
+from pag import cli
 from pag.cli import emit_scenario, main, parse_scenario
 
 from conftest import random_sparse_scenario
@@ -584,6 +586,134 @@ class TestRoundTrip:
         env2, u2 = parse_scenario(emit_scenario(env, u))
         assert env2.powers == env.powers
         assert u2 == u
+
+
+# `pag` and subcommand help at COLUMNS=80, as argparse prints it.
+_COMMANDS = "{validate,evaluate,verify,construct,analyze,search}"
+_SCENARIO_ONLY = """\
+usage: pag {command} [-h] scenario
+
+positional arguments:
+  scenario
+
+options:
+  -h, --help  show this help message and exit
+"""
+_CONSTRUCT_USAGE = """\
+usage: pag construct [-h] --kind {balancing,sole-survivor,bipartite-safe}
+                     [--target TARGET]
+                     scenario
+"""
+_SEARCH_USAGE = (
+    "usage: pag search [-h] --step STEP [--max-candidates MAX_CANDIDATES] scenario\n"
+)
+HELP = {
+    "pag": f"""\
+usage: pag [-h] {_COMMANDS} ...
+
+Exact analysis of power allocation games on relation graphs.
+
+positional arguments:
+  {_COMMANDS}
+    validate            check environment and allocation invariants
+    evaluate            print support, threat, and state per country
+    verify              check the allocation for Nash equilibrium
+    construct           construct an equilibrium of the given kind
+    analyze             survival condition reports and the cover
+    search              enumerate grid equilibria exhaustively
+
+options:
+  -h, --help            show this help message and exit
+""",
+    **{name: _SCENARIO_ONLY.format(command=name) for name in ("validate", "evaluate", "verify")},
+    "construct": _CONSTRUCT_USAGE + """
+positional arguments:
+  scenario
+
+options:
+  -h, --help            show this help message and exit
+  --kind {balancing,sole-survivor,bipartite-safe}
+  --target TARGET       country name (sole-survivor, bipartite-safe)
+""",
+    "analyze": """\
+usage: pag analyze [-h] [--group GROUP] scenario
+
+positional arguments:
+  scenario
+
+options:
+  -h, --help     show this help message and exit
+  --group GROUP  comma-separated country names
+""",
+    "search": _SEARCH_USAGE + """
+positional arguments:
+  scenario
+
+options:
+  -h, --help            show this help message and exit
+  --step STEP           grid step, e.g. 1 or 1/4
+  --max-candidates MAX_CANDIDATES
+""",
+}
+
+
+def run_usage(capsys, monkeypatch, *argv):
+    """Exit code, stdout and stderr of a command that argparse ends."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    return exit_.value.code, captured.out, captured.err
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("command", HELP)
+    def test_help(self, capsys, monkeypatch, command):
+        argv = ["--help"] if command == "pag" else [command, "--help"]
+        assert run_usage(capsys, monkeypatch, *argv) == (0, HELP[command], "")
+
+    def test_missing_step(self, capsys, monkeypatch):
+        err = _SEARCH_USAGE + "pag search: error: the following arguments are required: --step\n"
+        assert run_usage(capsys, monkeypatch, "search", DATA / "env2.json") == (2, "", err)
+
+    def test_missing_kind(self, capsys, monkeypatch):
+        err = _CONSTRUCT_USAGE + (
+            "pag construct: error: the following arguments are required: --kind\n"
+        )
+        assert run_usage(capsys, monkeypatch, "construct", DATA / "env2.json") == (2, "", err)
+
+    def test_unknown_command(self, capsys, monkeypatch):
+        code, out, err = run_usage(capsys, monkeypatch, "bogus", DATA / "env2.json")
+        names = _COMMANDS[1:-1].split(",")
+        # Newer Pythons list the choices with str(), older ones with repr().
+        choices = {", ".join(names), ", ".join(map(repr, names))}
+        assert (code, out) == (2, "")
+        assert err in {
+            f"usage: pag [-h] {_COMMANDS} ...\n"
+            f"pag: error: argument command: invalid choice: 'bogus' (choose from {c})\n"
+            for c in choices
+        }
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        run_cli(capsys, "validate", DATA / "env2.json")
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run_cli(capsys, "validate", DATA / "env2.json")[0] == 0
+        assert built == []
+
+    def test_commands_in_one_process_are_independent(self, capsys):
+        # A command leaves nothing behind that changes a later one.
+        first = run_cli(capsys, "verify", DATA / "env2_alloc1.json")
+        assert first[0] == 0
+        assert run_cli(capsys, "analyze", DATA / "env3.json")[0] == 0
+        assert run_cli(capsys, "verify", DATA / "env2_alloc1.json") == first
 
 
 class _FailingStdout(io.StringIO):

@@ -13,6 +13,7 @@ from pag import (
     InfeasiblePower,
     PreconditionViolated,
     TopologyError,
+    ValidationError,
     constructors,
     make_environment,
     matrix_from_entries,
@@ -150,6 +151,11 @@ class TestSoleSurvivor:
         with pytest.raises(PreconditionViolated, match="needs positive power"):
             pag.sole_survivor_equilibrium(complete_rivalry([2, 2, 1, 0]), 3)
 
+    def test_survivor_index_out_of_range(self, env2):
+        # Index -1 used to name the last country and fail its construction.
+        with pytest.raises(ValidationError, match=r"^index -1 out of range 0\.\.2$"):
+            pag.sole_survivor_equilibrium(env2, -1)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 30))
     def test_random_instances(self, seed):
@@ -214,6 +220,11 @@ class TestPairwiseAnnihilation:
         with pytest.raises(TopologyError):
             pairwise_annihilation(env4, 0)
 
+    def test_excluded_index_out_of_range(self, env2):
+        # Index 7 used to exclude no pair and return residuals.
+        with pytest.raises(ValidationError, match=r"^index 7 out of range 0\.\.2$"):
+            pairwise_annihilation(env2, 7)
+
     def test_explicit_ordering_is_validated(self, env3):
         _, residuals = pairwise_annihilation(env3, 0, ordering=[(1, 3), (1, 2)])
         assert residuals == (4, 0, 6, 0)
@@ -231,6 +242,12 @@ class TestBipartiteSafeEquilibrium:
         assert u[0][1] > 3 and u[0][2] > 4
         assert sum(u[0]) == 10
         assert pag.is_nash(env, u).ok
+
+    def test_target_index_out_of_range(self):
+        # Index -1 used to judge the last country, v3, while excluding no pair.
+        env = make_environment([10, 3, 4], adversaries=[(0, 1), (0, 2)])
+        with pytest.raises(ValidationError, match=r"^index -1 out of range 0\.\.2$"):
+            pag.bipartite_safe_equilibrium(env, -1)
 
     def test_env3_condition_not_met(self, env3):
         with pytest.raises(ConditionNotMet):
