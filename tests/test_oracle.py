@@ -191,6 +191,18 @@ class TestFindEquilibria:
         for i in range(env4.n):
             assert grid_profitable_deviation(env4, u, i, Fraction(1, 2)) is None
 
+    def test_refinement_keeps_coarse_equilibria(self):
+        # The checker is grid independent, so step-1 equilibria must appear
+        # unchanged in the half-step atlas.
+        env = make_environment([4, 3, 2], adversaries=[(0, 1), (0, 2), (1, 2)])
+        coarse = pag.find_equilibria(env, GridSpec(step=Fraction(1)))
+        fine = pag.find_equilibria(
+            env, GridSpec(step=Fraction(1, 2), max_candidates=10 ** 7)
+        )
+        coarse_members = {m for cls in coarse.classes for m in cls.members}
+        fine_members = {m for cls in fine.classes for m in cls.members}
+        assert coarse_members <= fine_members
+
 
 class TestIntegerKernel:
     @pytest.mark.parametrize(
