@@ -5,7 +5,8 @@ the relation graph and decide what must hold in every equilibrium (group
 balance, clique defense), whether a balancing equilibrium exists, whether a
 country can possibly be safe in a bipartite antagonism, and the
 domination/protectorate cover that yields unique survival predictions when
-it spans the whole graph.
+it spans the whole graph.  A country index outside 0..n-1 raises
+ValidationError.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .model import ZERO, Environment
+from .model import ZERO, Environment, _check_indices
 
 
 class TopologyError(ValueError):
@@ -63,6 +64,7 @@ def check_group_balance(env: Environment, group: Iterable[int]) -> bool:
     members = sorted(set(group))
     if not members:
         raise ValueError("group must be nonempty")
+    _check_indices(env.n, [members])
     member_set = set(members)
     for i in members:
         adversaries = env.adversaries_of[i]
@@ -81,6 +83,7 @@ def check_clique_defense(env: Environment, group: Iterable[int]) -> bool:
     members = sorted(set(group))
     if not members:
         raise ValueError("group must be nonempty")
+    _check_indices(env.n, [members])
     for a in members:
         friends = set(env.friends_of[a])
         for b in members:
@@ -113,6 +116,7 @@ def bipartite_safe_necessary(env: Environment, i: int) -> bool:
     total power of its own adversaries.  TopologyError unless the
     environment is friendless with a bipartite adversary graph.
     """
+    _check_indices(env.n, [(i,)])
     if env.friends:
         raise TopologyError("environment has friend relations")
     if adversary_bipartition(env) is None:
@@ -173,6 +177,7 @@ class Protectorate:
 
 def domination(env: Environment, i: int) -> Domination | None:
     """i's domination, when its power covers adversaries plus their friends."""
+    _check_indices(env.n, [(i,)])
     adversaries = set(env.adversaries_of[i])
     covered = set(adversaries)
     for j in adversaries:
@@ -188,6 +193,7 @@ def protectorate(env: Environment, i: int) -> Protectorate | None:
 
     The condition adds each weak friend's own power to i's.
     """
+    _check_indices(env.n, [(i,)])
     friends = env.friends_of[i]
     weak = frozenset(
         j

@@ -9,7 +9,12 @@ trips are bit exact.
 Commands print a human-readable report followed by a `---` separator and a
 machine-readable JSON section (state strings are exactly "safe",
 "precarious", "unsafe").  `construct` prints a complete scenario file
-instead, so its output can be piped straight back into `verify`.
+instead, so its output can be piped straight back into `verify`.  Both are
+exactly `json.dumps(..., indent=2, sort_keys=True)`: before Python 3.13,
+whose stdlib encodes `indent` in C, that encoder runs in pure Python, so
+`_write_json` renders them instead (`pag verify` on a seeded n = 1,000
+scenario, 10.4 MB, best of 9: 222–235 → 111–113 ms on 3.11; on 3.13, 88–99
+ms with the stdlib and 109–122 ms with the writer).
 
 Exit codes: 0 success or affirmative, 1 well-formed negative (not an
 equilibrium, condition not met, construction infeasible), 2 input or
@@ -24,6 +29,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -207,11 +213,51 @@ def _load(path: str) -> tuple[Environment, Matrix | None]:
     return parse_scenario(data)
 
 
+def _write_json(obj: Any, indent: str = "\n") -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` for str-keyed dicts,
+    lists, tuples, str, int, bool and None, with the stdlib's type tests in
+    its order; a list of strings is one `join`."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            body = ("," + inner).join(map(_quote, obj))
+        except TypeError:  # not a list of strings
+            body = ("," + inner).join([_write_json(x, inner) for x in obj])
+        return f"[{inner}{body}{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = ("," + inner).join(
+            [f"{_quote(k)}: {_write_json(v, inner)}" for k, v in sorted(obj.items())]
+        )
+        return f"{{{inner}{body}{indent}}}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_to_json: Callable[[Any], str] = (
+    functools.partial(json.dumps, indent=2, sort_keys=True)
+    if sys.version_info >= (3, 13)
+    else _write_json
+)
+
+
 def _print_report(lines: Sequence[str], payload: dict) -> None:
     for line in lines:
         print(line)
     print("---")
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_to_json(payload))
 
 
 def _fail(message: str) -> int:
@@ -327,7 +373,7 @@ def _cmd_construct(args: argparse.Namespace, env: Environment, _: Matrix | None)
         u = constructors.sole_survivor_equilibrium(env, env.index(args.target))
     else:
         u = constructors.bipartite_safe_equilibrium(env, env.index(args.target))
-    print(json.dumps(emit_scenario(env, u), indent=2, sort_keys=True))
+    print(_to_json(emit_scenario(env, u)))
     return EXIT_OK
 
 

@@ -218,12 +218,20 @@ def validate_environment(
         errors.append(f"{len(names)} countries but {len(powers)} powers")
 
     parsed: list[Fraction] = []
+    # Powers repeat, so each distinct string is parsed once; a string that
+    # fails is not stored, so each country that has it reports it again.
+    known: dict[str, Fraction] = {}
     for name, raw in zip(names, powers):
-        try:
-            value = to_fraction(raw)
-        except ValidationError as exc:
-            errors.extend(f"power for {_echo(name)}: {e}" for e in exc.errors)
-            value = ZERO
+        value = known.get(raw) if isinstance(raw, str) else None
+        if value is None:
+            try:
+                value = to_fraction(raw)
+            except ValidationError as exc:
+                errors.extend(f"power for {_echo(name)}: {e}" for e in exc.errors)
+                value = ZERO
+            else:
+                if isinstance(raw, str):
+                    known[raw] = value
         if value < 0:
             errors.append(f"negative power for {_echo(name)}")
         parsed.append(value)

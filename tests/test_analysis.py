@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import pag
-from pag import State, SurvivalVerdict, TopologyError, make_environment
+from pag import State, SurvivalVerdict, TopologyError, ValidationError, make_environment
 from pag.analysis import adversary_bipartition, is_complete_adversary_graph
 from pag.cli import main as cli_main
 from pag.cli import parse_scenario
@@ -246,3 +246,23 @@ def test_cover_counterexamples_are_verified_equilibria(name, capsys):
         assert result.states == (State.PRECARIOUS,) * 4
     assert cli_main(["verify", str(COUNTEREXAMPLES / name)]) == 0
     capsys.readouterr()
+
+
+_INDEXED = {
+    "check_group_balance": lambda env, i: pag.check_group_balance(env, [i]),
+    "check_clique_defense": lambda env, i: pag.check_clique_defense(env, [i]),
+    "bipartite_safe_necessary": pag.bipartite_safe_necessary,
+    "bipartite_safe_sufficient": pag.bipartite_safe_sufficient,
+    "domination": pag.domination,
+    "protectorate": pag.protectorate,
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("name", _INDEXED)
+def test_indices_outside_the_countries_are_rejected(name, bad):
+    # Unchecked, -1 judges the last country and 3 raises a bare IndexError.
+    env = make_environment([10, 3, 4], adversaries=[(0, 1), (0, 2)])
+    with pytest.raises(ValidationError) as exc:
+        _INDEXED[name](env, bad)
+    assert exc.value.errors == [f"index {bad} out of range 0..2"]

@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pag
 from pag import cli
@@ -18,6 +20,7 @@ from pag.cli import emit_scenario, main, parse_scenario
 from conftest import random_sparse_scenario
 
 DATA = Path(__file__).parent / "data"
+COUNTEREXAMPLES = Path(__file__).parent / "counterexamples"
 
 # Integer entries, fractional ones, and denominators whose common
 # denominator L is past 2^64.
@@ -714,6 +717,69 @@ class TestCommandLine:
         assert first[0] == 0
         assert run_cli(capsys, "analyze", DATA / "env3.json")[0] == 0
         assert run_cli(capsys, "verify", DATA / "env2_alloc1.json") == first
+
+
+_STRINGS = st.text() | st.sampled_from(
+    ["", '"', "\\", "\n\t\r", "\x00\x1f\x7f", "é", "\u2028", "😀"]
+)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | _STRINGS,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(_STRINGS)
+    | st.dictionaries(_STRINGS, inner),
+    max_leaves=30,
+)
+
+
+class TestJsonSection:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_writer_is_the_stdlib_rendering(self, value):
+        # The writer itself, not `_to_json`, so 3.13 tests it too.
+        assert cli._write_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @staticmethod
+    def assert_stdlib_rendering(code, out):
+        _, sep, section = out.partition("---\n")
+        if not sep:
+            assert (code, out) == (2, "")
+            return
+        assert section == json.dumps(json.loads(section), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("command", ["validate", "evaluate", "verify", "analyze"])
+    @pytest.mark.parametrize(
+        "path",
+        sorted(DATA.glob("*.json")) + sorted(COUNTEREXAMPLES.glob("*.json")),
+        ids=lambda p: p.name,
+    )
+    def test_reports(self, capsys, command, path):
+        self.assert_stdlib_rendering(*run_cli(capsys, command, path)[:2])
+
+    @pytest.mark.parametrize("name", ["env2.json", "env4.json"])
+    def test_search(self, capsys, name):
+        code, out, _ = run_cli(capsys, "search", DATA / name, "--step", "1")
+        assert code == 0
+        self.assert_stdlib_rendering(code, out)
+
+    def test_certificates(self, capsys, tmp_path):
+        scenario = json.loads((DATA / "env2.json").read_text())
+        scenario["allocation"] = {c["name"]: {c["name"]: c["power"]} for c in scenario["countries"]}
+        path = tmp_path / "reserve.json"
+        path.write_text(json.dumps(scenario))
+        code, out, _ = run_cli(capsys, "verify", path)
+        assert code == 1
+        assert any(machine_section(out)["certificates"].values())
+        self.assert_stdlib_rendering(code, out)
+
+    def test_construct(self, capsys):
+        code, out, _ = run_cli(capsys, "construct", DATA / "env2.json", "--kind", "balancing")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 class _FailingStdout(io.StringIO):

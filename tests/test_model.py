@@ -131,6 +131,24 @@ class TestValidateEnvironment:
             pag.validate_environment(names, powers)
         assert exc.value.errors == [message]
 
+    def test_each_distinct_power_string_is_parsed_once(self, monkeypatch):
+        calls = []
+        parse = model.to_fraction
+        monkeypatch.setattr(model, "to_fraction", lambda raw: calls.append(raw) or parse(raw))
+        env = pag.validate_environment("abcde", ["3", "1/2", "3", 3, "1/2"])
+        assert env.powers == (3, Fraction(1, 2), 3, 3, Fraction(1, 2))
+        assert calls == ["3", "1/2", 3]
+
+    def test_repeated_bad_power_is_reported_for_each_country(self):
+        with pytest.raises(ValidationError) as exc:
+            pag.validate_environment("abcd", ["x", "-1", "x", "-1"])
+        assert exc.value.errors == [
+            "power for 'a': not a rational: 'x'",
+            "negative power for 'b'",
+            "power for 'c': not a rational: 'x'",
+            "negative power for 'd'",
+        ]
+
     def test_all_errors_collected_at_once(self):
         with pytest.raises(ValidationError) as exc:
             pag.validate_environment(
