@@ -28,6 +28,7 @@ import contextlib
 import functools
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
@@ -70,10 +71,11 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
         if not isinstance(entry, dict) or "name" not in entry or "power" not in entry:
             errors.append(f"country entries need 'name' and 'power': {_echo(entry)}")
             continue
-        if not isinstance(entry["name"], str):
-            errors.append(f"country name must be a string: {_echo(entry['name'])}")
+        name = entry["name"]
+        if not isinstance(name, str):
+            errors.append(f"country name must be a string: {_echo(name)}")
             continue
-        names.append(entry["name"])
+        names.append(name)
         powers.append(entry["power"])
 
     def pairs(key: str) -> list[tuple[str, str]]:
@@ -83,14 +85,12 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
             errors.append(f"'{key}' must be a list of name pairs")
             return out
         for item in raw:
-            if (
-                not isinstance(item, (list, tuple))
-                or len(item) != 2
-                or not all(isinstance(name, str) for name in item)
-            ):
-                errors.append(f"bad {key} pair: {_echo(item)}")
-                continue
-            out.append((item[0], item[1]))
+            if isinstance(item, (list, tuple)) and len(item) == 2:
+                a, b = item
+                if isinstance(a, str) and isinstance(b, str):
+                    out.append((a, b))
+                    continue
+            errors.append(f"bad {key} pair: {_echo(item)}")
         return out
 
     friend_pairs = pairs("friends")
@@ -98,29 +98,37 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
     if errors:
         raise ValidationError(errors)
     env = validate_environment(names, powers, friend_pairs, adversary_pairs)
+    # validate_environment accepted every raw power, so each is hashable:
+    # the bound reads each distinct one once, with its count.
+    power_of = dict(zip(powers, env.powers))
+    counted = [(power_of[raw], count) for raw, count in Counter(powers).items()]
 
     allocation = data.get("allocation")
     if allocation is None:
-        _check_printable(env, ())
+        _check_printable(env.n, counted)
         return env, None
     if not isinstance(allocation, dict):
         raise ValidationError(["'allocation' must map row names to entry maps"])
     index = {name: i for i, name in enumerate(env.names)}
-    rows = [[ZERO] * env.n for _ in range(env.n)]
-    values: list[Fraction] = []
+    n = env.n
+    rows = [[ZERO] * n for _ in range(n)]
     # Entries repeat, so each distinct string is parsed once; a string that
-    # fails is not stored, so each of its cells reports it again.
-    parsed: dict[str, Fraction] = {}
+    # fails is not stored, so each of its cells reports it again.  `cells`
+    # lists the raw entry of every cell set, to count each value once.
+    parsed: dict[Any, Fraction] = {}
+    cells: list[Any] = []
     for row_name, entries in allocation.items():
-        if row_name not in index:
+        i = index.get(row_name)
+        if i is None:
             errors.append(f"unknown country {_echo(row_name)} in allocation")
             continue
         if not isinstance(entries, dict):
             errors.append(f"allocation row for {_echo(row_name)} must be a map")
             continue
-        row = rows[index[row_name]]
+        row = rows[i]
         for col_name, raw in entries.items():
-            if col_name not in index:
+            j = index.get(col_name)
+            if j is None:
                 errors.append(
                     f"unknown country {_echo(col_name)} in allocation row {_echo(row_name)}"
                 )
@@ -132,15 +140,16 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
                 except ValidationError as exc:
                     errors.extend(f"allocation {row_name}->{col_name}: {e}" for e in exc.errors)
                     continue
-                if isinstance(raw, str):
-                    parsed[raw] = value
-            row[index[col_name]] = value
-            if value:
-                values.append(value)
+                parsed[raw] = value
+            row[j] = value
+            cells.append(raw)
     if errors:
         raise ValidationError(errors)
-    _check_printable(env, values)
-    return env, tuple(tuple(row) for row in rows)
+    # A zero entry is left out of the bound: it prints as "0" and adds
+    # nothing to any sum.
+    counted += [(parsed[raw], count) for raw, count in Counter(cells).items() if parsed[raw]]
+    _check_printable(n, counted)
+    return env, tuple(map(tuple, rows))
 
 
 #: Numbers below this bound have at most the 4,300 digits `str(int)` prints
@@ -148,9 +157,11 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
 _PRINTABLE = 10**MAX_EXPONENT
 
 
-def _check_printable(env: Environment, entries: Sequence[Fraction]) -> None:
+def _check_printable(n: int, counted: Sequence[tuple[Fraction, int]]) -> None:
     """ValidationError when a number the commands print might not print.
 
+    `counted` holds each distinct power and nonzero entry of a scenario of
+    n countries once, with the number of countries or cells that have it.
     Each value passes `to_fraction`'s digit bound alone, but values with
     different large denominators add up to a larger one.  Every printed
     number (a power, entry, support, threat, row sum, deficit or witness
@@ -158,19 +169,21 @@ def _check_printable(env: Environment, entries: Sequence[Fraction]) -> None:
     and its denominator divides L or, for a witness entry with a share
     of its slack, 4 (k + 1) L for some k < n, where L is the common
     denominator of the powers and the entries.  So its numerator and
-    denominator stay below 4 (n + 1) L M, which must print.  L grows by
-    `lcm`, and the check stops as soon as it passes the bound.  The bound
-    also caps the L that the verifier scales CLI input to: under 4,300
-    digits.
+    denominator stay below 4 (n + 1) L M, which must print: the check
+    fails when L * 4 (n + 1) M >= `_PRINTABLE`.  M is summed as
+    count * (|numerator| // denominator + 1) over the distinct values, and
+    L grows by `lcm` over their denominators, so the order of the values
+    does not matter; the check stops as soon as L passes the bound.  The
+    bound also caps the L that the verifier scales CLI input to: under
+    4,300 digits.
     """
-    values = (*env.powers, *entries)
-    magnitude = sum(abs(x.numerator) // x.denominator + 1 for x in values)
-    limit = (_PRINTABLE - 1) // (4 * (env.n + 1) * magnitude)
+    magnitude = sum(count * (abs(x.numerator) // x.denominator + 1) for x, count in counted)
+    bound = 4 * (n + 1) * magnitude
     scale = 1
-    for x in values:
+    for x, _ in counted:
         if scale % x.denominator:
             scale = lcm(scale, x.denominator)
-            if scale > limit:
+            if scale * bound >= _PRINTABLE:
                 raise ValidationError(
                     [
                         "values too large together: their sums could need more than"
@@ -210,6 +223,8 @@ def _load(path: str) -> tuple[Environment, Matrix | None]:
         raise ValidationError(["invalid JSON: nested too deeply"]) from None
     except json.JSONDecodeError as exc:
         raise ValidationError([f"invalid JSON: {exc}"]) from None
+    except ValueError:  # an integer literal longer than int(str) converts
+        raise ValidationError(["invalid JSON: an integer has too many digits to convert"]) from None
     return parse_scenario(data)
 
 

@@ -101,13 +101,19 @@ def to_fraction(value: Rational) -> Fraction:
     `Fraction` unbounded time and memory to expand, and values whose
     numerator or denominator has more than `MAX_DIGITS` digits, whose sums
     could not be printed.
+
+    A string of decimal digits alone (`str.isdecimal`, the common power or
+    entry) has no exponent and is read with `int`, which is what `Fraction`
+    does with it after matching its pattern: the same value, and the same
+    error beyond the digits `int(str)` converts.
     """
     if isinstance(value, bool):
         raise ValidationError([f"not a rational: {_echo(value)}"])
     if isinstance(value, (int, Fraction)):
         result = Fraction(value)
     elif isinstance(value, str):
-        exponent = _EXPONENT.search(value)
+        decimal = value.isdecimal()
+        exponent = None if decimal else _EXPONENT.search(value)
         if exponent is not None:
             digits = exponent.group(1).replace("_", "").lstrip("0")
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits or "0") > MAX_EXPONENT:
@@ -115,7 +121,7 @@ def to_fraction(value: Rational) -> Fraction:
                     [f"not a rational: {_echo(value)} (exponent beyond ±{MAX_EXPONENT})"]
                 )
         try:
-            result = Fraction(value.strip())
+            result = Fraction(int(value) if decimal else value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError([f"not a rational: {_echo(value)}"]) from exc
     else:
@@ -124,10 +130,6 @@ def to_fraction(value: Rational) -> Fraction:
     if abs(result.numerator) >= _DIGIT_BOUND or result.denominator >= _DIGIT_BOUND:
         raise ValidationError([f"not a rational: {_echo(value)} (more than {MAX_DIGITS} digits)"])
     return result
-
-
-def _normalize_pair(i: int, j: int) -> Pair:
-    return (i, j) if i < j else (j, i)
 
 
 def _first_gap(support: tuple[int, ...]) -> int:
@@ -177,11 +179,20 @@ class Environment:
         for i, j in self.adversaries:
             ad[i].append(j)
             ad[j].append(i)
-        object.__setattr__(self, "friends_of", tuple(tuple(sorted(x)) for x in fr))
-        object.__setattr__(self, "adversaries_of", tuple(tuple(sorted(x)) for x in ad))
-        support = tuple(tuple(sorted((i, *fr[i], *ad[i]))) for i in range(n))
-        object.__setattr__(self, "row_support", support)
-        object.__setattr__(self, "_first_off", tuple(map(_first_gap, support)))
+        support = [[i, *f, *a] for i, f, a in zip(range(n), fr, ad)]
+        for rows in (fr, ad, support):
+            for row in rows:
+                row.sort()
+        # Only the rows that have column 0, which are row 0's columns, can
+        # have a first gap past 0.
+        first_off = [0] * n
+        if n:
+            for i in support[0]:
+                first_off[i] = _first_gap(support[i])
+        object.__setattr__(self, "friends_of", tuple(map(tuple, fr)))
+        object.__setattr__(self, "adversaries_of", tuple(map(tuple, ad)))
+        object.__setattr__(self, "row_support", tuple(map(tuple, support)))
+        object.__setattr__(self, "_first_off", tuple(first_off))
 
     @property
     def n(self) -> int:
@@ -209,17 +220,20 @@ def validate_environment(
     errors: list[str] = []
     if not names:
         errors.append("no countries")
-    seen: set[str] = set()
-    for name in names:
-        if name in seen:
-            errors.append(f"duplicate name {_echo(name)}")
-        seen.add(name)
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) < len(names):
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                errors.append(f"duplicate name {_echo(name)}")
+            seen.add(name)
     if len(powers) != len(names):
         errors.append(f"{len(names)} countries but {len(powers)} powers")
 
     parsed: list[Fraction] = []
-    # Powers repeat, so each distinct string is parsed once; a string that
-    # fails is not stored, so each country that has it reports it again.
+    # Powers repeat, so each distinct string is parsed and its sign tested
+    # once; a string that fails or is negative is not stored, so each
+    # country that has it reports it again.
     known: dict[str, Fraction] = {}
     for name, raw in zip(names, powers):
         value = known.get(raw) if isinstance(raw, str) else None
@@ -230,28 +244,27 @@ def validate_environment(
                 errors.extend(f"power for {_echo(name)}: {e}" for e in exc.errors)
                 value = ZERO
             else:
-                if isinstance(raw, str):
+                if value.numerator < 0:
+                    errors.append(f"negative power for {_echo(name)}")
+                elif isinstance(raw, str):
                     known[raw] = value
-        if value < 0:
-            errors.append(f"negative power for {_echo(name)}")
         parsed.append(value)
-
-    index = {name: i for i, name in enumerate(names)}
 
     def resolve(pairs: Iterable[tuple[str, str]], label: str) -> set[Pair]:
         out: set[Pair] = set()
         for a, b in pairs:
-            bad = False
-            for name in (a, b):
-                if name not in index:
-                    errors.append(f"unknown country {_echo(name)} in {label} pair")
-                    bad = True
-            if bad:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                errors.extend(
+                    f"unknown country {_echo(name)} in {label} pair"
+                    for name in (a, b)
+                    if name not in index
+                )
                 continue
-            if a == b:
+            if i == j:
                 errors.append(f"self relation for {_echo(a)}")
                 continue
-            out.add(_normalize_pair(index[a], index[b]))
+            out.add((i, j) if i < j else (j, i))
         return out
 
     friend_pairs = resolve(friends, "friend")

@@ -1,6 +1,7 @@
 import argparse
 import errno
 import io
+import itertools
 import json
 import os
 import random
@@ -94,6 +95,17 @@ class TestValidate:
         assert code == 2
         assert out == ""
         assert err == "error: invalid JSON: nested too deeply\n"
+
+    def test_overlong_integer_literal_is_input_error(self, capsys, tmp_path):
+        # json.loads refuses an integer literal longer than int(str)
+        # converts (4,300 digits by default) with a plain ValueError.
+        path = tmp_path / "long.json"
+        path.write_text('{"countries": [{"name": "a", "power": ' + "9" * 5000 + "}]}")
+        code, out, err = run_cli(capsys, "validate", path)
+        assert code == 2
+        assert out == ""
+        assert err == "error: invalid JSON: an integer has too many digits to convert\n"
+        assert len(err) < 200
 
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "truncated.json"
@@ -217,6 +229,28 @@ class TestValidate:
         }
         _, u = parse_scenario(scenario)
         assert u[0] == u[1] == (Fraction(2),) * 3
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(4))))
+    def test_printable_bound_is_exact(self, monkeypatch, order):
+        # n = 4 countries, so 4 (n + 1) = 20.  M sums |numerator| //
+        # denominator + 1 over the powers 1/2, 1/2, 20, 20 (1 + 1 + 21 + 21)
+        # and the nonzero entries 1/2, 2/5, 3 (1 + 1 + 4), to 50; the zero
+        # entry adds nothing.  L = lcm(2, 5) = 10, so L * 20 * M = 10**4.
+        powers = {"a": "1/2", "b": "1/2", "c": "20", "d": "20"}
+        entries = {"a": "1/2", "b": "2/5", "c": "3", "d": "0"}
+        names = ["abcd"[k] for k in order]
+        scenario = {
+            "countries": [{"name": n, "power": powers[n]} for n in names],
+            "allocation": {n: {n: entries[n]} for n in names},
+        }
+        monkeypatch.setattr(cli, "_PRINTABLE", 10**4 + 1)
+        parse_scenario(scenario)
+        monkeypatch.setattr(cli, "_PRINTABLE", 10**4)
+        with pytest.raises(pag.ValidationError) as exc:
+            parse_scenario(scenario)
+        assert exc.value.errors == [
+            "values too large together: their sums could need more than 4300 digits"
+        ]
 
     def test_float_power_rejected(self, capsys, tmp_path):
         path = tmp_path / "float.json"

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pag
@@ -53,6 +53,54 @@ def test_to_fraction_bounds_decimal_exponents():
     for value in ("1e5000", "1e-5000"):
         with pytest.raises(ValidationError, match="exponent"):
             to_fraction(value)
+
+
+class _General(str):
+    """A digit string that `to_fraction` takes through its general parse:
+    the exponent check, then `Fraction(str)`."""
+
+    def isdecimal(self):
+        return False
+
+
+def _parse(value):
+    try:
+        return to_fraction(value)
+    except ValidationError as exc:
+        return exc.errors
+
+
+def test_to_fraction_reads_plain_digits_with_int(monkeypatch):
+    seen = []
+
+    class Spy(Fraction):
+        def __new__(cls, *args):
+            seen.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(model, "Fraction", Spy)
+    assert to_fraction("12") == to_fraction(_General("12")) == 12
+    assert seen == [(12,), ("12",)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from("0123456789٣１²-/ "), max_size=12))
+@example("007")
+@example("-0")
+@example("٣")
+@example("²")
+@example("0" * 4000 + "1")
+@example("1" + "0" * 3999)
+@example("1" + "0" * 4000)
+@example("9" * 4000)
+@example("9" * 4001)
+@example("9" * 4300)
+@example("9" * 4301)
+def test_to_fraction_reads_decimal_strings_as_the_general_parse(text):
+    # The same Fraction, or the same error list, by either path.
+    fast, general = _parse(text), _parse(_General(text))
+    assert fast == general
+    assert type(fast) is type(general)
 
 
 def test_to_fraction_shortens_echoed_values():
@@ -347,6 +395,26 @@ def test_row_support_is_cached_per_environment(seed):
     )
     check(other)
     assert (other == env) == (other.adversaries == env.adversaries)
+    # Built directly from pairs that are neither normalised nor in order, the
+    # tables are still sorted.
+    flipped = model.Environment(
+        env.names,
+        env.powers,
+        frozenset((j, i) for i, j in env.friends),
+        frozenset((j, i) for i, j in other.adversaries),
+    )
+    check(flipped)
+    raw = model.Environment(
+        ("a", "b", "c", "d"),
+        (Fraction(1),) * 4,
+        frozenset({(2, 0)}),
+        frozenset({(3, 1), (1, 0), (2, 1)}),
+    )
+    check(raw)
+    assert raw.friends_of == ((2,), (), (0,), ())
+    assert raw.adversaries_of == ((1,), (0, 2, 3), (1,), (1,))
+    assert raw.row_support == ((0, 1, 2), (0, 1, 2, 3), (0, 1, 2), (1, 3))
+    assert raw._first_off == (3, 4, 3, 0)
 
 
 # Row v1 of an admissible allocation with a diagonal, a friend and an
