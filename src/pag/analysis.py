@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .model import ZERO, Environment, _check_indices
+from .model import ZERO, Environment, ValidationError, _check_indices
 
 
 class TopologyError(ValueError):
@@ -63,7 +63,7 @@ def check_group_balance(env: Environment, group: Iterable[int]) -> bool:
     """
     members = sorted(set(group))
     if not members:
-        raise ValueError("group must be nonempty")
+        raise ValidationError(["group must be nonempty"])
     _check_indices(env.n, [members])
     member_set = set(members)
     for i in members:
@@ -82,7 +82,7 @@ def check_clique_defense(env: Environment, group: Iterable[int]) -> bool:
     """
     members = sorted(set(group))
     if not members:
-        raise ValueError("group must be nonempty")
+        raise ValidationError(["group must be nonempty"])
     _check_indices(env.n, [members])
     for a in members:
         friends = set(env.friends_of[a])

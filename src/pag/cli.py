@@ -16,9 +16,11 @@ whose stdlib encodes `indent` in C, that encoder runs in pure Python, so
 scenario, 10.4 MB, best of 9: 222–235 → 111–113 ms on 3.11; on 3.13, 88–99
 ms with the stdlib and 109–122 ms with the writer).
 
-Exit codes: 0 success or affirmative, 1 well-formed negative (not an
-equilibrium, condition not met, construction infeasible), 2 input or
-topology error.
+Exit codes: 0 success or affirmative; 1 a well-formed negative (not an
+equilibrium, condition not met) or a constructor's `InfeasiblePower`,
+`PreconditionViolated`, `ConditionNotMet` or `ConstructionFailed`; 2 a
+`ValidationError` (any input fault), a `TopologyError` or an `OSError`
+writing output.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
         name = entry["name"]
         if not isinstance(name, str):
             errors.append(f"country name must be a string: {_echo(name)}")
+            continue
+        if not name.isascii() and name.encode(errors="replace").decode() != name:
+            errors.append(f"country name must be valid Unicode: {_echo(name)}")
             continue
         names.append(name)
         powers.append(entry["power"])
@@ -214,15 +219,15 @@ def _sparse_row(env: Environment, row) -> dict[str, str]:
 
 def _load(path: str) -> tuple[Environment, Matrix | None]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ValidationError([f"cannot read {exc.filename}"]) from None
-    try:
-        data = json.loads(text)
     except RecursionError:
         raise ValidationError(["invalid JSON: nested too deeply"]) from None
     except json.JSONDecodeError as exc:
         raise ValidationError([f"invalid JSON: {exc}"]) from None
+    except UnicodeDecodeError as exc:  # the file is not UTF-8
+        raise ValidationError([str(exc)]) from None
     except ValueError:  # an integer literal longer than int(str) converts
         raise ValidationError(["invalid JSON: an integer has too many digits to convert"]) from None
     return parse_scenario(data)
@@ -273,11 +278,6 @@ def _print_report(lines: Sequence[str], payload: dict) -> None:
         print(line)
     print("---")
     print(_to_json(payload))
-
-
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_ERROR
 
 
 def _cmd_validate(args: argparse.Namespace, env: Environment, u: Matrix | None) -> int:
@@ -381,7 +381,7 @@ def _cmd_verify(args: argparse.Namespace, env: Environment, u: Matrix | None) ->
 
 def _cmd_construct(args: argparse.Namespace, env: Environment, _: Matrix | None) -> int:
     if args.kind in ("sole-survivor", "bipartite-safe") and not args.target:
-        return _fail(f"--target is required for --kind {args.kind}")
+        raise ValidationError([f"--target is required for --kind {args.kind}"])
     if args.kind == "balancing":
         u = constructors.balancing_equilibrium(env)
     elif args.kind == "sole-survivor":
@@ -574,17 +574,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         # failing a second time.
         with contextlib.suppress(OSError):
             sys.stdout.close()
-        if isinstance(exc, BrokenPipeError):
-            return EXIT_ERROR
-        return _fail(f"cannot write output: {exc.strerror}")
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return EXIT_ERROR
     except ValidationError as exc:
         for problem in exc.errors:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_ERROR
-    except KeyError as exc:
-        return _fail(str(exc.args[0]) if exc.args else str(exc))
     except analysis.TopologyError as exc:
-        return _fail(f"topology: {exc}")
+        print(f"error: topology: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     except (
         constructors.InfeasiblePower,
         constructors.PreconditionViolated,
@@ -593,8 +592,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     ) as exc:
         print(f"construction: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except ValueError as exc:
-        return _fail(str(exc))
     finally:
         # No later command checks this one's allocation: free it with the
         # command rather than when the next one scales its own.

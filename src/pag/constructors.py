@@ -29,6 +29,7 @@ from .model import (
     Pair,
     Rational,
     State,
+    ValidationError,
     _check_indices,
     replace_row,
     to_fraction,
@@ -70,9 +71,9 @@ def symmetric_row_sum_matrix(powers: Sequence[Rational]) -> Matrix:
     z = [to_fraction(p) for p in powers]
     n = len(z)
     if n < 2:
-        raise ValueError("need at least 2 entries")
+        raise ValidationError(["need at least 2 entries"])
     if any(p < 0 for p in z):
-        raise ValueError("powers must be nonnegative")
+        raise ValidationError(["powers must be nonnegative"])
     total = sum(z, ZERO)
     for i, p in enumerate(z):
         if p > total - p:
@@ -216,7 +217,7 @@ def pairwise_annihilation(
     if ordering is None:
         ordering = pairs
     elif sorted(ordering) != pairs:
-        raise ValueError("ordering must list exactly the non-excluded adversary pairs")
+        raise ValidationError(["ordering must list exactly the non-excluded adversary pairs"])
 
     z = list(env.powers)
     rows = [[ZERO] * env.n for _ in range(env.n)]

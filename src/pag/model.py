@@ -59,7 +59,7 @@ STATE_ORDER = {State.SAFE: 0, State.PRECARIOUS: 1, State.UNSAFE: 2}
 
 
 class ValidationError(ValueError):
-    """An environment or allocation description violates its invariants.
+    """Bad input: an environment, allocation or option violates its invariants.
 
     Carries the full list of problems found, not just the first one.
     """
@@ -199,10 +199,11 @@ class Environment:
         return len(self.names)
 
     def index(self, name: str) -> int:
+        """The country's index; ValidationError for an unknown name."""
         try:
             return self.names.index(name)
         except ValueError:
-            raise KeyError(f"unknown country {name!r}") from None
+            raise ValidationError([f"unknown country {name!r}"]) from None
 
 
 def validate_environment(

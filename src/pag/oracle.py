@@ -67,6 +67,7 @@ from .model import (
     Rational,
     State,
     STATE_ORDER,
+    ValidationError,
     sigma_tau,
     state_of,
     to_fraction,
@@ -77,8 +78,8 @@ from .model import (
 MAX_CANDIDATES = 10_000_000
 
 
-class EnumerationTooLarge(ValueError):
-    """The grid holds more candidate matrices than `bound`.
+class EnumerationTooLarge(ValidationError):
+    """The grid holds more candidate matrices than `bound`, an input fault.
 
     `count` is the product of the rows' candidate counts up to the row at
     which it first passed `bound`: the exact candidate count when that is
@@ -87,7 +88,7 @@ class EnumerationTooLarge(ValueError):
     """
 
     def __init__(self, count: int, bound: int):
-        super().__init__(f"the grid's candidate matrices exceed the bound of {bound}")
+        super().__init__([f"the grid's candidate matrices exceed the bound of {bound}"])
         self.count = count
         self.bound = bound
 
@@ -107,9 +108,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "step", to_fraction(self.step))
         if self.step <= 0:
-            raise ValueError("step must be positive")
+            raise ValidationError(["step must be positive"])
         if not 1 <= self.max_candidates <= MAX_CANDIDATES:
-            raise ValueError(f"max_candidates must be between 1 and {MAX_CANDIDATES}")
+            raise ValidationError([f"max_candidates must be between 1 and {MAX_CANDIDATES}"])
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def _row_units(env: Environment, step: Fraction) -> tuple[int, ...]:
     for name, power in zip(env.names, env.powers):
         x = power / step
         if x.denominator != 1:
-            raise ValueError(f"step {step} does not divide the power of {name} ({power})")
+            raise ValidationError([f"step {step} does not divide the power of {name} ({power})"])
         units.append(x.numerator)
     return tuple(units)
 

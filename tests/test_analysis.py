@@ -24,7 +24,7 @@ class TestGroupBalance:
         assert pag.check_group_balance(env, {0})
 
     def test_empty_group_rejected(self, env1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="^group must be nonempty$"):
             pag.check_group_balance(env1, set())
 
 
@@ -46,7 +46,7 @@ class TestCliqueDefense:
         assert not pag.check_clique_defense(env1, {0, 5})
 
     def test_empty_group_rejected(self, env1):
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(ValidationError, match="^group must be nonempty$"):
             pag.check_clique_defense(env1, [])
 
 

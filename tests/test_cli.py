@@ -107,6 +107,31 @@ class TestValidate:
         assert err == "error: invalid JSON: an integer has too many digits to convert\n"
         assert len(err) < 200
 
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b"\xff{")
+        code, out, err = run_cli(capsys, "validate", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
+
+    def test_lone_surrogate_name_is_input_error(self, tmp_path):
+        # JSON can spell a lone surrogate, which no UTF-8 stdout can print.
+        path = tmp_path / "surrogate.json"
+        path.write_text(
+            '{"countries": [{"name": "\\ud800", "power": 1}, {"name": "b", "power": 1}],'
+            ' "allocation": {"b": {"b": 1}}}'
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "pag", "evaluate", str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONIOENCODING": "utf-8"},
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: country name must be valid Unicode: '\\ud800'\n"
+
     def test_malformed_json_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "truncated.json"
         path.write_text('{"countries": [')
@@ -530,6 +555,18 @@ class TestAnalyze:
         )
         assert code == 2
         assert "unknown country" in err
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_internal_fault_propagates(monkeypatch, error):
+    # Only the package's input faults exit 2: any other exception is a bug,
+    # and is raised rather than reported as `error: internal`.
+    def fault(env):
+        raise error("internal")
+
+    monkeypatch.setattr(pag.analysis, "dp_cover", fault)
+    with pytest.raises(error, match="internal"):
+        main(["analyze", str(DATA / "env2.json")])
 
 
 class TestSearch:

@@ -22,10 +22,12 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
 def run_in_process(argv):
-    out, err = io.StringIO(), io.StringIO()
+    # stdout encodes strictly to UTF-8, as a console script's does.
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
-    return code, out.getvalue(), err.getvalue()
+    out.flush()
+    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
 
 
 def run_golden(argv):
@@ -55,7 +57,8 @@ def test_unreadable_path_is_input_error(command, tmp_path):
 
 
 # Arbitrary JSON documents, the scenarios of tests/data as they are or with
-# one top-level key or one country's power replaced, and arbitrary text.
+# one top-level key or one country's power or name replaced, arbitrary
+# text, and arbitrary bytes.
 _text = st.text(st.characters(codec="utf-8"), max_size=40)
 _json = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
@@ -69,9 +72,14 @@ _scenarios = [json.loads(p.read_text(encoding="utf-8")) for p in sorted(DATA.glo
 @st.composite
 def _near_valid(draw):
     data = json.loads(json.dumps(draw(st.sampled_from(_scenarios))))
-    if draw(st.booleans()):
-        country = draw(st.sampled_from(data["countries"]))
+    field = draw(st.sampled_from(["power", "name", "key"]))
+    country = draw(st.sampled_from(data["countries"]))
+    if field == "power":
         country["power"] = draw(_json | st.sampled_from(["1/0", "1e9999", "-1", "3/2"]))
+    elif field == "name":
+        # Renamed in every pair and allocation row too, so it is still found.
+        new = draw(st.text(max_size=4) | st.sampled_from(["\ud800", "\udcff"]))
+        return json.dumps(data).replace(json.dumps(country["name"]), json.dumps(new))
     else:
         key = draw(st.sampled_from(["countries", "friends", "adversaries", "allocation"]))
         data[key] = draw(_json)
@@ -79,7 +87,10 @@ def _near_valid(draw):
 
 
 _documents = st.one_of(
-    _json.map(json.dumps), st.sampled_from(_scenarios).map(json.dumps), _near_valid(), _text
+    st.one_of(
+        _json.map(json.dumps), st.sampled_from(_scenarios).map(json.dumps), _near_valid(), _text
+    ).map(str.encode),
+    st.binary(max_size=40),
 )
 
 # Every command, with good and bad options.  Searches carry a small
@@ -93,12 +104,16 @@ _commands = st.sampled_from(
         ["analyze"],
         ["analyze", "--group", "v1,v2"],
         ["analyze", "--group", "v1,nobody"],
+        ["analyze", "--group", ","],
         ["search", "--step", "1", *_bound],
         ["search", "--step", "1/2", *_bound],
         ["search", "--step", "3", *_bound],
         ["search", "--step=0", *_bound],
         ["search", "--step=-1", *_bound],
         ["search", "--step", "one", *_bound],
+        ["search", "--step", "7", *_bound],
+        ["search", "--step", "1", "--max-candidates", "0"],
+        ["search", "--step", "1", "--max-candidates", "1"],
         ["construct", "--kind", "balancing"],
         ["construct", "--kind", "sole-survivor"],
         ["construct", "--kind", "sole-survivor", "--target", "v1"],
@@ -115,9 +130,9 @@ def scenario_file(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=_documents, command=_commands)
-def test_any_input_exits_cleanly(scenario_file, text, command):
-    scenario_file.write_text(text, encoding="utf-8")
+@given(document=_documents, command=_commands)
+def test_any_input_exits_cleanly(scenario_file, document, command):
+    scenario_file.write_bytes(document)
     start = time.perf_counter()
     code, _, _ = run_in_process([command[0], scenario_file, *command[1:]])
     assert code in (0, 1, 2)

@@ -41,7 +41,7 @@ class TestSymmetricRowSumMatrix:
         "powers,message", [([1], "at least 2 entries"), ([2, -1, 3], "nonnegative")]
     )
     def test_malformed_powers_rejected(self, powers, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValidationError, match=message):
             pag.symmetric_row_sum_matrix(powers)
 
     def test_tie_heavy_instance(self):
@@ -228,7 +228,9 @@ class TestPairwiseAnnihilation:
     def test_explicit_ordering_is_validated(self, env3):
         _, residuals = pairwise_annihilation(env3, 0, ordering=[(1, 3), (1, 2)])
         assert residuals == (4, 0, 6, 0)
-        with pytest.raises(ValueError, match="ordering"):
+        with pytest.raises(
+            ValidationError, match="^ordering must list exactly the non-excluded adversary pairs$"
+        ):
             pairwise_annihilation(env3, 0, ordering=[(1, 2)])
 
 

@@ -197,6 +197,11 @@ class TestValidateEnvironment:
             "negative power for 'd'",
         ]
 
+    def test_unknown_name_has_no_index(self, env2):
+        assert env2.index("v2") == 1
+        with pytest.raises(ValidationError, match="^unknown country 'nobody'$"):
+            env2.index("nobody")
+
     def test_all_errors_collected_at_once(self):
         with pytest.raises(ValidationError) as exc:
             pag.validate_environment(

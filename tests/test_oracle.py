@@ -58,11 +58,13 @@ def _classes(atlas):
 
 class TestGridSpec:
     def test_positive_step_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="^step must be positive$"):
             GridSpec(step=Fraction(0))
 
     def test_step_must_divide_powers(self, env2):
-        with pytest.raises(ValueError, match="does not divide"):
+        with pytest.raises(
+            ValidationError, match=r"^step 3 does not divide the power of v1 \(8\)$"
+        ):
             candidate_count(env2, Fraction(3))
 
     def test_candidate_count(self, env2):
@@ -72,8 +74,9 @@ class TestGridSpec:
     def test_enumeration_too_large(self, env2):
         with pytest.raises(EnumerationTooLarge) as exc:
             pag.find_equilibria(env2, GridSpec(step=Fraction(1, 8), max_candidates=10 ** 6))
-        assert exc.value.count > 10 ** 6
-        assert "exceed" in str(exc.value)
+        assert isinstance(exc.value, ValidationError)
+        assert exc.value.count > 10 ** 6 and exc.value.bound == 10 ** 6
+        assert exc.value.errors == ["the grid's candidate matrices exceed the bound of 1000000"]
 
     def test_bound_check_stops_once_passed(self):
         # At a step of 10**-300 the first row alone passes the bound: it
@@ -89,7 +92,8 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("bound", [0, -1, MAX_CANDIDATES + 1])
     def test_candidate_bound_out_of_range(self, bound):
-        with pytest.raises(ValueError, match="max_candidates"):
+        message = f"^max_candidates must be between 1 and {MAX_CANDIDATES}$"
+        with pytest.raises(ValidationError, match=message):
             GridSpec(step=Fraction(1), max_candidates=bound)
 
     def test_int_step_is_stored_as_a_fraction(self, env4):
