@@ -6,21 +6,25 @@ and an optional allocation given as sparse rows keyed by country name.
 Fractions are serialized back as "a/b" strings so emit-then-parse round
 trips are bit exact.
 
-Commands print a human-readable report followed by a `---` separator and a
-machine-readable JSON section (state strings are exactly "safe",
-"precarious", "unsafe").  `construct` prints a complete scenario file
-instead, so its output can be piped straight back into `verify`.  Both are
-exactly `json.dumps(..., indent=2, sort_keys=True)`: before Python 3.13,
-whose stdlib encodes `indent` in C, that encoder runs in pure Python, so
-`_write_json` renders them instead (`pag verify` on a seeded n = 1,000
-scenario, 10.4 MB, best of 9: 222–235 → 111–113 ms on 3.11; on 3.13, 88–99
-ms with the stdlib and 109–122 ms with the writer).
+Each command returns its exit code and its whole stdout text, which `main`
+writes once, after the command has finished: an exit-2 input fault prints
+nothing there.  The text is a human-readable report, a line `---` and a
+machine-readable JSON section, which is everything after the *last* line
+that is exactly `---` (a country name can hold such a line); state strings
+are exactly "safe", "precarious", "unsafe".  `construct` prints a complete
+scenario file instead, so its output can be piped straight back into
+`verify`.  Both are exactly `json.dumps(..., indent=2, sort_keys=True)`,
+so ASCII: a name that stdout's encoding cannot hold is backslash-escaped in
+the report only.  Before Python 3.13, whose stdlib encodes `indent` in C,
+that encoder runs in pure Python, so `_write_json` renders them instead
+(the README gives the timings).
 
 Exit codes: 0 success or affirmative; 1 a well-formed negative (not an
 equilibrium, condition not met) or a constructor's `InfeasiblePower`,
 `PreconditionViolated`, `ConditionNotMet` or `ConstructionFailed`; 2 a
 `ValidationError` (any input fault), a `TopologyError` or an `OSError`
-writing output.  Any other exception is a bug and propagates.
+from the one write to stdout.  Any other exception, an `OSError` inside a
+command included, is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -273,14 +277,11 @@ _to_json: Callable[[Any], str] = (
 )
 
 
-def _print_report(lines: Sequence[str], payload: dict) -> None:
-    for line in lines:
-        print(line)
-    print("---")
-    print(_to_json(payload))
+def _report(lines: Sequence[str], payload: dict) -> str:
+    return "\n".join([*lines, "---", _to_json(payload), ""])
 
 
-def _cmd_validate(args: argparse.Namespace, env: Environment, u: Matrix | None) -> int:
+def _cmd_validate(args: argparse.Namespace, env: Environment, u: Matrix | None) -> tuple[int, str]:
     problems: list[str] = []
     if u is not None:
         problems = validate_allocation(env, u)
@@ -298,8 +299,7 @@ def _cmd_validate(args: argparse.Namespace, env: Environment, u: Matrix | None) 
         "has_allocation": u is not None,
         "errors": problems,
     }
-    _print_report(lines, payload)
-    return EXIT_OK if not problems else EXIT_NEGATIVE
+    return EXIT_OK if not problems else EXIT_NEGATIVE, _report(lines, payload)
 
 
 def _valid_allocation(env: Environment, u: Matrix | None) -> Matrix:
@@ -313,7 +313,7 @@ def _valid_allocation(env: Environment, u: Matrix | None) -> Matrix:
     return u
 
 
-def _cmd_evaluate(args: argparse.Namespace, env: Environment, u: Matrix | None) -> int:
+def _cmd_evaluate(args: argparse.Namespace, env: Environment, u: Matrix | None) -> tuple[int, str]:
     u = _valid_allocation(env, u)
     # Summed in integer units of L, as `state_vector` does, on the view
     # `_valid_allocation` has just built, and printed as each sum over L.
@@ -342,11 +342,10 @@ def _cmd_evaluate(args: argparse.Namespace, env: Environment, u: Matrix | None) 
         "countries": rows,
         "states": states,
     }
-    _print_report(lines, payload)
-    return EXIT_OK
+    return EXIT_OK, _report(lines, payload)
 
 
-def _cmd_verify(args: argparse.Namespace, env: Environment, u: Matrix | None) -> int:
+def _cmd_verify(args: argparse.Namespace, env: Environment, u: Matrix | None) -> tuple[int, str]:
     u = _valid_allocation(env, u)
     result = is_nash(env, u)
     names = env.names
@@ -375,11 +374,10 @@ def _cmd_verify(args: argparse.Namespace, env: Environment, u: Matrix | None) ->
         "states": states,
         "certificates": certificates,
     }
-    _print_report(lines, payload)
-    return EXIT_OK if result.ok else EXIT_NEGATIVE
+    return EXIT_OK if result.ok else EXIT_NEGATIVE, _report(lines, payload)
 
 
-def _cmd_construct(args: argparse.Namespace, env: Environment, _: Matrix | None) -> int:
+def _cmd_construct(args: argparse.Namespace, env: Environment, _: Matrix | None) -> tuple[int, str]:
     if args.kind in ("sole-survivor", "bipartite-safe") and not args.target:
         raise ValidationError([f"--target is required for --kind {args.kind}"])
     if args.kind == "balancing":
@@ -388,11 +386,10 @@ def _cmd_construct(args: argparse.Namespace, env: Environment, _: Matrix | None)
         u = constructors.sole_survivor_equilibrium(env, env.index(args.target))
     else:
         u = constructors.bipartite_safe_equilibrium(env, env.index(args.target))
-    print(_to_json(emit_scenario(env, u)))
-    return EXIT_OK
+    return EXIT_OK, _to_json(emit_scenario(env, u)) + "\n"
 
 
-def _cmd_analyze(args: argparse.Namespace, env: Environment, _: Matrix | None) -> int:
+def _cmd_analyze(args: argparse.Namespace, env: Environment, _: Matrix | None) -> tuple[int, str]:
     lines = []
     payload: dict[str, Any] = {"command": "analyze"}
 
@@ -470,11 +467,10 @@ def _cmd_analyze(args: argparse.Namespace, env: Environment, _: Matrix | None) -
         "spans": report.spans,
         "verdicts": {n: v.value for n, v in zip(env.names, report.verdicts)},
     }
-    _print_report(lines, payload)
-    return EXIT_OK
+    return EXIT_OK, _report(lines, payload)
 
 
-def _cmd_search(args: argparse.Namespace, env: Environment, _: Matrix | None) -> int:
+def _cmd_search(args: argparse.Namespace, env: Environment, _: Matrix | None) -> tuple[int, str]:
     grid = oracle.GridSpec(step=args.step, max_candidates=args.max_candidates)
     atlas = oracle.find_equilibria(env, grid)
     lines = [
@@ -484,15 +480,12 @@ def _cmd_search(args: argparse.Namespace, env: Environment, _: Matrix | None) ->
     ]
     classes_payload = []
     for cls in atlas.classes:
-        lines.append(
-            "class "
-            + "[" + ", ".join(s.value for s in cls.states) + "]"
-            + f": {len(cls.members)} matrices"
-        )
+        states = [s.value for s in cls.states]
+        lines.append(f"class [{', '.join(states)}]: {len(cls.members)} matrices")
         example = emit_scenario(env, cls.members[0])
         classes_payload.append(
             {
-                "states": [s.value for s in cls.states],
+                "states": states,
                 "count": len(cls.members),
                 "example_allocation": example.get("allocation", {}),
             }
@@ -518,8 +511,7 @@ def _cmd_search(args: argparse.Namespace, env: Environment, _: Matrix | None) ->
         "survival": survival,
         "complete_for_continuous_strategies": False,
     }
-    _print_report(lines, payload)
-    return EXIT_OK
+    return EXIT_OK, _report(lines, payload)
 
 
 @functools.cache
@@ -534,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("scenario")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func: Callable[..., int], summary: str) -> argparse.ArgumentParser:
+    def command(name: str, func: Callable[..., tuple], summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, parents=[scenario])
         p.set_defaults(func=func)
         return p
@@ -564,19 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args, *_load(args.scenario))
-        sys.stdout.flush()
-        return code
-    except OSError as exc:
-        # Scenarios are read in _load, so this is a write to stdout failing:
-        # its reader went away (`pag search ... | head -1`) or its device is
-        # full.  Closing stdout keeps the flush at interpreter exit from
-        # failing a second time.
-        with contextlib.suppress(OSError):
-            sys.stdout.close()
-        if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
-        return EXIT_ERROR
+        code, text = args.func(args, *_load(args.scenario))
     except ValidationError as exc:
         for problem in exc.errors:
             print(f"error: {problem}", file=sys.stderr)
@@ -596,6 +576,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         # No later command checks this one's allocation: free it with the
         # command rather than when the next one scales its own.
         model._last_scaled[0] = (None, None, None)
+    try:
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError:
+            # A strict stream encodes the whole text before writing any: write
+            # it again escaped, as stderr is; the ASCII JSON section is unchanged.
+            encoding = sys.stdout.encoding
+            sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
+        sys.stdout.flush()
+    except OSError as exc:
+        # stdout's reader went away (`pag search ... | head -1`) or its device
+        # is full.  Closing stdout keeps the flush at interpreter exit from
+        # failing a second time.
+        with contextlib.suppress(OSError):
+            sys.stdout.close()
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

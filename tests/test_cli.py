@@ -35,7 +35,8 @@ def run_cli(capsys, *argv):
 
 
 def machine_section(out: str) -> dict:
-    human, _, machine = out.partition("---\n")
+    # Everything after the last line `---`: a country name can hold one.
+    human, _, machine = out.rpartition("\n---\n")
     assert machine, f"no machine section in output:\n{out}"
     return json.loads(machine)
 
@@ -569,6 +570,20 @@ def test_internal_fault_propagates(monkeypatch, error):
         main(["analyze", str(DATA / "env2.json")])
 
 
+def test_internal_oserror_propagates(monkeypatch):
+    # Only the write to stdout is an output error: an OSError inside a
+    # command is a bug, raised with stdout left open.
+    def fault(env):
+        raise OSError(errno.EIO, "I/O error")
+
+    stdout = io.StringIO()
+    monkeypatch.setattr(pag.analysis, "dp_cover", fault)
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with pytest.raises(OSError, match="I/O error"):
+        main(["analyze", str(DATA / "env2.json")])
+    assert not stdout.closed
+
+
 class TestSearch:
     def test_env4_search(self, capsys):
         code, out, _ = run_cli(capsys, "search", DATA / "env4.json", "--step", "1")
@@ -813,6 +828,20 @@ class TestJsonSection:
     def test_writer_is_the_stdlib_rendering(self, value):
         # The writer itself, not `_to_json`, so 3.13 tests it too.
         assert cli._write_json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_section_follows_the_last_separator(self, capsys, tmp_path):
+        # A name can hold a line `---`; the JSON section, which escapes
+        # newlines, cannot.
+        name = "x\n---\n{"
+        path = tmp_path / "dashes.json"
+        path.write_text(
+            json.dumps({"countries": [{"name": name, "power": 1}], "allocation": {name: {name: 1}}})
+        )
+        code, out, _ = run_cli(capsys, "evaluate", path)
+        assert code == 0
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(out.partition("\n---\n")[2])
+        assert machine_section(out)["countries"][0]["name"] == name
 
     @staticmethod
     def assert_stdlib_rendering(code, out):

@@ -4,6 +4,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -21,13 +24,14 @@ GOLDEN_PATH = TESTS / "cli_golden.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
 
-def run_in_process(argv):
-    # stdout encodes strictly to UTF-8, as a console script's does.
-    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+def run_in_process(argv, encoding="utf-8"):
+    # stdout encodes strictly, as a console script's does: to UTF-8, or to
+    # ASCII as under `PYTHONIOENCODING=ascii`.
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding=encoding), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([str(a) for a in argv])
     out.flush()
-    return code, out.buffer.getvalue().decode("utf-8"), err.getvalue()
+    return code, out.buffer.getvalue().decode(encoding), err.getvalue()
 
 
 def run_golden(argv):
@@ -56,6 +60,54 @@ def test_unreadable_path_is_input_error(command, tmp_path):
     assert err.startswith("error: cannot read")
 
 
+# Rivals é and b, each keeping its power on itself.  No ASCII stdout can
+# print é: the report escapes it as stderr would, and the JSON section,
+# always ASCII, is unchanged.
+RIVALS = {
+    "countries": [{"name": "\u00e9", "power": 2}, {"name": "b", "power": 1}],
+    "adversaries": [["\u00e9", "b"]],
+    "allocation": {"\u00e9": {"\u00e9": 2}, "b": {"b": 1}},
+}
+
+
+@pytest.fixture
+def rivals(tmp_path):
+    path = tmp_path / "rivals.json"
+    path.write_text(json.dumps(RIVALS), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (["validate"], 0),
+        (["evaluate"], 0),
+        (["verify"], 1),
+        (["analyze"], 0),
+        (["search", "--step", "1"], 0),
+    ],
+    ids=lambda c: c[0] if isinstance(c, list) else str(c),
+)
+def test_ascii_stdout_escapes_names(rivals, command, code):
+    argv = [command[0], rivals, *command[1:]]
+    utf8_human, _, utf8_section = run_in_process(argv)[1].rpartition("\n---\n")
+    got_code, out, err = run_in_process(argv, "ascii")
+    human, _, section = out.rpartition("\n---\n")
+    assert (got_code, err, section) == (code, "", utf8_section)
+    assert human == utf8_human.encode("ascii", "backslashreplace").decode()
+    assert ("\\xe9" in human) == (command[0] != "validate")
+
+
+def test_ascii_console_stdout(rivals):
+    result = subprocess.run(
+        [sys.executable, "-m", "pag", "analyze", str(rivals)],
+        capture_output=True,
+        env={**os.environ, "PYTHONIOENCODING": "ascii"},
+    )
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert b"domination of \\xe9: \\xe9,b\n" in result.stdout
+
+
 # Arbitrary JSON documents, the scenarios of tests/data as they are or with
 # one top-level key or one country's power or name replaced, arbitrary
 # text, and arbitrary bytes.
@@ -78,7 +130,7 @@ def _near_valid(draw):
         country["power"] = draw(_json | st.sampled_from(["1/0", "1e9999", "-1", "3/2"]))
     elif field == "name":
         # Renamed in every pair and allocation row too, so it is still found.
-        new = draw(st.text(max_size=4) | st.sampled_from(["\ud800", "\udcff"]))
+        new = draw(st.text(max_size=4) | st.sampled_from(["\ud800", "\udcff", "\u00e9"]))
         return json.dumps(data).replace(json.dumps(country["name"]), json.dumps(new))
     else:
         key = draw(st.sampled_from(["countries", "friends", "adversaries", "allocation"]))
@@ -130,12 +182,14 @@ def scenario_file(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(document=_documents, command=_commands)
-def test_any_input_exits_cleanly(scenario_file, document, command):
+@given(document=_documents, command=_commands, encoding=st.sampled_from(["utf-8", "ascii"]))
+def test_any_input_exits_cleanly(scenario_file, document, command, encoding):
     scenario_file.write_bytes(document)
     start = time.perf_counter()
-    code, _, _ = run_in_process([command[0], scenario_file, *command[1:]])
+    code, out, _ = run_in_process([command[0], scenario_file, *command[1:]], encoding)
     assert code in (0, 1, 2)
+    # stdout is written once, after the command: an input fault prints nothing.
+    assert code != 2 or out == ""
     assert time.perf_counter() - start < 5
 
 
