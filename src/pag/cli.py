@@ -9,15 +9,14 @@ trips are bit exact.
 Each command returns its exit code and its whole stdout text, which `main`
 writes once, after the command has finished: an exit-2 input fault prints
 nothing there.  The text is a human-readable report, a line `---` and a
-machine-readable JSON section, which is everything after the *last* line
-that is exactly `---` (a country name can hold such a line); state strings
-are exactly "safe", "precarious", "unsafe".  `construct` prints a complete
-scenario file instead, so its output can be piped straight back into
-`verify`.  Both are exactly `json.dumps(..., indent=2, sort_keys=True)`,
-so ASCII: a name that stdout's encoding cannot hold is backslash-escaped in
-the report only.  Before Python 3.13, whose stdlib encodes `indent` in C,
-that encoder runs in pure Python, so `_write_json` renders them instead
-(the README gives the timings).
+machine-readable JSON section, which is the last line of stdout (a country
+name can print a line `---` in the report, never in the section); state
+strings are exactly "safe", "precarious", "unsafe".  `construct` prints a
+complete scenario file instead, as its one line, so its output can be
+piped straight back into `verify`.  Both are exactly
+`json.dumps(..., sort_keys=True)`, the stdlib's C encoder on every
+Python, so one ASCII line: a name that stdout's encoding cannot hold is
+backslash-escaped in the report only.
 
 Exit codes: 0 success or affirmative; 1 a well-formed negative (not an
 equilibrium, condition not met) or a constructor's `InfeasiblePower`,
@@ -36,13 +35,12 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import analysis, constructors, model, oracle
-from .equilibrium import is_nash
+from .equilibrium import PUSH_FACTOR, is_nash
 from .model import (
     MAX_EXPONENT,
     ZERO,
@@ -176,10 +174,10 @@ def _check_printable(n: int, counted: Sequence[tuple[Fraction, int]]) -> None:
     number (a power, entry, support, threat, row sum, deficit or witness
     entry) is at most M = total power + total |entry| in magnitude,
     and its denominator divides L or, for a witness entry with a share
-    of its slack, 4 (k + 1) L for some k < n, where L is the common
-    denominator of the powers and the entries.  So its numerator and
-    denominator stay below 4 (n + 1) L M, which must print: the check
-    fails when L * 4 (n + 1) M >= `_PRINTABLE`.  M is summed as
+    of its slack, f (k + 1) L for some k < n, where f is `PUSH_FACTOR` and
+    L is the common denominator of the powers and the entries.  So its
+    numerator and denominator stay below f (n + 1) L M, which must print:
+    the check fails when L * f (n + 1) M >= `_PRINTABLE`.  M is summed as
     count * (|numerator| // denominator + 1) over the distinct values, and
     L grows by `lcm` over their denominators, so the order of the values
     does not matter; the check stops as soon as L passes the bound.  The
@@ -187,7 +185,7 @@ def _check_printable(n: int, counted: Sequence[tuple[Fraction, int]]) -> None:
     4,300 digits.
     """
     magnitude = sum(count * (abs(x.numerator) // x.denominator + 1) for x, count in counted)
-    bound = 4 * (n + 1) * magnitude
+    bound = PUSH_FACTOR * (n + 1) * magnitude
     scale = 1
     for x, _ in counted:
         if scale % x.denominator:
@@ -237,48 +235,8 @@ def _load(path: str) -> tuple[Environment, Matrix | None]:
     return parse_scenario(data)
 
 
-def _write_json(obj: Any, indent: str = "\n") -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)` for str-keyed dicts,
-    lists, tuples, str, int, bool and None, with the stdlib's type tests in
-    its order; a list of strings is one `join`."""
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        try:
-            body = ("," + inner).join(map(_quote, obj))
-        except TypeError:  # not a list of strings
-            body = ("," + inner).join([_write_json(x, inner) for x in obj])
-        return f"[{inner}{body}{indent}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        body = ("," + inner).join(
-            [f"{_quote(k)}: {_write_json(v, inner)}" for k, v in sorted(obj.items())]
-        )
-        return f"{{{inner}{body}{indent}}}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-_to_json: Callable[[Any], str] = (
-    functools.partial(json.dumps, indent=2, sort_keys=True)
-    if sys.version_info >= (3, 13)
-    else _write_json
-)
-
-
 def _report(lines: Sequence[str], payload: dict) -> str:
-    return "\n".join([*lines, "---", _to_json(payload), ""])
+    return "\n".join([*lines, "---", json.dumps(payload, sort_keys=True), ""])
 
 
 def _cmd_validate(args: argparse.Namespace, env: Environment, u: Matrix | None) -> tuple[int, str]:
@@ -386,7 +344,7 @@ def _cmd_construct(args: argparse.Namespace, env: Environment, _: Matrix | None)
         u = constructors.sole_survivor_equilibrium(env, env.index(args.target))
     else:
         u = constructors.bipartite_safe_equilibrium(env, env.index(args.target))
-    return EXIT_OK, _to_json(emit_scenario(env, u)) + "\n"
+    return EXIT_OK, json.dumps(emit_scenario(env, u), sort_keys=True) + "\n"
 
 
 def _cmd_analyze(args: argparse.Namespace, env: Environment, _: Matrix | None) -> tuple[int, str]:

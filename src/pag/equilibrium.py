@@ -258,6 +258,12 @@ def _decide(
     return None
 
 
+#: A strict push of k targets builds its witness in units m = PUSH_FACTOR
+#: (k + 1) times finer than the check's 1/L, and each pushed target gains
+#: slack / m.
+PUSH_FACTOR = 4
+
+
 def _deviation(
     env: Environment,
     powers: FractionVec,
@@ -321,7 +327,7 @@ def _deviation(
     if pushed:
         # Units m times finer, in which every share of the slack is an int.
         k = len(pushed)
-        m = 4 * (k + 1)
+        m = PUSH_FACTOR * (k + 1)
         for j in row:
             row[j] *= m
         for j in pushed:

@@ -8,15 +8,15 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import pag
 from pag import cli
 from pag.cli import emit_scenario, main, parse_scenario
+from pag.equilibrium import PUSH_FACTOR
 
 from conftest import random_sparse_scenario
 
@@ -409,6 +409,24 @@ class TestVerify:
             assert code == 1
             assert machine_section(out)["certificates"] == expected
 
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_push_denominators_are_printable(self, capsys, tmp_path, scale):
+        # `_check_printable`'s premise: a strict push of k < n targets writes
+        # its row over PUSH_FACTOR (k + 1) L, so every certificate entry's
+        # denominator is at most PUSH_FACTOR n L, L the scenario's common
+        # denominator.
+        pushes = 0
+        for path, env, u in seeded_scenarios(tmp_path, scale, count=20):
+            L = lcm(*(x.denominator for x in env.powers), *(x.denominator for r in u for x in r))
+            code, out, _ = run_cli(capsys, "verify", path)
+            assert code == 1
+            for cert in filter(None, machine_section(out)["certificates"].values()):
+                unit = lcm(*(Fraction(x).denominator for x in cert["row"].values()))
+                pushes += L % unit != 0
+                assert unit <= PUSH_FACTOR * env.n * L
+                assert any(PUSH_FACTOR * (k + 1) * L % unit == 0 for k in range(env.n))
+        assert pushes
+
 
 class TestConstruct:
     def test_balancing_matches_reference(self, capsys):
@@ -608,6 +626,20 @@ class TestSearch:
         payload = machine_section(out)
         assert (payload["classes"], payload["survival"]) == ([], {})
 
+    def test_search_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # A rival chain of 1,050 countries where only v1 has power: the
+        # search places a row at each of 1,050 depths, past Python's default
+        # recursion limit, so its stack stays explicit.
+        names = [f"v{i + 1}" for i in range(1050)]
+        path = tmp_path / "chain1050.json"
+        path.write_text(json.dumps({
+            "countries": [{"name": c, "power": int(c == "v1")} for c in names],
+            "adversaries": [[a, b] for a, b in zip(names, names[1:])],
+        }))
+        code, out, _ = run_cli(capsys, "search", path, "--step", "1")
+        assert code == 0
+        assert "equilibria found: 1 in 1 classes\n" in out
+
     def test_too_fine_step_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "search", DATA / "env2.json", "--step", "1/8",
@@ -805,29 +837,10 @@ class TestCommandLine:
         assert run_cli(capsys, "verify", DATA / "env2_alloc1.json") == first
 
 
-_STRINGS = st.text() | st.sampled_from(
-    ["", '"', "\\", "\n\t\r", "\x00\x1f\x7f", "é", "\u2028", "😀"]
-)
-_JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**40), max_value=10**40)
-    | _STRINGS,
-    lambda inner: st.lists(inner)
-    | st.lists(inner).map(tuple)
-    | st.lists(_STRINGS)
-    | st.dictionaries(_STRINGS, inner),
-    max_leaves=30,
-)
-
-
 class TestJsonSection:
-    @settings(max_examples=300, deadline=None)
-    @given(_JSON_VALUES)
-    def test_writer_is_the_stdlib_rendering(self, value):
-        # The writer itself, not `_to_json`, so 3.13 tests it too.
-        assert cli._write_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    """A report's JSON section is stdout's last line, after a line `---`;
+    `construct`'s file is all of stdout.  Each is the stdlib's one-line
+    rendering of what it holds."""
 
     def test_section_follows_the_last_separator(self, capsys, tmp_path):
         # A name can hold a line `---`; the JSON section, which escapes
@@ -842,14 +855,16 @@ class TestJsonSection:
         with pytest.raises(json.JSONDecodeError):
             json.loads(out.partition("\n---\n")[2])
         assert machine_section(out)["countries"][0]["name"] == name
+        assert json.loads(out.split("\n")[-2]) == machine_section(out)
 
     @staticmethod
     def assert_stdlib_rendering(code, out):
-        _, sep, section = out.partition("---\n")
-        if not sep:
-            assert (code, out) == (2, "")
+        if not out:
+            assert code == 2
             return
-        assert section == json.dumps(json.loads(section), indent=2, sort_keys=True) + "\n"
+        *_, separator, section, end = out.split("\n")
+        assert (separator, end) == ("---", "")
+        assert section == json.dumps(json.loads(section), sort_keys=True)
 
     @pytest.mark.parametrize("command", ["validate", "evaluate", "verify", "analyze"])
     @pytest.mark.parametrize(
@@ -877,9 +892,10 @@ class TestJsonSection:
         self.assert_stdlib_rendering(code, out)
 
     def test_construct(self, capsys):
+        # The scenario file is all of stdout, one line.
         code, out, _ = run_cli(capsys, "construct", DATA / "env2.json", "--kind", "balancing")
         assert code == 0
-        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
 
 
 class _FailingStdout(io.StringIO):

@@ -191,6 +191,17 @@ def test_any_input_exits_cleanly(scenario_file, document, command, encoding):
     # stdout is written once, after the command: an input fault prints nothing.
     assert code != 2 or out == ""
     assert time.perf_counter() - start < 5
+    if command[0] == "construct" and code == 1:
+        assert out == ""  # the constructor gave up: its reason is on stderr
+    elif code != 2:
+        # The last line is the JSON section; `construct`'s is all of stdout.
+        assert out.endswith("\n")
+        head, _, line = out[:-1].rpartition("\n")
+        json.loads(line)
+        if command[0] == "construct":
+            assert head == ""
+        else:
+            assert head.rpartition("\n")[2] == "---"
 
 
 if __name__ == "__main__":
