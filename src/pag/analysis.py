@@ -5,8 +5,8 @@ the relation graph and decide what must hold in every equilibrium (group
 balance, clique defense), whether a balancing equilibrium exists, whether a
 country can possibly be safe in a bipartite antagonism, and the
 domination/protectorate cover that yields unique survival predictions when
-it spans the whole graph.  A country index outside 0..n-1 raises
-ValidationError.
+it spans the whole graph.  A country index that is not an int in 0..n-1
+raises ValidationError.
 """
 
 from __future__ import annotations
@@ -19,8 +19,11 @@ from typing import Iterable
 from .model import ZERO, Environment, ValidationError, _check_indices
 
 
-class TopologyError(ValueError):
-    """The environment's relation graph does not fit the requested check."""
+class TopologyError(ValidationError):
+    """The relation graph does not fit the requested check (an input fault)."""
+
+    def __init__(self, message: str):
+        super().__init__([f"topology: {message}"])
 
 
 def is_complete_adversary_graph(env: Environment) -> bool:

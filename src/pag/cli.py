@@ -18,12 +18,12 @@ piped straight back into `verify`.  Both are exactly
 Python, so one ASCII line: a name that stdout's encoding cannot hold is
 backslash-escaped in the report only.
 
-Exit codes: 0 success or affirmative; 1 a well-formed negative (not an
-equilibrium, condition not met) or a constructor's `InfeasiblePower`,
-`PreconditionViolated`, `ConditionNotMet` or `ConstructionFailed`; 2 a
-`ValidationError` (any input fault), a `TopologyError` or an `OSError`
-from the one write to stdout.  Any other exception, an `OSError` inside a
-command included, is a bug and propagates.
+Exit codes, by base class: 0 success or affirmative; 1 a well-formed
+negative (an invalid allocation, not an equilibrium) or any
+`ConstructionFailed`; 2 any `ValidationError` (every input fault, a
+`TopologyError` included) or an `OSError` from the one write to stdout.
+Any other exception, an `OSError` inside a command included, is a bug
+and propagates.
 """
 
 from __future__ import annotations
@@ -519,15 +519,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for problem in exc.errors:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_ERROR
-    except analysis.TopologyError as exc:
-        print(f"error: topology: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (
-        constructors.InfeasiblePower,
-        constructors.PreconditionViolated,
-        constructors.ConditionNotMet,
-        constructors.ConstructionFailed,
-    ) as exc:
+    except constructors.ConstructionFailed as exc:
         print(f"construction: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     finally:

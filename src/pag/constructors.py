@@ -6,7 +6,7 @@ Three families are built here: balancing equilibria on complete rivalries
 rivalries via pair-ordered mutual annihilation.  Every constructor verifies
 its own output with the exact Nash checker before returning it; a
 construction that does not verify is surfaced as an error, never returned.
-A country index outside 0..n-1 raises ValidationError.
+A country index that is not an int in 0..n-1 raises ValidationError.
 """
 
 from __future__ import annotations
@@ -43,20 +43,21 @@ MAX_ORDERINGS = 720
 REPAIR_ROUNDS = 12
 
 
-class InfeasiblePower(ValueError):
+class ConstructionFailed(RuntimeError):
+    """A constructor's negative answer; raised as is when no attempted
+    construction verified as a Nash equilibrium."""
+
+
+class InfeasiblePower(ConstructionFailed):
     """Some country's power exceeds the total power of the others."""
 
 
-class PreconditionViolated(ValueError):
+class PreconditionViolated(ConstructionFailed):
     """The environment does not satisfy the constructor's precondition."""
 
 
-class ConditionNotMet(ValueError):
+class ConditionNotMet(ConstructionFailed):
     """The sufficient condition for the construction does not hold."""
-
-
-class ConstructionFailed(RuntimeError):
-    """No attempted construction verified as a Nash equilibrium."""
 
 
 def symmetric_row_sum_matrix(powers: Sequence[Rational]) -> Matrix:

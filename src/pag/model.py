@@ -214,9 +214,9 @@ def validate_environment(
 ) -> Environment:
     """Check a raw environment description and build an Environment.
 
-    Collects every violation (duplicate names, negative power, self pairs,
-    pairs that are both friend and adversary, unknown names) and raises a
-    single ValidationError listing all of them.
+    Collects every violation (duplicate names, negative power, a pair that
+    is not two name strings, self pairs, pairs that are both friend and
+    adversary, unknown names) and raises one ValidationError listing them.
     """
     errors: list[str] = []
     if not names:
@@ -253,7 +253,11 @@ def validate_environment(
 
     def resolve(pairs: Iterable[tuple[str, str]], label: str) -> set[Pair]:
         out: set[Pair] = set()
-        for a, b in pairs:
+        for pair in pairs:
+            a, b = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
+            if not (isinstance(a, str) and isinstance(b, str)):
+                errors.append(f"bad {label} pair: {_echo(pair)}")
+                continue
             i, j = index.get(a), index.get(b)
             if i is None or j is None:
                 errors.extend(
@@ -297,7 +301,7 @@ def make_environment(
     if names is None:
         names = tuple(f"v{i + 1}" for i in range(len(powers)))
     friends, adversaries = list(friends), list(adversaries)
-    _check_indices(len(names), [*friends, *adversaries])
+    _check_indices(len(names), [*friends, *adversaries], pairs=True)
     return validate_environment(
         names,
         powers,
@@ -306,9 +310,19 @@ def make_environment(
     )
 
 
-def _check_indices(n: int, pairs: Iterable[Pair]) -> None:
-    """ValidationError naming every index of `pairs` outside 0..n-1."""
-    errors = [f"index {k} out of range 0..{n - 1}" for p in pairs for k in p if not 0 <= k < n]
+def _check_indices(n: int, groups: Iterable[Sequence[int]], pairs: bool = False) -> None:
+    """ValidationError naming every index of `groups` that is not an int in
+    0..n-1 and, with `pairs`, every group that is not a list or tuple of 2."""
+    errors = []
+    for group in groups:
+        if pairs and not (isinstance(group, (tuple, list)) and len(group) == 2):
+            errors.append(f"not an index pair: {_echo(group)}")
+            continue
+        for k in group:
+            if type(k) is not int:
+                errors.append(f"index {_echo(k)} is not an int")
+            elif not 0 <= k < n:
+                errors.append(f"index {_echo(k)} out of range 0..{n - 1}")
     if errors:
         raise ValidationError(errors)
 
@@ -317,7 +331,7 @@ def matrix_from_entries(
     env: Environment, entries: Mapping[Pair, Rational]
 ) -> Matrix:
     """Build a full matrix from sparse {(row, col): value} entries."""
-    _check_indices(env.n, entries)
+    _check_indices(env.n, entries, pairs=True)
     rows = [[ZERO] * env.n for _ in range(env.n)]
     for (i, j), raw in entries.items():
         rows[i][j] = to_fraction(raw)

@@ -68,6 +68,7 @@ from .model import (
     State,
     STATE_ORDER,
     ValidationError,
+    _echo,
     sigma_tau,
     state_of,
     to_fraction,
@@ -96,7 +97,7 @@ class EnumerationTooLarge(ValidationError):
 @dataclass(frozen=True)
 class GridSpec:
     """Enumeration grid: positive step that must divide every power exactly,
-    and a candidate bound from 1 to `MAX_CANDIDATES`, checked before any work.
+    and an int candidate bound from 1 to `MAX_CANDIDATES`, checked before any work.
 
     The step is parsed as `model.to_fraction` parses any rational and
     stored as a `Fraction`: a float, a bool or a Decimal raises
@@ -109,6 +110,8 @@ class GridSpec:
         object.__setattr__(self, "step", to_fraction(self.step))
         if self.step <= 0:
             raise ValidationError(["step must be positive"])
+        if type(self.max_candidates) is not int:
+            raise ValidationError([f"max_candidates must be an int: {_echo(self.max_candidates)}"])
         if not 1 <= self.max_candidates <= MAX_CANDIDATES:
             raise ValidationError([f"max_candidates must be between 1 and {MAX_CANDIDATES}"])
 

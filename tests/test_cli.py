@@ -475,13 +475,14 @@ class TestConstruct:
         path.write_text(json.dumps(scenario))
         code, _, err = run_cli(capsys, "construct", path, "--kind", "balancing")
         assert code == 1
-        assert "construction" in err
+        assert err == "construction: entry 0 has power 20, exceeding the others' total 3\n"
 
     def test_wrong_topology_exits_two(self, capsys):
         code, _, err = run_cli(
             capsys, "construct", DATA / "env4.json", "--kind", "balancing"
         )
         assert code == 2
+        assert err == "error: topology: balancing requires an all-adversary complete graph\n"
 
     def test_missing_target_exits_two(self, capsys):
         code, _, err = run_cli(

@@ -14,6 +14,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -328,6 +329,31 @@ def test_refining_the_grid_keeps_every_equilibrium():
                 members += 1
         environments += 1
     assert (environments, members) == (108, 2163)
+
+
+@pytest.mark.parametrize("c, environments, members", [(2, 29, 408), (3, 30, 1397)])
+def test_scaling_powers_and_step_scales_the_atlas(c, environments, members):
+    # Positive homogeneity on the grid: powers times c on step c are the
+    # same grid units, so the search checks as many candidates and finds
+    # the same classes, each member the original one times c.  Seeded
+    # environments of 3 or 4 countries, powers 0-3, step 1 against step c.
+    rng = random.Random(c)
+    seen = []
+    for _ in range(30):
+        env = random_environment(rng, rng.randint(3, 4), 3, min_power=0)
+        if candidate_count(env, 1) > 20_000:
+            continue
+        scaled = _environment([p * c for p in env.powers], env.friends, env.adversaries)
+        base = _atlas(env)
+        result = pag.find_equilibria(scaled, GridSpec(step=Fraction(c)))
+        assert result.candidates_checked == base.candidates_checked
+        assert [cls.states for cls in result.classes] == [cls.states for cls in base.classes]
+        assert [cls.members for cls in result.classes] == [
+            tuple(tuple(tuple(x * c for x in row) for row in m) for m in cls.members)
+            for cls in base.classes
+        ]
+        seen.append(base.total)
+    assert (len(seen), sum(seen)) == (environments, members)
 
 
 def _assert_atlas_of_union(first, second):

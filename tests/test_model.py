@@ -131,6 +131,30 @@ def test_all_exports_resolve_and_none_is_a_module():
         assert not hasattr(pag, gone)
 
 
+def test_every_exported_exception_is_an_input_fault_or_a_negative_answer():
+    # `pag`'s exit code follows the base class: 2 for a ValidationError, 1
+    # for a ConstructionFailed.  No exported exception is both or neither.
+    exceptions = {
+        name: value
+        for name, value in vars(pag).items()
+        if name in pag.__all__ and isinstance(value, type) and issubclass(value, BaseException)
+    }
+    assert sorted(exceptions) == [
+        "ConditionNotMet",
+        "ConstructionFailed",
+        "EnumerationTooLarge",
+        "InfeasiblePower",
+        "PreconditionViolated",
+        "TopologyError",
+        "ValidationError",
+    ]
+    for name, exc in exceptions.items():
+        assert issubclass(exc, ValidationError) != issubclass(exc, pag.ConstructionFailed), name
+    fault = pag.TopologyError("adversary graph is not bipartite")
+    assert fault.errors == ["topology: adversary graph is not bipartite"]
+    assert str(fault) == "topology: adversary graph is not bipartite"
+
+
 class TestValidateEnvironment:
     def test_env1_description_builds(self, env1):
         assert env1.n == 6
@@ -169,6 +193,55 @@ class TestValidateEnvironment:
             with pytest.raises(ValidationError) as exc:
                 build()
             assert exc.value.errors == [f"index {bad} out of range 0..1"]
+
+    @pytest.mark.parametrize(
+        "build, errors",
+        [
+            (
+                lambda: pag.validate_environment(["a", "b"], [1, 1], friends=[("a",)]),
+                ["bad friend pair: ('a',)"],
+            ),
+            (
+                lambda: pag.validate_environment(["a", "b"], [1, 1], friends=[("a", ["b"])]),
+                ["bad friend pair: ('a', ['b'])"],
+            ),
+            (
+                lambda: pag.validate_environment(["a", "b"], [1, 1], adversaries=["ab", ("a", 2)]),
+                ["bad adversary pair: 'ab'", "bad adversary pair: ('a', 2)"],
+            ),
+            (lambda: make_environment([1, 1], friends=[(0, "x")]), ["index 'x' is not an int"]),
+            (
+                lambda: make_environment([1, 1], adversaries=[(True, 0)]),
+                ["index True is not an int"],
+            ),
+            (lambda: make_environment([1, 1], friends=[5]), ["not an index pair: 5"]),
+            (
+                lambda: matrix_from_entries(make_environment([1, 1]), {(0,): 1}),
+                ["not an index pair: (0,)"],
+            ),
+            (
+                lambda: matrix_from_entries(make_environment([1, 1]), {(0, 1, 1): 1, (0, 1.0): 1}),
+                ["not an index pair: (0, 1, 1)", "index 1.0 is not an int"],
+            ),
+        ],
+        ids=[
+            "short-pair",
+            "unhashable-name",
+            "not-names",
+            "str-index",
+            "bool-index",
+            "int-pair",
+            "short-key",
+            "long-and-float-keys",
+        ],
+    )
+    def test_malformed_pairs_and_indices_are_reported(self, build, errors):
+        # Unchecked, each ends in a bare ValueError or TypeError from
+        # unpacking, hashing or comparing what is not a pair of names or
+        # indices, or takes True as index 1.
+        with pytest.raises(ValidationError) as exc:
+            build()
+        assert exc.value.errors == errors
 
     @pytest.mark.parametrize(
         "names,powers,message",
@@ -211,6 +284,49 @@ class TestValidateEnvironment:
                 adversaries=[("a", "b"), ("a", "c")],
             )
         assert len(exc.value.errors) >= 3
+
+
+_NAMES = ("a", "b", "c")
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+#: Hashable JSON-like values, as a mapping's keys: scalars and tuples of them.
+_KEYS = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=4)
+_INDEX_PAIRS = st.tuples(st.integers(-1, 3), st.integers(-1, 3))
+_PAIRS = st.lists(
+    _JSON | st.tuples(st.sampled_from(_NAMES), st.sampled_from(_NAMES)) | _INDEX_PAIRS,
+    max_size=4,
+)
+_POWERS = st.lists(
+    _JSON | st.integers(-1, 4) | st.sampled_from(["1/2", "3", "-1", "x"]), max_size=4
+)
+_FUNCTIONS = ["validate_environment", "make_environment", "matrix_from_entries", "GridSpec"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FUNCTIONS), st.data())
+def test_library_input_ends_in_a_result_or_a_validation_error(function, data):
+    # Arbitrary JSON-like pairs, keys, powers and bounds: any other
+    # exception is a fault the checks miss.
+    draw = data.draw
+    try:
+        if function == "validate_environment":
+            pag.validate_environment(_NAMES, draw(_POWERS), draw(_PAIRS), draw(_PAIRS))
+        elif function == "make_environment":
+            make_environment(draw(_POWERS), friends=draw(_PAIRS), adversaries=draw(_PAIRS))
+        elif function == "matrix_from_entries":
+            entries = draw(st.dictionaries(_KEYS | _INDEX_PAIRS, _JSON))
+            matrix_from_entries(make_environment([1, 2, 3]), entries)
+        else:
+            bounds = _JSON | st.integers(0, 10)
+            pag.GridSpec(step=draw(bounds), max_candidates=draw(bounds))
+    except ValidationError:
+        pass
 
 
 class TestValidateAllocation:

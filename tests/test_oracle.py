@@ -96,6 +96,14 @@ class TestGridSpec:
         with pytest.raises(ValidationError, match=message):
             GridSpec(step=Fraction(1), max_candidates=bound)
 
+    @pytest.mark.parametrize("bound", ["5", None, 1.5, True], ids=repr)
+    def test_candidate_bound_must_be_an_int(self, bound):
+        # Unchecked, a str or None bound fails its comparison with a bare
+        # TypeError, and 1.5 or True passes.
+        with pytest.raises(ValidationError) as exc:
+            GridSpec(step=Fraction(1), max_candidates=bound)
+        assert exc.value.errors == [f"max_candidates must be an int: {bound!r}"]
+
     def test_int_step_is_stored_as_a_fraction(self, env4):
         # An int step gives the atlas of the equal Fraction step, whose
         # members hold only Fractions.
