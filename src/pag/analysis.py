@@ -59,15 +59,21 @@ def adversary_bipartition(env: Environment) -> tuple[frozenset[int], frozenset[i
     return left, right
 
 
+def _members(env: Environment, group: Iterable[int]) -> list[int]:
+    """The sorted distinct members of a nonempty group of country indices."""
+    group = list(group)
+    if not group:
+        raise ValidationError(["group must be nonempty"])
+    _check_indices(env.n, [group])
+    return sorted(set(group))
+
+
 def check_group_balance(env: Environment, group: Iterable[int]) -> bool:
     """No internal antagonism and each member covers its adversaries' power.
 
     When true, every member survives in every equilibrium.
     """
-    members = sorted(set(group))
-    if not members:
-        raise ValidationError(["group must be nonempty"])
-    _check_indices(env.n, [members])
+    members = _members(env, group)
     member_set = set(members)
     for i in members:
         adversaries = env.adversaries_of[i]
@@ -83,10 +89,7 @@ def check_clique_defense(env: Environment, group: Iterable[int]) -> bool:
 
     When true, every member survives in every equilibrium.
     """
-    members = sorted(set(group))
-    if not members:
-        raise ValidationError(["group must be nonempty"])
-    _check_indices(env.n, [members])
+    members = _members(env, group)
     for a in members:
         friends = set(env.friends_of[a])
         for b in members:

@@ -62,49 +62,33 @@ EXIT_ERROR = 2
 
 
 def parse_scenario(data: Any) -> tuple[Environment, Matrix | None]:
-    """Build an environment (and allocation, if present) from scenario JSON."""
+    """Build an environment (and allocation, if present) from scenario JSON.
+
+    Only the JSON shape is checked here: `model.validate_environment`
+    checks every name and pair.
+    """
     errors: list[str] = []
     if not isinstance(data, dict):
         raise ValidationError(["scenario must be a JSON object"])
     countries = data.get("countries")
     if not isinstance(countries, list) or not countries:
         raise ValidationError(["scenario needs a nonempty 'countries' list"])
-    names: list[str] = []
+    names: list[Any] = []
     powers: list[Any] = []
     for entry in countries:
         if not isinstance(entry, dict) or "name" not in entry or "power" not in entry:
             errors.append(f"country entries need 'name' and 'power': {_echo(entry)}")
             continue
-        name = entry["name"]
-        if not isinstance(name, str):
-            errors.append(f"country name must be a string: {_echo(name)}")
-            continue
-        if not name.isascii() and name.encode(errors="replace").decode() != name:
-            errors.append(f"country name must be valid Unicode: {_echo(name)}")
-            continue
-        names.append(name)
+        names.append(entry["name"])
         powers.append(entry["power"])
-
-    def pairs(key: str) -> list[tuple[str, str]]:
-        raw = data.get(key, [])
-        out: list[tuple[str, str]] = []
-        if not isinstance(raw, list):
+    friends = data.get("friends", [])
+    adversaries = data.get("adversaries", [])
+    for key, pairs in (("friends", friends), ("adversaries", adversaries)):
+        if not isinstance(pairs, list):
             errors.append(f"'{key}' must be a list of name pairs")
-            return out
-        for item in raw:
-            if isinstance(item, (list, tuple)) and len(item) == 2:
-                a, b = item
-                if isinstance(a, str) and isinstance(b, str):
-                    out.append((a, b))
-                    continue
-            errors.append(f"bad {key} pair: {_echo(item)}")
-        return out
-
-    friend_pairs = pairs("friends")
-    adversary_pairs = pairs("adversaries")
     if errors:
         raise ValidationError(errors)
-    env = validate_environment(names, powers, friend_pairs, adversary_pairs)
+    env = validate_environment(names, powers, friends, adversaries)
     # validate_environment accepted every raw power, so each is hashable:
     # the bound reads each distinct one once, with its count.
     power_of = dict(zip(powers, env.powers))

@@ -85,6 +85,7 @@ from .model import (
     Environment,
     Matrix,
     State,
+    _check_indices,
     _integer_units,
     sigma_tau,
     state_of,
@@ -388,7 +389,9 @@ def best_deviation(env: Environment, u: Matrix, i: int) -> Deviation | None:
 
     The decision is `_decide`, in integer units; the witness row and
     the states it induces are built only once a target is found.
+    ValidationError unless i is an int in 0..n-1.
     """
+    _check_indices(env.n, [(i,)])
     deviations, _ = _check(env, u, (i,))
     return deviations[0] if deviations else None
 

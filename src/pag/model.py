@@ -214,20 +214,25 @@ def validate_environment(
 ) -> Environment:
     """Check a raw environment description and build an Environment.
 
-    Collects every violation (duplicate names, negative power, a pair that
-    is not two name strings, self pairs, pairs that are both friend and
+    The one check of names and pairs: collects every violation (a name that
+    is not a valid Unicode string or repeats one, negative power, a pair
+    that is not two name strings, self pairs, pairs that are both friend and
     adversary, unknown names) and raises one ValidationError listing them.
     """
     errors: list[str] = []
     if not names:
         errors.append("no countries")
-    index = {name: i for i, name in enumerate(names)}
-    if len(index) < len(names):
-        seen: set[str] = set()
-        for name in names:
-            if name in seen:
-                errors.append(f"duplicate name {_echo(name)}")
-            seen.add(name)
+    # A name that fails a check gets no index entry, so no pair finds it.
+    index: dict[str, int] = {}
+    for i, name in enumerate(names):
+        if not isinstance(name, str):
+            errors.append(f"country name must be a string: {_echo(name)}")
+        elif not name.isascii() and name.encode(errors="replace").decode() != name:
+            errors.append(f"country name must be valid Unicode: {_echo(name)}")
+        elif name in index:
+            errors.append(f"duplicate name {_echo(name)}")
+        else:
+            index[name] = i
     if len(powers) != len(names):
         errors.append(f"{len(names)} countries but {len(powers)} powers")
 
@@ -339,6 +344,8 @@ def matrix_from_entries(
 
 
 def replace_row(u: Matrix, i: int, row: Sequence[Fraction]) -> Matrix:
+    """u with row i replaced; ValidationError unless i is an int in 0..len(u)-1."""
+    _check_indices(len(u), [(i,)])
     return tuple(tuple(row) if k == i else u[k] for k in range(len(u)))
 
 

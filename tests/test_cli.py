@@ -164,13 +164,14 @@ class TestValidate:
             ({"countries": [{"name": "a", "power": 1}, [1]]},
              "country entries need 'name' and 'power': [1]",
              {"countries": [{"name": "a", "power": 1}, [1] * 5000]}),
-            ({"friends": [["a"]]}, "bad friends pair: ['a']", {"friends": [["a" * 5000]]}),
-            ({"adversaries": [["a", "b", "c"]]}, "bad adversaries pair: ['a', 'b', 'c']",
+            ({"friends": [["a"]]}, "bad friend pair: ['a']", {"friends": [["a" * 5000]]}),
+            ({"adversaries": [["a", "b", "c"]]}, "bad adversary pair: ['a', 'b', 'c']",
              {"adversaries": [["a"] * 5000]}),
             ({"friends": [["a", "zz"]]}, "unknown country 'zz' in friend pair",
              {"friends": [["a", "z" * 5000]]}),
             ({"allocation": {"zz": {}}}, "unknown country 'zz' in allocation",
              {"allocation": {"z" * 5000: {}}}),
+            ({"allocation": [1]}, "'allocation' must map row names to entry maps", None),
             ({"allocation": {"a": 1}}, "allocation row for 'a' must be a map", None),
             ({"allocation": {"a": {"zz": 1}}}, "unknown country 'zz' in allocation row 'a'",
              {"allocation": {"a": {"z" * 5000: 1}}}),
@@ -178,7 +179,7 @@ class TestValidate:
              {"countries": [{"name": "z" * 3000, "power": 1}] * 2}),
             ({"countries": [{"name": 1, "power": 1}]}, "country name must be a string: 1",
              {"countries": [{"name": [[[[["z" * 3000]]]]], "power": 1}]}),
-            ({"friends": [["a", 2]]}, "bad friends pair: ['a', 2]",
+            ({"friends": [["a", 2]]}, "bad friend pair: ['a', 2]",
              {"friends": [["a", [[[[["z" * 3000]]]]]]]}),
             ({"countries": [{"name": "a", "power": "x"}]}, "power for 'a': not a rational: 'x'",
              {"countries": [{"name": "a" * 3000, "power": "x"}]}),
@@ -193,9 +194,9 @@ class TestValidate:
               "friends": [["y" * 3000, "z" * 3000]], "adversaries": [["y" * 3000, "z" * 3000]]}),
         ],
         ids=[
-            "entry", "friends", "adversaries", "pair-name", "row-name", "row-map", "column-name",
-            "duplicate-name", "name-type", "pair-member-type", "power-name", "negative-power-name", "self-relation-name",
-            "conflict-names",
+            "entry", "friends", "adversaries", "pair-name", "row-name", "allocation-map", "row-map",
+            "column-name", "duplicate-name", "name-type", "pair-member-type", "power-name",
+            "negative-power-name", "self-relation-name", "conflict-names",
         ],
     )
     def test_input_echoes(self, capsys, tmp_path, short, message, long):
@@ -217,7 +218,7 @@ class TestValidate:
         path = tmp_path / "names.json"
         countries = [{"name": "1", "power": 2}, {"name": "2", "power": 3}]
         path.write_text(json.dumps({"countries": countries, "adversaries": [[1, 2]]}))
-        assert run_cli(capsys, "analyze", path) == (2, "", "error: bad adversaries pair: [1, 2]\n")
+        assert run_cli(capsys, "analyze", path) == (2, "", "error: bad adversary pair: [1, 2]\n")
         path.write_text(json.dumps({"countries": [{"name": 1, "power": 2}, *countries]}))
         assert run_cli(capsys, "analyze", path) == (
             2, "", "error: country name must be a string: 1\n"

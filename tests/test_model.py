@@ -155,6 +155,12 @@ def test_every_exported_exception_is_an_input_fault_or_a_negative_answer():
     assert str(fault) == "topology: adversary graph is not bipartite"
 
 
+#: Two rival countries of power 1, and the allocation where each keeps its
+#: power in reserve: the fixtures of the index probes and the fuzz.
+_RIVALS = make_environment([1, 1], adversaries=[(0, 1)])
+_RESERVES = matrix_from_entries(_RIVALS, {(0, 0): 1, (1, 1): 1})
+
+
 class TestValidateEnvironment:
     def test_env1_description_builds(self, env1):
         assert env1.n == 6
@@ -223,6 +229,13 @@ class TestValidateEnvironment:
                 lambda: matrix_from_entries(make_environment([1, 1]), {(0, 1, 1): 1, (0, 1.0): 1}),
                 ["not an index pair: (0, 1, 1)", "index 1.0 is not an int"],
             ),
+            (lambda: pag.best_deviation(_RIVALS, _RESERVES, -1), ["index -1 out of range 0..1"]),
+            (lambda: pag.best_deviation(_RIVALS, _RESERVES, 5), ["index 5 out of range 0..1"]),
+            (lambda: pag.best_deviation(_RIVALS, _RESERVES, True), ["index True is not an int"]),
+            (lambda: pag.check_group_balance(_RIVALS, [0, "x"]), ["index 'x' is not an int"]),
+            (lambda: pag.check_clique_defense(_RIVALS, [0, [1]]), ["index [1] is not an int"]),
+            (lambda: pag.replace_row(_RESERVES, 5, (1, 0)), ["index 5 out of range 0..1"]),
+            (lambda: pag.replace_row(_RESERVES, -1, (1, 0)), ["index -1 out of range 0..1"]),
         ],
         ids=[
             "short-pair",
@@ -233,14 +246,39 @@ class TestValidateEnvironment:
             "int-pair",
             "short-key",
             "long-and-float-keys",
+            "deviator-negative",
+            "deviator-too-large",
+            "deviator-bool",
+            "group-str",
+            "group-list",
+            "row-too-large",
+            "row-negative",
         ],
     )
     def test_malformed_pairs_and_indices_are_reported(self, build, errors):
-        # Unchecked, each ends in a bare ValueError or TypeError from
-        # unpacking, hashing or comparing what is not a pair of names or
-        # indices, or takes True as index 1.
+        # Unchecked, each ends in a bare ValueError, TypeError, KeyError or
+        # IndexError from unpacking, hashing, comparing or indexing what is
+        # not a pair of names or an index, takes True as index 1, or (a row
+        # index out of range) returns the matrix unchanged.
         with pytest.raises(ValidationError) as exc:
             build()
+        assert exc.value.errors == errors
+
+    @pytest.mark.parametrize(
+        "names, errors",
+        [
+            ([1, "b"], ["country name must be a string: 1"]),
+            ([["a"], "b"], ["country name must be a string: ['a']"]),
+            ([None, None], ["country name must be a string: None"] * 2),
+            (["\ud800", "b"], ["country name must be valid Unicode: '\\ud800'"]),
+        ],
+        ids=["int", "list", "none-twice", "lone-surrogate"],
+    )
+    def test_names_are_valid_unicode_strings(self, names, errors):
+        # Unchecked, the list raised an unhashable TypeError and the others
+        # were accepted as names.
+        with pytest.raises(ValidationError) as exc:
+            pag.validate_environment(names, [1, 1])
         assert exc.value.errors == errors
 
     @pytest.mark.parametrize(
@@ -305,26 +343,44 @@ _PAIRS = st.lists(
 _POWERS = st.lists(
     _JSON | st.integers(-1, 4) | st.sampled_from(["1/2", "3", "-1", "x"]), max_size=4
 )
-_FUNCTIONS = ["validate_environment", "make_environment", "matrix_from_entries", "GridSpec"]
+#: A country index, or a JSON-like value in its place.
+_INDEX = _JSON | st.integers(-1, 3)
+_FUNCTIONS = [
+    "validate_environment",
+    "make_environment",
+    "matrix_from_entries",
+    "GridSpec",
+    "best_deviation",
+    "check_group_balance",
+    "check_clique_defense",
+    "replace_row",
+]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(_FUNCTIONS), st.data())
 def test_library_input_ends_in_a_result_or_a_validation_error(function, data):
-    # Arbitrary JSON-like pairs, keys, powers and bounds: any other
-    # exception is a fault the checks miss.
+    # Arbitrary JSON-like names, pairs, keys, powers, bounds, indices and
+    # groups: any other exception is a fault the checks miss.
     draw = data.draw
     try:
         if function == "validate_environment":
-            pag.validate_environment(_NAMES, draw(_POWERS), draw(_PAIRS), draw(_PAIRS))
+            names = draw(st.lists(_JSON | st.sampled_from(_NAMES), max_size=4))
+            pag.validate_environment(names, draw(_POWERS), draw(_PAIRS), draw(_PAIRS))
         elif function == "make_environment":
             make_environment(draw(_POWERS), friends=draw(_PAIRS), adversaries=draw(_PAIRS))
         elif function == "matrix_from_entries":
             entries = draw(st.dictionaries(_KEYS | _INDEX_PAIRS, _JSON))
             matrix_from_entries(make_environment([1, 2, 3]), entries)
-        else:
+        elif function == "GridSpec":
             bounds = _JSON | st.integers(0, 10)
             pag.GridSpec(step=draw(bounds), max_candidates=draw(bounds))
+        elif function == "best_deviation":
+            pag.best_deviation(_RIVALS, _RESERVES, draw(_INDEX))
+        elif function == "replace_row":
+            pag.replace_row(_RESERVES, draw(_INDEX), (1, 0))
+        else:
+            getattr(pag, function)(_RIVALS, draw(st.lists(_INDEX, max_size=3)))
     except ValidationError:
         pass
 
