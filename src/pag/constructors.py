@@ -3,7 +3,9 @@
 Three families are built here: balancing equilibria on complete rivalries
 (everyone precarious), sole-survivor equilibria on complete rivalries
 (exactly one country safe), and safe-country equilibria on bipartite
-rivalries via pair-ordered mutual annihilation.  Every constructor verifies
+rivalries via pair-ordered mutual annihilation.  Both complete-rivalry
+families rest on one balanced block, `symmetric_row_sum_matrix`, built in
+one sweep over the prefix sums of the powers.  Every constructor verifies
 its own output with the exact Nash checker before returning it; a
 construction that does not verify is surfaced as an error, never returned.
 A country index that is not an int in 0..n-1 raises ValidationError.
@@ -11,6 +13,7 @@ A country index that is not an int in 0..n-1 raises ValidationError.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from fractions import Fraction
@@ -63,11 +66,13 @@ class ConditionNotMet(ConstructionFailed):
 def symmetric_row_sum_matrix(powers: Sequence[Rational]) -> Matrix:
     """Symmetric nonnegative matrix with zero diagonal and given row sums.
 
-    Exists iff every entry is at most the sum of the others.  The builder
-    pairs the second and third largest residuals with an amount capped by
-    half the feasibility slack, which preserves the existence condition at
-    every step; once the slack is exhausted the largest residual is matched
-    exactly by a star over the rest.
+    Exists iff every entry is at most the sum of the others.  One sweep
+    builds it: the powers lie end to end on [0, total), and each point x
+    of the first half is joined to x + total/2.  No power exceeds half the
+    total, so the two points never fall in the same power and the diagonal
+    stays zero.  Each stretch between cut points adds its length to one
+    pair (a, b) and to (b, a); a zero power writes no cell.  Every entry is
+    a difference of prefix sums or of a prefix sum and half the total.
     """
     z = [to_fraction(p) for p in powers]
     n = len(z)
@@ -83,28 +88,21 @@ def symmetric_row_sum_matrix(powers: Sequence[Rational]) -> Matrix:
             )
 
     w = [[ZERO] * n for _ in range(n)]
-    while True:
-        order = sorted(range(n), key=lambda k: (-z[k], k))
-        a = order[0]
-        if z[a] == 0:
-            break
-        remaining = sum(z, ZERO)
-        slack = remaining - 2 * z[a]
-        if slack == 0:
-            for j in order[1:]:
-                if z[j] > 0:
-                    w[a][j] += z[j]
-                    w[j][a] += z[j]
-                    z[j] = ZERO
-            z[a] = ZERO
-            break
-        b, c = order[1], order[2]
-        amount = min(z[c], slack / 2)
-        assert amount > 0
-        w[b][c] += amount
-        w[c][b] += amount
-        z[b] -= amount
-        z[c] -= amount
+    half = total / 2
+    ends = list(itertools.accumulate(z))
+    # Power a holds the point `start`, power b the point start + half.
+    a, b = 0, bisect.bisect_right(ends, half)
+    start = ZERO
+    while start < half:
+        end = min(ends[a], ends[b] - half)
+        if end > start:
+            w[a][b] += end - start
+            w[b][a] += end - start
+        start = end
+        if ends[a] == end:
+            a += 1
+        else:
+            b += 1
     return tuple(tuple(row) for row in w)
 
 
@@ -160,33 +158,29 @@ def sole_survivor_equilibrium(env: Environment, survivor: int) -> Matrix:
             f"{env.names[survivor]} needs positive power to be safe"
         )
 
+    # The others balance each other, a dominator capped at the rest's total.
+    sub_total = total - env.powers[survivor]
+    capped = [ZERO if k == survivor else min(p, sub_total - p) for k, p in enumerate(env.powers)]
+    rows = [list(row) for row in symmetric_row_sum_matrix(capped)]
     others = [j for j in range(env.n) if j != survivor]
-    rows = [[ZERO] * env.n for _ in range(env.n)]
-    sub_total = sum((env.powers[j] for j in others), ZERO)
-    dominant = [j for j in others if env.powers[j] > sub_total - env.powers[j]]
+    dominant = [j for j in others if capped[j] < env.powers[j]]
 
     if dominant:
-        # One country overpowers the rest of the subgraph: it overfeeds
-        # them, they all fire back at it, and the survivor tops up just
-        # past the dominator's surplus.
+        # At exactly half, the dominator trades each other country's whole
+        # power with it; it overfeeds them by its surplus, and the survivor
+        # tops up just past that surplus.
         j = dominant[0]
-        rest = [k for k in others if k != j]
-        rest_total = sum((env.powers[k] for k in rest), ZERO)
-        surplus = env.powers[j] - rest_total
-        share = surplus / len(rest)
-        for k in rest:
-            rows[j][k] = env.powers[k] + share
-            rows[k][j] = env.powers[k]
+        surplus = env.powers[j] - capped[j]
+        share = surplus / (len(others) - 1)
+        for k in others:
+            if k != j:
+                rows[j][k] += share
         strike = (surplus + env.powers[survivor]) / 2
         rows[survivor][j] = strike
         rows[survivor][survivor] = env.powers[survivor] - strike
     else:
-        # Balanced subgraph: annihilate it evenly etc., then the survivor
-        # spreads its power uniformly to tip everyone under.
-        sub = symmetric_row_sum_matrix([env.powers[j] for j in others])
-        for a, ga in enumerate(others):
-            for b, gb in enumerate(others):
-                rows[ga][gb] = sub[a][b]
+        # Balanced subgraph: the survivor spreads its power uniformly to
+        # tip everyone under.
         share = env.powers[survivor] / len(others)
         for j in others:
             rows[survivor][j] = share

@@ -61,7 +61,10 @@ STATE_ORDER = {State.SAFE: 0, State.PRECARIOUS: 1, State.UNSAFE: 2}
 class ValidationError(ValueError):
     """Bad input: an environment, allocation or option violates its invariants.
 
-    Carries the full list of problems found, not just the first one.
+    Carries the full list of problems found, not just the first one.  It
+    covers bad values inside arguments of the documented kinds; an argument
+    of the wrong kind (a group that is not iterable, `None` for the names)
+    raises TypeError, as Python's own functions do.
     """
 
     def __init__(self, errors: Sequence[str]):
@@ -167,7 +170,6 @@ class Environment:
     row_support: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False, default=()
     )
-    _first_off: tuple[int, ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
         n = len(self.names)
@@ -183,16 +185,9 @@ class Environment:
         for rows in (fr, ad, support):
             for row in rows:
                 row.sort()
-        # Only the rows that have column 0, which are row 0's columns, can
-        # have a first gap past 0.
-        first_off = [0] * n
-        if n:
-            for i in support[0]:
-                first_off[i] = _first_gap(support[i])
         object.__setattr__(self, "friends_of", tuple(map(tuple, fr)))
         object.__setattr__(self, "adversaries_of", tuple(map(tuple, ad)))
         object.__setattr__(self, "row_support", tuple(map(tuple, support)))
-        object.__setattr__(self, "_first_off", tuple(first_off))
 
     @property
     def n(self) -> int:
@@ -358,9 +353,9 @@ def validate_allocation(env: Environment, u: Matrix) -> list[str]:
     runs in the verifier's integer units (`_integer_units`): a row passes
     when its relation cells are nonnegative and sum to its power, and its
     cells with no relation are all zero, which is tested by counting the
-    row's cells equal to the first of them, whose column the Environment
-    keeps (in C, and by identity where they share that object), against the
-    zeros among its relation cells.
+    row's cells equal to the first of them (in C, and by identity where they
+    share that object) against the zeros among its relation cells.  Only a
+    row that holds column 0 can have its first such cell past column 0.
     Only a row that fails is scanned cell by cell, on its exact values, to
     name what is wrong with it.
     """
@@ -369,7 +364,8 @@ def validate_allocation(env: Environment, u: Matrix) -> list[str]:
     if len(u) != n or any(len(row) != n for row in u):
         return [f"matrix must be {n}x{n}"]
     _, powers, units = _integer_units(env, u)
-    for i, (row, cells, off) in enumerate(zip(u, units, env._first_off)):
+    for i, (row, cells, support) in enumerate(zip(u, units, env.row_support)):
+        off = _first_gap(support) if support[0] == 0 else 0
         values = list(cells.values())
         if (
             sum(values) != powers[i]

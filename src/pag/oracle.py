@@ -54,6 +54,7 @@ them in.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -159,23 +160,18 @@ def _row_counts(env: Environment, units: tuple[int, ...]) -> Iterator[int]:
         yield math.comb(total + parts - 1, parts - 1)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
 def _row_candidates(env: Environment, i: int, total: int) -> list[tuple[int, ...]]:
-    """Admissible rows of country i, whose power is `total` grid units."""
+    """Admissible rows of country i, whose power is `total` grid units, in
+    lexicographic order: one per choice of k - 1 cut points among
+    total + k - 1 slots (stars and bars), k the size of the row's support;
+    each cell holds the slots between two cuts."""
     supports = env.row_support[i]
+    slots = total + len(supports) - 1
     out = []
-    for combo in _compositions(total, len(supports)):
+    for cuts in itertools.combinations(range(slots), len(supports) - 1):
         row = [0] * env.n
-        for j, c in zip(supports, combo):
-            row[j] = c
+        for j, (a, b) in zip(supports, itertools.pairwise((-1, *cuts, slots))):
+            row[j] = b - a - 1
         out.append(tuple(row))
     return out
 

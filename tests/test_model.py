@@ -563,7 +563,7 @@ def test_row_support_is_cached_per_environment(seed):
             related = {i, *e.friends_of[i], *e.adversaries_of[i]}
             assert e.row_support[i] == tuple(sorted(related))
             # Validation's first column with no relation (n when there is none).
-            assert e._first_off[i] == min(set(range(e.n + 1)) - related)
+            assert model._first_gap(e.row_support[i]) == min(set(range(e.n + 1)) - related)
 
     check(env)
     free = [p for p in itertools.combinations(range(env.n), 2) if p not in env.friends]
@@ -591,7 +591,7 @@ def test_row_support_is_cached_per_environment(seed):
     assert raw.friends_of == ((2,), (), (0,), ())
     assert raw.adversaries_of == ((1,), (0, 2, 3), (1,), (1,))
     assert raw.row_support == ((0, 1, 2), (0, 1, 2, 3), (0, 1, 2), (1, 3))
-    assert raw._first_off == (3, 4, 3, 0)
+    assert [model._first_gap(row) for row in raw.row_support] == [3, 4, 3, 0]
 
 
 # Row v1 of an admissible allocation with a diagonal, a friend and an
