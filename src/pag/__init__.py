@@ -17,7 +17,6 @@ from .analysis import (
     Protectorate,
     SurvivalVerdict,
     TopologyError,
-    adversary_bipartition,
     balancing_exists,
     bipartite_safe_necessary,
     bipartite_safe_sufficient,

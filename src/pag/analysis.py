@@ -6,14 +6,15 @@ balance, clique defense), whether a balancing equilibrium exists, whether a
 country can possibly be safe in a bipartite antagonism, and the
 domination/protectorate cover that yields unique survival predictions when
 it spans the whole graph.  A country index that is not an int in 0..n-1
-raises ValidationError.
+raises ValidationError.  `_power` is every total of power over countries,
+and the bipartite conditions read `Environment.adversary_sides`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable
 
 from .model import ZERO, Environment, ValidationError, _check_indices
@@ -34,29 +35,9 @@ def is_complete_adversary_graph(env: Environment) -> bool:
     return len(env.adversaries) == expected
 
 
-def adversary_bipartition(env: Environment) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Two-color the adversary graph; None when an odd cycle exists.
-
-    Components are colored independently; the smallest index of each
-    component goes to the left side.  Isolated countries land on the left.
-    """
-    color: dict[int, int] = {}
-    for start in range(env.n):
-        if start in color:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
-            for j in env.adversaries_of[i]:
-                if j not in color:
-                    color[j] = 1 - color[i]
-                    queue.append(j)
-                elif color[j] == color[i]:
-                    return None
-    left = frozenset(i for i, c in color.items() if c == 0)
-    right = frozenset(i for i, c in color.items() if c == 1)
-    return left, right
+def _power(env: Environment, countries: Iterable[int]) -> Fraction:
+    """The total power of `countries`."""
+    return sum([env.powers[k] for k in countries], ZERO)
 
 
 def _members(env: Environment, group: Iterable[int]) -> list[int]:
@@ -79,7 +60,7 @@ def check_group_balance(env: Environment, group: Iterable[int]) -> bool:
         adversaries = env.adversaries_of[i]
         if member_set.intersection(adversaries):
             return False
-        if env.powers[i] < sum((env.powers[j] for j in adversaries), ZERO):
+        if env.powers[i] < _power(env, adversaries):
             return False
     return True
 
@@ -98,9 +79,7 @@ def check_clique_defense(env: Environment, group: Iterable[int]) -> bool:
     outside: set[int] = set()
     for i in members:
         outside.update(env.adversaries_of[i])
-    total = sum((env.powers[i] for i in members), ZERO)
-    threat = sum((env.powers[j] for j in outside), ZERO)
-    return total >= threat
+    return _power(env, members) >= _power(env, outside)
 
 
 def balancing_exists(env: Environment) -> bool:
@@ -125,11 +104,10 @@ def bipartite_safe_necessary(env: Environment, i: int) -> bool:
     _check_indices(env.n, [(i,)])
     if env.friends:
         raise TopologyError("environment has friend relations")
-    if adversary_bipartition(env) is None:
+    if env.adversary_sides is None:
         raise TopologyError("adversary graph is not bipartite")
     return all(
-        env.powers[j] <= sum((env.powers[k] for k in env.adversaries_of[j]), ZERO)
-        for j in env.adversaries_of[i]
+        env.powers[j] <= _power(env, env.adversaries_of[j]) for j in env.adversaries_of[i]
     )
 
 
@@ -148,9 +126,7 @@ def bipartite_safe_sufficient(env: Environment, i: int) -> bool:
     second: set[int] = set()
     for j in adversaries:
         second.update(env.adversaries_of[j])
-    lhs = sum((env.powers[j] for j in adversaries), ZERO)
-    rhs = sum((env.powers[k] for k in second), ZERO)
-    return lhs < rhs
+    return _power(env, adversaries) < _power(env, second)
 
 
 @dataclass(frozen=True)
@@ -188,8 +164,7 @@ def domination(env: Environment, i: int) -> Domination | None:
     covered = set(adversaries)
     for j in adversaries:
         covered.update(env.friends_of[j])
-    needed = sum((env.powers[k] for k in covered), ZERO)
-    if env.powers[i] < needed:
+    if env.powers[i] < _power(env, covered):
         return None
     return Domination(owner=i, members=frozenset({i} | covered))
 
@@ -201,18 +176,11 @@ def protectorate(env: Environment, i: int) -> Protectorate | None:
     """
     _check_indices(env.n, [(i,)])
     friends = env.friends_of[i]
-    weak = frozenset(
-        j
-        for j in friends
-        if env.powers[j] < sum((env.powers[k] for k in env.adversaries_of[j]), ZERO)
-    )
+    weak = frozenset(j for j in friends if env.powers[j] < _power(env, env.adversaries_of[j]))
     threats: set[int] = set()
     for j in weak:
         threats.update(env.adversaries_of[j])
-    lhs = env.powers[i] + sum((env.powers[j] for j in weak), ZERO)
-    rhs_set = set(env.adversaries_of[i]) | threats
-    rhs = sum((env.powers[j] for j in rhs_set), ZERO)
-    if lhs < rhs:
+    if env.powers[i] + _power(env, weak) < _power(env, set(env.adversaries_of[i]) | threats):
         return None
     return Protectorate(
         owner=i,

@@ -4,7 +4,8 @@ An environment is a set of named countries with exact rational powers and
 symmetric friend/adversary relations.  An allocation matrix splits each
 country's power across its own reserve, support for friends, and offense
 against adversaries.  The induced per-country state (safe, precarious,
-unsafe) is decided by comparing total support against total threat.
+unsafe) is decided by comparing total support against total threat.  The
+adversary graph's two sides are found once per environment, on first use.
 
 Every quantity that enters or leaves the engine is a `fractions.Fraction`.
 Inside, decisions run in integer units: the verifier and the allocation
@@ -29,9 +30,11 @@ assignment, and what it returns depends on its two arguments alone.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -154,6 +157,8 @@ class Environment:
     read-only tuples indexed by country, each in ascending order:
     `friends_of[i]`, `adversaries_of[i]`, and `row_support[i]`, the columns
     where row i may be nonzero (i itself and its relations).
+    `adversary_sides` is found on first use and kept: most environments
+    never need it, and a check run for every country colours the graph once.
     """
 
     names: tuple[str, ...]
@@ -192,6 +197,31 @@ class Environment:
     @property
     def n(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def adversary_sides(self) -> tuple[frozenset[int], frozenset[int]] | None:
+        """Two-colour the adversary graph; None when an odd cycle exists.
+
+        Components are coloured independently; the smallest index of each
+        component goes to the left side.  Isolated countries land on the left.
+        """
+        color: dict[int, int] = {}
+        for start in range(self.n):
+            if start in color:
+                continue
+            color[start] = 0
+            queue = deque([start])
+            while queue:
+                i = queue.popleft()
+                for j in self.adversaries_of[i]:
+                    if j not in color:
+                        color[j] = 1 - color[i]
+                        queue.append(j)
+                    elif color[j] == color[i]:
+                        return None
+        left = frozenset(i for i, c in color.items() if c == 0)
+        right = frozenset(i for i, c in color.items() if c == 1)
+        return left, right
 
     def index(self, name: str) -> int:
         """The country's index; ValidationError for an unknown name."""

@@ -5,7 +5,7 @@ import pytest
 
 import pag
 from pag import State, SurvivalVerdict, TopologyError, ValidationError, make_environment
-from pag.analysis import adversary_bipartition, is_complete_adversary_graph
+from pag.analysis import is_complete_adversary_graph
 from pag.cli import main as cli_main
 from pag.cli import parse_scenario
 
@@ -99,7 +99,7 @@ class TestBipartiteConditions:
             pag.bipartite_safe_sufficient(env2, 0)
 
     def test_bipartition_shape(self, env3):
-        left, right = adversary_bipartition(env3)
+        left, right = env3.adversary_sides
         assert {frozenset(left), frozenset(right)} == {
             frozenset({0, 1}),
             frozenset({2, 3}),

@@ -546,18 +546,25 @@ class TestAnalyze:
         assert payload["balancing_exists"] is None
 
     def test_env3_bipartition_once_per_condition(self, capsys, monkeypatch):
-        # One bipartition per necessary/sufficient call, 4 countries each.
+        # The adversary graph is coloured once per environment: once per
+        # `pag analyze`, and once over the 2n condition calls of the library.
         calls = []
-        original = pag.analysis.adversary_bipartition
+        sides = pag.Environment.__dict__["adversary_sides"]
+        original = sides.func
 
         def counting(env):
             calls.append(env)
             return original(env)
 
-        monkeypatch.setattr(pag.analysis, "adversary_bipartition", counting)
+        monkeypatch.setattr(sides, "func", counting)
         code, _, _ = run_cli(capsys, "analyze", DATA / "env3.json")
         assert code == 0
-        assert len(calls) == 8
+        assert len(calls) == 1
+        env, _ = parse_scenario(json.loads((DATA / "env3.json").read_text()))
+        for i in range(env.n):
+            pag.bipartite_safe_necessary(env, i)
+            pag.bipartite_safe_sufficient(env, i)
+        assert len(calls) == 2 and calls[1] is env
 
     def test_single_country(self, capsys, tmp_path):
         path = tmp_path / "solo.json"

@@ -256,8 +256,8 @@ def test_relabeling_permutes_the_analysis(seed):
     # Permuting the countries permutes the cover's records, the covered set
     # and the verdicts, each country's bipartite conditions and each group's
     # checks; whether a balancing equilibrium exists does not change.  The
-    # sides of `adversary_bipartition` are left out: the smallest index of a
-    # component goes left, so a relabeling may swap them.
+    # sides of `Environment.adversary_sides` are left out: the smallest index
+    # of a component goes left, so a relabeling may swap them.
     rng = random.Random(seed)
     for draw in range(4):
         if draw % 2:

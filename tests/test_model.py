@@ -124,6 +124,7 @@ def test_all_exports_resolve_and_none_is_a_module():
         "survival_possibility",
         "SurvivalPossibility",
         "EmptyAtlas",
+        "adversary_bipartition",
     )
     for gone in (*removed, "model", "oracle"):
         assert gone not in pag.__all__

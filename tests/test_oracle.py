@@ -13,7 +13,12 @@ from pag.model import State, ValidationError, sigma_tau, state_of
 from pag.oracle import MAX_CANDIDATES, candidate_count
 
 from conftest import random_bipartite_environment, random_environment
-from reference import brute_force_atlas, grid_candidates, grid_profitable_deviation
+from reference import (
+    brute_force_atlas,
+    exact_deviates,
+    grid_candidates,
+    grid_profitable_deviation,
+)
 
 
 @pytest.fixture
@@ -401,3 +406,48 @@ class TestAgainstEnvironmentConditions:
         # The dominated country survives in some classes despite the verdict.
         assert report.verdicts[1].value == "not-survives"
         assert survive_bits[1] == {False, True}
+
+
+def _rivalry(powers):
+    """The complete rivalry on len(powers) countries, friendless."""
+    n = len(powers)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    return make_environment(powers, adversaries=pairs)
+
+
+class TestCompleteRivalry:
+    def test_two_safe_countries(self):
+        # Beyond the two constructed families (everyone precarious, one sole
+        # survivor): on K4 with powers 2, 2, 1, 1, v1 puts 2 on v4 and v2
+        # puts 2 on v3, the weak two keep their power in reserve, and v1 and
+        # v2 are both safe in an exact equilibrium.
+        env = _rivalry([2, 2, 1, 1])
+        u = pag.matrix_from_entries(env, {(0, 3): 2, (1, 2): 2, (2, 2): 1, (3, 3): 1})
+        assert pag.validate_allocation(env, u) == []
+        result = pag.is_nash(env, u)
+        assert result.ok
+        assert result.states == (State.SAFE, State.SAFE, State.UNSAFE, State.UNSAFE)
+        assert not any(exact_deviates(env, u, i) for i in range(env.n))
+        atlas = pag.find_equilibria(env, GridSpec(step=Fraction(1)))
+        assert atlas.candidates_checked == 1600
+        assert [(cls.states, len(cls.members)) for cls in atlas.classes] == [
+            ((State.SAFE, State.SAFE, State.UNSAFE, State.UNSAFE), 2),
+            ((State.PRECARIOUS,) * 4, 11),
+        ]
+        assert u in atlas.classes[0].members
+
+    def test_empty_coarse_atlas_is_a_grid_artifact(self):
+        # K5 with powers 0, 1, 0, 0, 0: no equilibrium at steps 1 and 1/2,
+        # one at step 1/4, where v2 puts 1/4 on each rival.
+        env = _rivalry([0, 1, 0, 0, 0])
+        for step, candidates in ((Fraction(1), 5), (Fraction(1, 2), 15)):
+            atlas = pag.find_equilibria(env, GridSpec(step=step))
+            assert (atlas.candidates_checked, atlas.classes) == (candidates, ())
+        atlas = pag.find_equilibria(env, GridSpec(step=Fraction(1, 4)))
+        assert atlas.candidates_checked == 70
+        quarter = Fraction(1, 4)
+        u = pag.matrix_from_entries(env, {(1, j): quarter for j in (0, 2, 3, 4)})
+        assert _classes(atlas)[1] == [
+            ((State.UNSAFE, State.SAFE, State.UNSAFE, State.UNSAFE, State.UNSAFE), (u,))
+        ]
+        assert not any(exact_deviates(env, u, i) for i in range(env.n))
